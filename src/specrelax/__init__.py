@@ -78,11 +78,14 @@ from .thermo import (
     two_mode_transition,
 )
 from .trajectory import (
+    LedgerBlock,
     ModalLedger,
     SpectralProfile,
     dissipation_step,
     hypercube_trajectory,
     ledger_at,
+    ledger_block,
+    ledger_blocks,
     matrix_oracle_step,
     oracle_energies,
     profile_from_weights,

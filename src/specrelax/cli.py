@@ -49,6 +49,8 @@ from .trajectory import (
     SpectralProfile,
     hypercube_trajectory,
     ledger_at,
+    ledger_block,
+    ledger_blocks,
     profile_from_weights,
     project_initial,
 )
@@ -248,7 +250,7 @@ def _as_profile(obj, config: RunConfig) -> SpectralProfile:
     if isinstance(obj, SpectralProfile):
         return obj
     chain = obj
-    dec = spectral_decomposition(chain)
+    dec = spectral_decomposition(chain, _tolerances(config))
     rng = np.random.default_rng(config.seed)
     g0 = rng.standard_normal(chain.n)
     return project_initial(dec, chain, g0)
@@ -335,27 +337,26 @@ def _scalar(v):
 
 def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
     """Per-step ledger rows in the canonical column order."""
-    slow = profile.slow_index()
-    ledgers = [ledger_at(profile, k) for k in range(steps + 2)]
+    if not np.any(profile.lambdas):
+        # every mode dies at k = 1: the step identities need a live step k + 1
+        led = ledger_at(profile, 0)
+        E, S = led.energy, thermo_mod.spectral_entropy(led.p)
+        row = [0, E, led.rho, led.d, float(led.p[profile.slow_index()]), S, "", "", E * S]
+        return [row + [""] * 4] + [[1, 0.0] + [""] * 11][:steps]
+    slow = split_slow_fast(profile).slow_index
     rows = []
-    for k in range(steps + 1):
-        led = ledgers[k]
-        if led.terminal:
-            rows.append([k, 0.0] + [""] * (len(LEDGER_COLUMNS) - 2))
-            break
-        nxt = ledgers[k + 1]
-        E = led.energy
-        S = thermo_mod.spectral_entropy(led.p)
-        row = [k, E, led.rho, led.d, float(led.p[slow]), S]
-        if nxt.terminal:
-            row += ["", "", E * S, "", "", "", ""]
-        else:
-            bal = thermo_mod.entropy_balance(profile, k)
-            gs = thermo_mod.G_step(profile, k)
-            vhat = max(led.rho * (nxt.rho - led.rho), 0.0)
-            gam = max(nxt.rho / led.rho - 1.0, 0.0)
-            row += [bal.cov, bal.kl, gs.G_k, gs.A, gs.B, gam, vhat]
-        rows.append(row)
+    for block in ledger_blocks(profile, range(steps + 2), pairs=True):
+        # each row k pairs with k + 1; the block's last row opens the next block
+        here = block[:-1]
+        A, B = thermo_mod.release_rows(here)    # raises first if some rho_k is 0
+        E = np.exp(here.log_energy)
+        S = thermo_mod.entropy_rows(here.p)
+        rho, rho_next = block.rho[:-1], block.rho[1:]
+        columns = [here.ks, E, rho, 1.0 - rho, here.p[:, slow], S,
+                   thermo_mod.covariance_rows(here, slow)[0], thermo_mod.kl_rows(block),
+                   E * S, A, B, np.maximum(rho_next / rho - 1.0, 0.0),
+                   np.maximum(rho * (rho_next - rho), 0.0)]
+        rows.extend(map(list, zip(*(c.tolist() for c in columns))))
     return rows
 
 
@@ -479,21 +480,20 @@ def _cmd_accel(config: RunConfig) -> int:
             raise ConfigError("cannot infer a suppression interval; pass --interval")
         plan = accel_mod.build_Qm(m, a=lo, b=hi)
     mapped = accel_mod.accelerated_spectrum(profile, plan)
-    slow_plain = profile.slow_index()
-    slow_acc = mapped.slow_index()
-    rows = []
-    for K in range(config.options["steps"] + 1):
-        led_acc = ledger_at(mapped, K)
-        a_acc = "" if led_acc.terminal else float(
-            np.exp(led_acc.log_modal_energies[slow_acc] - led_acc.log_energy))
-        row = [K * m, "", a_acc]
-        if config.options.get("compare_plain", True):
-            led_plain = ledger_at(profile, K * m)
-            row[1] = "" if led_plain.terminal else float(
-                np.exp(led_plain.log_modal_energies[slow_plain] - led_plain.log_energy))
-        rows.append(row)
+    steps = range(config.options["steps"] + 1)
+    plain = (_slow_shares(profile, [K * m for K in steps])
+             if config.options.get("compare_plain", True) else [""] * len(steps))
+    rows = [[K * m, a_plain, a_acc]
+            for K, a_plain, a_acc in zip(steps, plain, _slow_shares(mapped, steps))]
     _emit(config, ["step_equivalent", "alpha2_plain", "alpha2_accel"], rows)
     return 0
+
+
+def _slow_shares(profile: SpectralProfile, ks) -> list:
+    """Slow-mode energy fraction at each step of ks; blank once every mode is dead."""
+    slow = profile.slow_index()
+    return ["" if dead else a for block in ledger_blocks(profile, ks)
+            for a, dead in zip(block.share(slow).tolist(), block.terminal)]
 
 
 def _cmd_fpt(config: RunConfig) -> int:
@@ -554,15 +554,11 @@ def _cmd_hypercube(config: RunConfig) -> int:
     n = config.options["n"]
     alphas = _float_list(config.options["alpha"], "alpha")
     traj = hypercube_trajectory(hypercube_profile(n))
-    slow = traj.slow_index()
-    rows = []
-    for a in alphas:
-        k = hypercube_window_step(n, a)
-        led = ledger_at(traj, k)
-        S = thermo_mod.spectral_entropy(led.p)
-        alpha2 = float(led.p[slow])
-        rows.append([a, k, S, led.energy, alpha2])
-    _emit(config, ["alpha", "k", "S_spec", "E", "alpha2"], rows)
+    block = ledger_block(traj, [hypercube_window_step(n, a) for a in alphas])
+    # logE, not E: the energy leaves the double range from n ~ 1030 on
+    columns = [alphas, block.ks.tolist(), thermo_mod.entropy_rows(block.p).tolist(),
+               block.log_energy.tolist(), block.p[:, traj.slow_index()].tolist()]
+    _emit(config, ["alpha", "k", "S_spec", "logE", "alpha2"], list(map(list, zip(*columns))))
     return 0
 
 

@@ -27,11 +27,10 @@ from .errors import (
     PreconditionUnmet,
     TooShort,
 )
-from .trajectory import SpectralProfile, ledger_at
+from .trajectory import SpectralProfile, ledger_at, ledger_block, ledger_blocks
 
 DEGENERACY_TOL = 1e-12
 DEFAULT_CAP = 1_000_000
-_SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -149,20 +148,6 @@ class RigidityReport:
         object.__setattr__(self, "alpha2_trace", a)
 
 
-def _alpha2_block(profile: SpectralProfile, slow: int, ks: np.ndarray) -> np.ndarray:
-    """Vectorized alpha_2 over a block of steps, in log domain."""
-    lam = profile.lambdas
-    alive = lam != 0.0
-    log_abs = np.where(alive, np.log(np.abs(np.where(alive, lam, 1.0))), 0.0)
-    log_n = profile.log_weights[None, :] + 2.0 * ks[:, None].astype(float) * log_abs[None, :]
-    dead_rows = ks >= 1
-    if np.any(dead_rows) and not np.all(alive):
-        log_n[np.ix_(dead_rows, ~alive)] = -np.inf
-    m = np.max(log_n, axis=1, keepdims=True)
-    log_E = m[:, 0] + np.log(np.sum(np.exp(log_n - m), axis=1))
-    return np.exp(log_n[:, slow] - log_E)
-
-
 def _alpha2_limit(profile: SpectralProfile, split: SlowFastSplit) -> float:
     """k -> inf limit of the slow fraction (|lambda| ties share the energy)."""
     lam = profile.lambdas
@@ -192,7 +177,8 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     if cap < 1:
         raise InvalidArguments("cap must be >= 1")
 
-    alpha0 = _alpha2_block(profile, split.slow_index, np.array([0]))[0]
+    slow = split.slow_index
+    alpha0 = float(ledger_block(profile, [0]).share(slow)[0])
     if alpha0 >= 1.0 - delta:
         return RigidityReport(
             delta=delta, reached=True, t_rigid=0, terminal=False, bound=L,
@@ -214,22 +200,19 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         who = ("degenerate slow cluster"
                if abs(split.fast_abs_lambda - split.slow_lambda) <= DEGENERACY_TOL
                else f"dominating mode with |lambda| = {split.fast_abs_lambda!r}")
-        ks = np.arange(min(cap, 64) + 1)
         return RigidityReport(
             delta=delta, reached=False, t_rigid=None, terminal=False, bound=L,
-            alpha2_trace=_alpha2_block(profile, split.slow_index, ks),
+            alpha2_trace=ledger_block(profile, range(min(cap, 64) + 1)).share(slow),
             ratio=split.ratio, init_ratio=split.init_ratio, cap=cap,
             diagnostic=f"limit alpha_2 = {limit!r} < 1 - delta ({who})",
         )
 
     trace_parts = [np.array([alpha0])]
-    start = 1
-    while start <= cap:
-        ks = np.arange(start, min(start + _SCAN_CHUNK, cap + 1))
-        alpha = _alpha2_block(profile, split.slow_index, ks)
-        hit = np.where(alpha >= 1.0 - delta)[0]
+    for block in ledger_blocks(profile, range(1, cap + 1)):
+        alpha = block.share(slow)
+        hit = np.flatnonzero(alpha >= 1.0 - delta)
         if hit.size:
-            t = int(ks[hit[0]])
+            t = int(block.ks[hit[0]])
             trace_parts.append(alpha[: hit[0] + 1])
             trace = np.concatenate(trace_parts)
             if not trace[t - 1] < 1.0 - delta:
@@ -240,7 +223,6 @@ def rigidity_time(profile: SpectralProfile, delta: float,
                 init_ratio=split.init_ratio, cap=cap,
             )
         trace_parts.append(alpha)
-        start = int(ks[-1]) + 1
     trace = np.concatenate(trace_parts)
     return RigidityReport(
         delta=delta, reached=False, t_rigid=None, terminal=False, bound=L,

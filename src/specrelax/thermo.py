@@ -9,6 +9,10 @@ must agree; the energy-weighted entropy G = E * S is the monotone quantity.
 Natural logarithms throughout.  A mode with eigenvalue zero dies after one
 step; its vanished occupation contributes zero to every KL and covariance
 sum (the 0 * ln 0 convention), which keeps the identities exact.
+
+The identities are array functions over a ledger block (`*_rows`), one value
+per step or per pair of neighbouring steps; the per-step functions are their
+one-row views.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from .errors import (
     NotADistribution,
 )
 from .rigidity import rigidity_time, split_slow_fast
-from .trajectory import ModalLedger, SpectralProfile, ledger_at, profile_from_weights
+from .trajectory import (
+    LedgerBlock,
+    SpectralProfile,
+    ledger_at,
+    ledger_block,
+    ledger_blocks,
+    profile_from_weights,
+)
 
 LN2 = math.log(2.0)
 
@@ -40,26 +51,23 @@ def spectral_entropy(p) -> float:
         raise NotADistribution("negative probability entry")
     if abs(p.sum() - 1.0) > 1e-12:
         raise NotADistribution(f"probabilities sum to {p.sum()!r}")
-    return _entropy(p)
+    return float(entropy_rows(p))
 
 
-def _entropy(p: np.ndarray) -> float:
-    live = p > 0
-    return float(-np.sum(p[live] * np.log(p[live])))
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each distribution along the last axis, unvalidated."""
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
 
 
-def _kl_next_given(led: ModalLedger, led_next: ModalLedger,
-                   profile: SpectralProfile) -> float:
-    """KL(p_{k+1} || p_k) from ledger log-occupations.
+def kl_rows(block: LedgerBlock) -> np.ndarray:
+    """KL(p_{k+1} || p_k) for each pair of neighbouring rows of a live block.
 
     Modes dead at k+1 contribute zero.  Using ln p directly (rather than the
     algebraically equal 2 ln|lambda| - ln rho) keeps the divergence exactly
     consistent with the entropies built from the same logs.
     """
-    alive = led_next.p > 0
-    logp_next = led_next.log_modal_energies[alive] - led_next.log_energy
-    logp_here = led.log_modal_energies[alive] - led.log_energy
-    return float(np.sum(led_next.p[alive] * (logp_next - logp_here)))
+    log_p = block.log_p()
+    return np.sum(block.p[1:] * (log_p[1:] - log_p[:-1]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -72,18 +80,39 @@ class EntropyBalance:
     residual: float
 
 
+def _step_pair(profile: SpectralProfile, k: int) -> LedgerBlock:
+    """The two-row block of steps k and k + 1, both live, with rho_k > 0."""
+    block = ledger_block(profile, [k, k + 1])
+    if np.any(block.terminal):
+        raise DeadTrajectory(f"trajectory dead near step {k}")
+    _require_rho(block[:1])
+    return block
+
+
+def _require_rho(block: LedgerBlock) -> None:
+    """Refuse rows with rho = 0, which the step identities divide by or log.
+
+    rho is 0 in floating point, while the trajectory lives on, when every
+    mode with lambda^2 > 0 has an occupation that underflows (at k = 0 only
+    lambda = 0 modes, say, hold the energy).
+    """
+    zero = block.rho <= 0.0
+    if np.any(zero):
+        raise DeadTrajectory(
+            f"rho underflows to 0 at step {int(block.ks[np.argmax(zero)])}: "
+            "no resolvable energy on modes with lambda != 0")
+
+
 def entropy_balance(profile: SpectralProfile, k: int) -> EntropyBalance:
     """Audit the exact entropy balance at step k; residual is pure roundoff."""
-    led = ledger_at(profile, k)
-    led_next = ledger_at(profile, k + 1)
-    if led.terminal or led_next.terminal:
-        raise DeadTrajectory(f"trajectory dead near step {k}")
-    dS = _entropy(led_next.p) - _entropy(led.p)
-    cov = canonical_covariance(profile, k).cov
-    kl = _kl_next_given(led, led_next, profile)
-    residual = abs(dS - cov / led.rho + kl)
-    return EntropyBalance(k=k, dS=dS, cov=cov, cov_over_rho=cov / led.rho,
-                          kl=kl, residual=residual)
+    block = _step_pair(profile, k)
+    S = entropy_rows(block.p)
+    dS = float(S[1] - S[0])
+    cov = float(covariance_rows(block[:1], split_slow_fast(profile).slow_index)[0][0])
+    kl = float(kl_rows(block)[0])
+    rho = float(block.rho[0])
+    return EntropyBalance(k=k, dS=dS, cov=cov, cov_over_rho=cov / rho,
+                          kl=kl, residual=abs(dS - cov / rho + kl))
 
 
 @dataclass(frozen=True)
@@ -103,47 +132,53 @@ class CovarianceForms:
             object.__setattr__(self, name, a)
 
 
-def canonical_covariance(profile: SpectralProfile, k: int) -> CovarianceForms:
-    """Covariance of (lambda^2, ln 1/p) under p_k, in its three exact forms.
+def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
+    """Covariance of (lambda^2, ln 1/p) at each row, in its three exact forms.
 
-    The canonical form is the reference: its differences rho - lambda_i^2
-    avoid the cancellation of large entropies that afflicts the moment form.
+    Returns (canonical, moment, flux-force, fluxes J, affinities A, sum |J A|),
+    the last the conditioning scale of the sum.  The canonical form is the
+    reference: its differences rho - lambda_i^2 avoid the cancellation of
+    large entropies that afflicts the moment form.
     """
-    split = split_slow_fast(profile)
-    led = ledger_at(profile, k)
-    if led.terminal:
-        raise DeadTrajectory(f"energy is zero at step {k}")
-    lam = profile.lambdas
-    log_n = led.log_modal_energies
-    alive = np.isfinite(log_n)
-    slow = split.slow_index
-    if not alive[slow]:
+    if np.any(block.terminal):
+        raise DeadTrajectory(f"energy is zero at step {block.ks[block.terminal][0]}")
+    alive = np.isfinite(block.log_n)
+    if not np.all(alive[:, slow]):
+        k = int(block.ks[np.argmin(alive[:, slow])])
         raise NoSlowMode(
             f"slow mode is dead at step {k}; affinities are undefined")
+    lam_sq = block.lambdas ** 2
+    rho = block.rho[:, None]
 
     # moment form: -sum p (lambda^2 - rho) ln p
-    logp = np.where(alive, log_n - led.log_energy, 0.0)
-    cov_moment = float(-np.sum(led.p[alive] * (lam[alive] ** 2 - led.rho) * logp[alive]))
+    cov_moment = -np.sum(block.p * (lam_sq - rho) * block.log_p(), axis=1)
 
     # canonical form on a scaled linear copy of the modal energies
-    shift = float(np.max(log_n[alive]))
-    n_scaled = np.where(alive, np.exp(log_n - shift), 0.0)
-    E_scaled = float(n_scaled.sum())
-    aff = np.where(alive, log_n - log_n[slow], -np.inf)
-    fast = np.arange(profile.n_modes) != slow
-    use = fast & alive
-    cov_canonical = float(np.sum(
-        n_scaled[use] * (led.rho - lam[use] ** 2) * aff[use]) / E_scaled)
+    n_scaled = np.exp(block.log_n - np.max(block.log_n, axis=1, keepdims=True))
+    aff = np.where(alive, block.log_n - block.log_n[:, slow:slow + 1], -np.inf)
+    use = alive.copy()
+    use[:, slow] = False
+    aff_use = np.where(use, aff, 0.0)
+    cov_canonical = (np.sum(n_scaled * (rho - lam_sq) * aff_use, axis=1)
+                     / np.sum(n_scaled, axis=1))
 
     # flux-force form
-    J = np.where(fast, led.p * (led.rho - lam ** 2), 0.0)
-    cov_fluxforce = float(np.sum(J[use] * aff[use]))
-    term_scale = float(np.sum(np.abs(J[use] * aff[use])))
+    J = block.p * (rho - lam_sq)
+    J[:, slow] = 0.0
+    terms = J * aff_use
+    return (cov_canonical, cov_moment, np.sum(terms, axis=1), J, aff,
+            np.sum(np.abs(terms), axis=1))
 
+
+def canonical_covariance(profile: SpectralProfile, k: int) -> CovarianceForms:
+    """Covariance of (lambda^2, ln 1/p) under p_k, in its three exact forms."""
+    split = split_slow_fast(profile)
+    cov, moment, fluxforce, J, aff, scale = covariance_rows(
+        ledger_block(profile, [k]), split.slow_index)
     return CovarianceForms(
-        k=k, cov=cov_canonical, cov_moment=cov_moment,
-        cov_fluxforce=cov_fluxforce, fluxes=J,
-        affinities=aff, term_scale=term_scale,
+        k=k, cov=float(cov[0]), cov_moment=float(moment[0]),
+        cov_fluxforce=float(fluxforce[0]), fluxes=J[0],
+        affinities=aff[0], term_scale=float(scale[0]),
     )
 
 
@@ -225,23 +260,30 @@ def clausius_check(profile: SpectralProfile,
     if split.fast_weight > 0 and (split.degenerate or split.slow_lambda <= 0.0):
         raise NonConvergent(
             "degenerate slow cluster: spectral entropy does not vanish")
-    led = ledger_at(profile, 0)
-    S0 = _entropy(led.p)
-    kl_sum = 0.0
-    cov_sum = 0.0
-    k = 0
-    S_here = S0
-    while S_here >= entropy_floor and k < cap:
-        led_next = ledger_at(profile, k + 1)
-        if led_next.terminal:
-            S_here = 0.0
+    S0 = None
+    kl_sum = cov_sum = 0.0
+    for block in ledger_blocks(profile, range(cap + 1), pairs=True):
+        S = entropy_rows(block.p)
+        if S0 is None:
+            S0 = float(S[0])
+        # stop at the first step whose entropy is below the floor or whose
+        # successor is dead; a block's first row is the last of the one before
+        stop = S < entropy_floor
+        stop[:-1] |= block.terminal[1:]
+        hits = np.flatnonzero(stop)
+        end = int(hits[0]) if hits.size else block.ks.size - 1
+        if end:
+            used = block[:end + 1]
+            _require_rho(used[:-1])
+            cov = covariance_rows(used[:-1], split.slow_index)[0]
+            cov_sum += float(np.sum(cov / used.rho[:-1]))
+            kl_sum += float(np.sum(kl_rows(used)))
+        if hits.size:
             break
-        cov = canonical_covariance(profile, k).cov
-        cov_sum += cov / led.rho
-        kl_sum += _kl_next_given(led, led_next, profile)
-        led = led_next
-        k += 1
-        S_here = _entropy(led.p)
+    k = int(block.ks[end])
+    S_here = float(S[end])
+    if S_here >= entropy_floor and k < cap:
+        S_here = 0.0                # the next step is dead: no entropy left
     lhs = kl_sum
     rhs = S0 + cov_sum
     return ClausiusCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
@@ -259,24 +301,29 @@ class SecondLawStep:
 
 def G_step(profile: SpectralProfile, k: int) -> SecondLawStep:
     """One step of the energy-weighted entropy G = E * S and its exact split."""
-    led = ledger_at(profile, k)
-    led_next = ledger_at(profile, k + 1)
-    if led.terminal or led_next.terminal:
-        raise DeadTrajectory(f"trajectory dead near step {k}")
-    lam = profile.lambdas
-    alive = np.isfinite(led.log_modal_energies)
-    n = np.where(alive, np.exp(led.log_modal_energies), 0.0)
-    logp = np.where(alive, led.log_modal_energies - led.log_energy, 0.0)
-    E_k = led.energy
-    A = float(np.sum(n[alive] * (1.0 - lam[alive] ** 2) * (-logp[alive])))
-    lam_pos = alive & (lam != 0.0)
-    # ratio form of E[x ln x] - rho ln rho (x = lambda^2): one less layer of
-    # cancellation between large logs, and exactly zero for a single mode
-    x = lam[lam_pos] ** 2
-    B = float(E_k * np.sum(led.p[lam_pos] * x * np.log(x / led.rho)))
-    G_k = E_k * _entropy(led.p)
-    G_k1 = led_next.energy * _entropy(led_next.p)
-    return SecondLawStep(k=k, G_k=G_k, G_k1=G_k1, A=A, B=B)
+    block = _step_pair(profile, k)
+    G = np.exp(block.log_energy) * entropy_rows(block.p)
+    A, B = release_rows(block[:1])
+    return SecondLawStep(k=k, G_k=float(G[0]), G_k1=float(G[1]),
+                         A=float(A[0]), B=float(B[0]))
+
+
+def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The split G_k - G_{k+1} = A + B at each row of a live block: (A, B)."""
+    _require_rho(block)
+    lam = block.lambdas
+    x = lam ** 2
+    A = np.sum(np.exp(block.log_n) * (1.0 - x) * -block.log_p(), axis=1)
+    # ratio form of E[x ln x] - rho ln rho: one less layer of cancellation
+    # between large logs, and exactly zero for a single mode.  Where x
+    # underflows, ln x = 2 ln|lambda| replaces it; lambda = 0 adds 0 ln 0 = 0.
+    rho = block.rho[:, None]
+    normal = x >= np.finfo(float).tiny
+    log_x = 2.0 * np.log(np.where(lam != 0.0, np.abs(lam), 1.0))
+    log_ratio = np.where(normal, np.log(np.where(normal, x, 1.0) / rho),
+                         log_x - np.log(rho))
+    B = np.exp(block.log_energy) * np.sum(block.p * x * log_ratio, axis=1)
+    return A, B
 
 
 def helmholtz_like(profile: SpectralProfile, k: int) -> float:
@@ -284,7 +331,7 @@ def helmholtz_like(profile: SpectralProfile, k: int) -> float:
     led = ledger_at(profile, k)
     if led.terminal:
         raise DeadTrajectory(f"energy is zero at step {k}")
-    return float(led.energy * (1.0 - _entropy(led.p)))
+    return float(led.energy * (1.0 - entropy_rows(led.p)))
 
 
 @dataclass(frozen=True)
@@ -313,7 +360,7 @@ def entropy_decomposition(profile: SpectralProfile, k: int) -> EntropySplit:
     if rest <= 0.0:
         H_fast = 0.0
     else:
-        H_fast = _entropy(fast_p / rest)
+        H_fast = float(entropy_rows(fast_p / rest))
     return EntropySplit(k=k, alpha2=alpha2, H_binary=H_bin, H_fast=H_fast,
                         total=H_bin + rest * H_fast)
 

@@ -6,19 +6,24 @@ energies at step k are exp(log_weight + 2k ln|lambda|), so every ledger
 quantity is computed with log-sum-exp and survives k up to 1e9 without
 underflow.  Modes with lambda = 0 die at k = 1 and are masked, never logged
 as ln 0.
+
+One engine, `ledger_block`, evaluates the ledger at many steps at once as a
+(steps x modes) block; `ledger_at` and the other per-step functions are its
+one-row views, and `ledger_blocks` feeds long scans in bounded memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .chains import HypercubeProfile, ReversibleChain, SpectralDecomposition, pi_inner
 from .errors import DeadTrajectory, DimensionMismatch, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
+LEDGER_BLOCK_ELEMENTS = 1 << 18  # entries per (steps x modes) block: 2 MB a float array
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,47 @@ class ModalLedger:
         return float(np.exp(self.log_energy))
 
 
+@dataclass(frozen=True)
+class LedgerBlock:
+    """Ledgers of one profile at a run of steps, one row per step.
+
+    A terminal row (every mode dead) has log energy -inf and p = rho = 0.
+    Slicing a block selects rows and shares the arrays.
+    """
+
+    ks: np.ndarray              # (rows,) steps
+    lambdas: np.ndarray         # (modes,) the profile's eigenvalues
+    log_n: np.ndarray           # (rows, modes) log modal energies, -inf when dead
+    log_energy: np.ndarray      # (rows,)
+    p: np.ndarray               # (rows, modes) occupation distribution
+    rho: np.ndarray             # (rows,) mean squared eigenvalue under p
+
+    def __getitem__(self, rows) -> LedgerBlock:
+        return LedgerBlock(ks=self.ks[rows], lambdas=self.lambdas,
+                           log_n=self.log_n[rows], log_energy=self.log_energy[rows],
+                           p=self.p[rows], rho=self.rho[rows])
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.log_energy == -np.inf
+
+    def log_p(self) -> np.ndarray:
+        """ln p per mode, 0 where the mode is dead (the 0 ln 0 = 0 convention)."""
+        log_E = np.where(self.terminal, 0.0, self.log_energy)
+        return np.where(np.isfinite(self.log_n), self.log_n - log_E[:, None], 0.0)
+
+    def share(self, mode: int) -> np.ndarray:
+        """exp(log n_mode - log E) per row: one mode's energy fraction, 0 when terminal."""
+        log_E = np.where(self.terminal, 0.0, self.log_energy)
+        return np.exp(self.log_n[:, mode] - log_E)
+
+    def row(self, i: int) -> ModalLedger:
+        rho = float(self.rho[i])
+        return ModalLedger(k=int(self.ks[i]), log_modal_energies=self.log_n[i],
+                           log_energy=float(self.log_energy[i]), p=self.p[i],
+                           rho=rho, d=1.0 - rho, terminal=bool(self.terminal[i]))
+
+
 def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
                     g0, drop_tol: float = DROP_TOL) -> SpectralProfile:
     """Project an initial vector onto the nontrivial eigenmodes.
@@ -130,52 +176,63 @@ def hypercube_trajectory(profile: HypercubeProfile) -> SpectralProfile:
     )
 
 
-def _log_modal_energies(profile: SpectralProfile, k: int) -> np.ndarray:
-    if k == 0:
-        return profile.log_weights.copy()
-    out = np.full(profile.n_modes, -np.inf)
-    alive = profile.lambdas != 0.0
-    out[alive] = profile.log_weights[alive] + (2.0 * k) * np.log(np.abs(profile.lambdas[alive]))
-    return out
+def ledger_block(profile: SpectralProfile, ks) -> LedgerBlock:
+    """Ledgers at every step of `ks` as one (steps x modes) block.
+
+    Log modal energies are ln c_i^2 + 2k ln|lambda_i|; modes with lambda = 0
+    are masked to -inf from k = 1 on.  p is the max-shifted exponentials
+    divided by their own sum: exp(log_n - log_E) would carry an error of about
+    |log_n| ulp, which exceeds 1e-12 once log_n reaches ~1e4.  The block holds
+    every step at once; `ledger_blocks` bounds the memory of long scans.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if np.any(ks < 0):
+        raise ValueError("step must be nonnegative")
+    lam = profile.lambdas
+    alive = lam != 0.0
+    log_abs = np.log(np.abs(np.where(alive, lam, 1.0)))
+    log_n = profile.log_weights + (2.0 * ks.astype(float))[:, None] * log_abs
+    if not np.all(alive):
+        log_n[np.ix_(ks >= 1, ~alive)] = -np.inf
+    top = np.max(log_n, axis=1)
+    live = top > -np.inf
+    shifted = np.exp(log_n - np.where(live, top, 0.0)[:, None])
+    total = np.sum(shifted, axis=1)
+    log_E = np.full(ks.size, -np.inf)
+    log_E[live] = top[live] + np.log(total[live])
+    p = shifted / np.where(live, total, 1.0)[:, None]
+    return LedgerBlock(ks=ks, lambdas=lam, log_n=log_n, log_energy=log_E,
+                       p=p, rho=np.sum(p * lam ** 2, axis=1))
+
+
+def ledger_blocks(profile: SpectralProfile, ks,
+                  pairs: bool = False) -> Iterator[LedgerBlock]:
+    """`ledger_block` over `ks` in consecutive pieces, for scans of any length.
+
+    Pieces double from 16 steps up to LEDGER_BLOCK_ELEMENTS entries, so a
+    scan that stops early computes at most about twice the steps it uses,
+    and a long one keeps its memory bounded.  The pieces partition `ks`;
+    with `pairs`, each piece after the first starts at the last step of the
+    one before instead, so every pair of neighbouring steps lies within one
+    block.  `ks` may be a `range`; it is sliced, never materialized whole.
+    """
+    longest = max(2, LEDGER_BLOCK_ELEMENTS // profile.n_modes)
+    rows, start = min(16, longest), 0
+    while True:
+        stop = min(start + rows, len(ks))
+        yield ledger_block(profile, ks[start:stop])
+        if stop >= len(ks):
+            return
+        rows, start = min(2 * rows, longest), stop - 1 if pairs else stop
 
 
 def ledger_at(profile: SpectralProfile, k: int) -> ModalLedger:
-    """Modal ledger at step k.
+    """Modal ledger at step k: the one-row view of `ledger_block`.
 
     When every mode has died (all eigenvalues zero and k >= 1) the energy is
     exactly zero; a distinguished terminal ledger is returned rather than NaN.
     """
-    if k < 0:
-        raise ValueError("step must be nonnegative")
-    log_n = _log_modal_energies(profile, k)
-    alive = np.isfinite(log_n)
-    if not np.any(alive):
-        return ModalLedger(
-            k=k,
-            log_modal_energies=log_n,
-            log_energy=-np.inf,
-            p=np.zeros(profile.n_modes),
-            rho=0.0,
-            d=1.0,
-            terminal=True,
-        )
-    live = log_n[alive]
-    log_E = float(logsumexp(live))
-    # exp(log_n - log_E) would carry an error of about |log_n| ulp, which
-    # exceeds 1e-12 once log_n reaches ~1e4; normalizing the max-shifted
-    # exponentials by their own sum keeps sum(p) - 1 at roundoff.
-    shifted = np.exp(live - np.max(live))
-    p = np.zeros(profile.n_modes)
-    p[alive] = shifted / shifted.sum()
-    rho = float(np.sum(p * profile.lambdas ** 2))
-    return ModalLedger(
-        k=k,
-        log_modal_energies=log_n,
-        log_energy=log_E,
-        p=p,
-        rho=rho,
-        d=1.0 - rho,
-    )
+    return ledger_block(profile, [k]).row(0)
 
 
 @dataclass(frozen=True)
@@ -219,8 +276,8 @@ def matrix_oracle_step(chain: ReversibleChain, g) -> np.ndarray:
 
 def transport_residual(profile: SpectralProfile, k: int) -> float:
     """Max deviation of p(k+1) from the one-step occupation transport law."""
-    led = ledger_at(profile, k)
-    led_next = ledger_at(profile, k + 1)
+    block = ledger_block(profile, [k, k + 1])
+    led, led_next = block.row(0), block.row(1)
     if led.terminal or led_next.terminal:
         raise DeadTrajectory(f"trajectory dead near step {k}")
     predicted = led.p + led.p * (profile.lambdas ** 2 - led.rho) / led.rho

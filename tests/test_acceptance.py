@@ -13,8 +13,8 @@ are false as first written:
   alpha = -1.  It now runs at n = 4096 and 8192, where every offset is a
   real step.
 
-Companion `*_supplement` tests pin the upper bound and the valid part of the
-small-n window on their own.
+A companion `*_supplement` test pins the valid part of the small-n window
+on its own.
 """
 
 import json
@@ -201,23 +201,6 @@ def test_criterion_03_rigidity_sandwich_as_stated():
               f"{violations[0] if violations else None}; "
               f"{len(sharpness)}/600 two-mode profiles off ceil(L_delta), first "
               f"(draw, delta, L_delta, T) = {sharpness[0] if sharpness else None}")
-
-
-def test_criterion_03_supplement_provable_upper_bound():
-    rng = np.random.default_rng(103)
-    upper_violations = 0
-    for i in range(200):
-        lam2 = float(rng.uniform(0.55, 0.97))
-        lam3 = float(rng.uniform(0.3, 0.9)) * lam2
-        rest = rng.uniform(-lam3, lam3, int(rng.integers(1, 10)))
-        prof = sr.profile_from_weights(
-            np.concatenate([[lam2, lam3], rest]),
-            rng.uniform(0.05, 1.0, rest.size + 2))
-        for delta in (0.3, 0.1, 0.01):
-            rep = sr.rigidity_time(prof, delta, cap=500_000)
-            if not rep.t_rigid <= math.floor(rep.bound) + 1:
-                upper_violations += 1
-    assert upper_violations == 0
 
 
 def test_criterion_04_two_mode_transition():

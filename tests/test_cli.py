@@ -9,6 +9,9 @@ import specrelax as sr
 from specrelax.cli import main
 from specrelax.io import fmt, load_chain_file, load_profile_file, save_profile
 
+# no overflow, underflow or invalid operation may reach CLI output unreported
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_cli(args):
     return main(args)
@@ -114,10 +117,40 @@ class TestLedgerCommands:
             cells = line.split(",")
             k = int(cells[0])
             led = sr.ledger_at(prof, k)
-            # round-trip: 17 significant digits reproduce the doubles exactly
+            bal = sr.entropy_balance(prof, k)
+            step = sr.G_step(prof, k)
+            # round-trip: 17 significant digits reproduce the doubles exactly,
+            # and the blocked rows equal the per-step views across block edges
             assert float(cells[1]) == led.energy
             assert float(cells[2]) == led.rho
+            assert [float(c) for c in cells[6:11]] == [
+                bal.cov, bal.kl, step.G_k, step.A, step.B]
         assert len(lines) == 32
+
+    def test_tiny_mode_keeps_B_finite(self, tmp_path):
+        # lambda^2 underflows to 0 for |lambda| < ~1.5e-154
+        prof_file = tmp_path / "tiny.json"
+        prof_file.write_text(json.dumps(
+            {"eigenvalues": [0.9, 0.5, 1e-200], "log_weights": [0.0, 0.0, 0.0]}))
+        out = tmp_path / "sim.csv"
+        assert run_cli(["simulate", str(prof_file), "--steps", "20",
+                        "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        B = [float(line.split(",")[10]) for line in lines[1:]]
+        assert len(B) == 21
+        assert all(math.isfinite(b) and b >= 0.0 for b in B)
+
+    def test_underflowing_rho_is_a_domain_error(self, tmp_path, capsys):
+        # at k = 0 the lambda = 0 mode holds all the energy that a double
+        # resolves, so rho_0 = 0 while step 1 lives on
+        prof_file = tmp_path / "rho0.json"
+        prof_file.write_text(json.dumps(
+            {"eigenvalues": [0.0, 0.5], "log_weights": [0.0, -800.0]}))
+        for command in ("simulate", "thermo"):
+            assert run_cli([command, str(prof_file), "--steps", "3"]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: DeadTrajectory: rho underflows to 0 at step 0")
+            assert "\n" not in err.strip()
 
     def test_thermo_flux_json(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -193,10 +226,21 @@ class TestHypercubeCommand:
         assert run_cli(["hypercube", "--n", "64", "--alpha", "-1,0,1,2",
                         "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "alpha,k,S_spec,E,alpha2"
+        assert lines[0] == "alpha,k,S_spec,logE,alpha2"
         S = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(a > b for a, b in zip(S, S[1:]))
         assert S[-1] < 0.05
+
+    def test_log_energy_beyond_double_range(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run_cli(["hypercube", "--n", "4096", "--out", str(out)]) == 0
+        rows = [[float(c) for c in line.split(",")]
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == [325, 4421, 8517, 12613, 16709]
+        assert all(math.isfinite(c) for r in rows for c in r)
+        assert rows[0][3] > math.log(np.finfo(float).max)   # E itself would be inf
+        S = [r[2] for r in rows]
+        assert all(a > b for a, b in zip(S, S[1:]))
 
     def test_negative_window_clamps_to_zero(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -239,6 +283,12 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: IoError:")
         assert "\n" not in err.strip()
+
+    def test_tolerances_reach_chain_profiles(self, capsys):
+        # the decomposition behind simulate honours --tol as analyze does
+        assert run_cli(["simulate", "cycle-20", "--steps", "2",
+                        "--tol", "eigen_residual=1e-30"]) == 4
+        assert capsys.readouterr().err.startswith("error: EigensolveFailure:")
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "chain.json"

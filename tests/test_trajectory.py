@@ -237,3 +237,35 @@ def test_ledger_distribution_sums_to_one_deep_in_log_domain(lam, k):
     # log modal energies near -1.6e4, exp(log_n - log_E) drifted by 1.6e-12
     led = sr.ledger_at(sr.profile_from_weights([lam, lam], [1.0, 1.0]), k)
     assert abs(led.p.sum() - 1.0) <= 1e-12
+
+
+_lambda = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-0.99, max_value=0.99),
+    st.builds(lambda mag, sign: sign * mag,
+              st.floats(min_value=1e-300, max_value=1e-10), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@given(st.lists(st.tuples(_lambda, st.floats(min_value=-700.0, max_value=700.0)),
+                min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=10 ** 9))
+@settings(max_examples=60, deadline=None)
+def test_ledger_at_is_a_row_of_the_block(modes, k0):
+    # with pairs, ledger_blocks splits 40 steps into two blocks, the second
+    # starting at the last step of the first; every row must equal the
+    # one-row view.  Without pairs the blocks partition the steps.
+    lam, lw = (np.array(v) for v in zip(*modes))
+    prof = sr.SpectralProfile(lambdas=lam, log_weights=lw)
+    ks = range(k0, k0 + 40)
+    assert [int(k) for b in sr.ledger_blocks(prof, ks) for k in b.ks] == list(ks)
+    blocks = list(sr.ledger_blocks(prof, ks, pairs=True))
+    assert len(blocks) == 2 and blocks[1].ks[0] == blocks[0].ks[-1]
+    for block in blocks:
+        for i, k in enumerate(block.ks):
+            row, led = block.row(i), sr.ledger_at(prof, int(k))
+            assert (row.k, row.log_energy, row.rho, row.d, row.terminal) == (
+                led.k, led.log_energy, led.rho, led.d, led.terminal)
+            np.testing.assert_array_equal(row.log_modal_energies, led.log_modal_energies)
+            np.testing.assert_array_equal(row.p, led.p)
+    assert [int(k) for b in blocks for k in b.ks[b is not blocks[0]:]] == list(ks)
