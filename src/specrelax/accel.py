@@ -49,14 +49,7 @@ class AccelPlan:
     degree: int
     interval: tuple[float, float]
     eps_m: float                   # guaranteed max |Q| on the interval
-    cheb_coefficients: np.ndarray  # in the Chebyshev basis of [a, b]
-    mode: str                      # "interval" or "paper_simple"
     norm_value: float              # T_m at the mapped normalization point
-
-    def __post_init__(self):
-        a = np.array(self.cheb_coefficients, dtype=float, copy=True)
-        a.setflags(write=False)
-        object.__setattr__(self, "cheb_coefficients", a)
 
     def map_to_unit(self, x):
         a, b = self.interval
@@ -86,23 +79,17 @@ def build_Qm(m: int, a: float | None = None, b: float | None = None,
         if not (0.0 < lambda2 < 1.0):
             raise InvalidInterval(f"lambda2 must lie in (0, 1), got {lambda2!r}")
         a, b = -lambda2, lambda2
-        mode = "paper_simple"
     else:
         if a is None or b is None:
             raise InvalidArguments("interval mode needs both endpoints")
         if not (a < b < 1.0):
             raise InvalidInterval(f"need a < b < 1, got [{a!r}, {b!r}]")
-        mode = "interval"
     phi_one = (2.0 - (a + b)) / (b - a)
     norm = float(chebyshev_T(m, np.array(phi_one)))
-    coeffs = np.zeros(m + 1)
-    coeffs[m] = 1.0 / norm
     return AccelPlan(
         degree=m,
         interval=(float(a), float(b)),
         eps_m=1.0 / abs(norm),
-        cheb_coefficients=coeffs,
-        mode=mode,
         norm_value=norm,
     )
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.special import gammaln
 
 from .errors import (
     DegeneratePi,
@@ -58,8 +56,7 @@ class ReversibleChain:
     pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", _readonly(self.kernel))
-        object.__setattr__(self, "pi", _readonly(self.pi))
+        _freeze(self, "kernel", "pi")
 
     @property
     def n(self) -> int:
@@ -74,8 +71,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray     # column i is the eigenvector for eigenvalues[i]
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
+        _freeze(self, "eigenvalues", "eigenvectors")
 
     @property
     def relaxation_spectrum(self) -> np.ndarray:
@@ -96,37 +92,71 @@ class HypercubeProfile:
     log_multiplicities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", _readonly(self.lambdas))
-        object.__setattr__(self, "log_multiplicities", _readonly(self.log_multiplicities))
+        _freeze(self, "lambdas", "log_multiplicities")
 
 
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=float, copy=True)
-    arr.setflags(write=False)
-    return arr
+def _freeze(obj, *names: str, dtype=float):
+    """Replace the named fields of a frozen dataclass by read-only array copies."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=dtype, copy=True)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
-def _stationary_from_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Dominant left fixed vector, normalized to a probability vector."""
-    evals, evecs = np.linalg.eig(kernel.T)
-    i = int(np.argmin(np.abs(evals - 1.0)))
-    v = evecs[:, i]
-    if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v.real)):
-        # complex contamination: fall back to power iteration on the transpose
-        n = kernel.shape[0]
-        v = np.full(n, 1.0 / n)
-        for _ in range(100_000):
-            nxt = v @ kernel
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - v)) < 1e-14:
-                v = nxt
-                break
-            v = nxt
-    else:
-        v = v.real
-    if v.sum() < 0:
-        v = -v
-    return v / v.sum()
+def _bfs(M: np.ndarray):
+    """Breadth-first levels (parents, children) from state 0 over the support
+    M > 0; each child hangs off the frontier state with the largest
+    M[parent, child].  Every row of M is read once, so a sweep is O(n^2)."""
+    seen = np.zeros(M.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        rows = M[frontier]
+        children = np.flatnonzero(rows.max(axis=0) > 0)
+        children = children[~seen[children]]
+        seen[children] = True
+        yield frontier[rows[:, children].argmax(axis=0)], children
+        frontier = children
+
+
+def _stationary_law(P: np.ndarray) -> np.ndarray:
+    """pi from pi_j / pi_i = P_ij / P_ji along a BFS spanning tree, in log space.
+
+    Kolmogorov's criterion makes the ratio path-independent for a reversible
+    kernel; the detailed-balance gate in build_chain checks every other edge.
+    """
+    n = P.shape[0]
+    support = P > 0
+    if not np.array_equal(support, support.T):
+        # strongly connected iff state 0 reaches every state and is reached from it
+        forward, backward = (1 + sum(c.size for _, c in _bfs(M)) for M in (P, P.T))
+        if min(forward, backward) < n:
+            raise Reducible(f"positive-entry digraph is not strongly connected: state 0 "
+                            f"reaches {forward} and is reached from {backward} of {n} states")
+        raise NotReversible("detailed balance violated: a transition has no reverse")
+    log_pi = np.zeros(n)
+    reached = 1
+    for parents, children in _bfs(P):
+        log_pi[children] = (log_pi[parents] + np.log(P[parents, children])
+                            - np.log(P[children, parents]))
+        reached += children.size
+    if reached < n:  # on a symmetric support, connected means strongly connected
+        raise Reducible(f"positive-entry digraph is not strongly connected: "
+                        f"state 0 reaches {reached} of {n} states")
+    pi = np.exp(log_pi - log_pi.max())
+    return pi / pi.sum()
+
+
+def _worst_balance_gap(flow: np.ndarray, tol: float) -> float:
+    """Largest |F_ij - F_ji| / max(F_ij, F_ji) over the flows F, or 0 when all
+    are within tol.  Row blocks meet their transposed column blocks in cache."""
+    worst = 0.0
+    for s in range(0, flow.shape[0], 128):
+        a, b = flow[s:s + 128], flow[:, s:s + 128].T
+        gap, scale = np.abs(a - b), np.maximum(a, b)
+        if np.any(gap > tol * scale):
+            worst = max(worst, float(np.max(gap[scale > 0] / scale[scale > 0])))
+    return worst
 
 
 def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain:
@@ -143,29 +173,19 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     if np.any(P < 0):
         raise RowSumError("kernel has negative entries")
     rows = P.sum(axis=1)
-    bad = np.where(np.abs(rows - 1.0) > tol.row_sum)[0]
+    bad = np.flatnonzero(~(np.abs(rows - 1.0) <= tol.row_sum))   # nan is bad too
     if bad.size:
         raise RowSumError(
             f"row {bad[0]} sums to {rows[bad[0]]!r}, off by more than {tol.row_sum}"
         )
 
-    ncomp, _ = connected_components(P > 0, directed=True, connection="strong")
-    if ncomp != 1:
-        raise Reducible(f"positive-entry digraph splits into {ncomp} components")
-
-    pi = _stationary_from_kernel(P)
+    pi = _stationary_law(P)
     if np.any(pi <= tol.pi_floor):
         raise DegeneratePi(f"stationary weight min {pi.min()!r} is not positive")
 
-    flow = pi[:, None] * P
-    gap = np.abs(flow - flow.T)
-    scale = np.maximum(flow, flow.T)
-    mask = scale > 0  # both directions zero => gap is zero, nothing to test
-    rel = np.zeros_like(gap)
-    rel[mask] = gap[mask] / scale[mask]
-    if np.any(rel > tol.detailed_balance):
-        raise NotReversible(
-            f"detailed balance violated, worst relative gap {float(rel.max())!r}")
+    worst = _worst_balance_gap(pi[:, None] * P, tol.detailed_balance)
+    if worst > tol.detailed_balance:
+        raise NotReversible(f"detailed balance violated, worst relative gap {worst!r}")
 
     return ReversibleChain(kernel=P, pi=pi)
 
@@ -214,10 +234,6 @@ def pi_inner(chain: ReversibleChain, f, g) -> float:
     if f.shape != (chain.n,) or g.shape != (chain.n,):
         raise DimensionMismatch(f"expected vectors of length {chain.n}")
     return float(np.sum(f * g * chain.pi))
-
-
-def pi_norm_sq(chain: ReversibleChain, f) -> float:
-    return pi_inner(chain, f, f)
 
 
 def dirichlet_form(chain: ReversibleChain, f, agreement_tol: float = 1e-12) -> float:
@@ -334,7 +350,7 @@ def hypercube_profile(n: int) -> HypercubeProfile:
     """Level eigenvalues and log-multiplicities of the n-dimensional hypercube."""
     if n < 1:
         raise InvalidSize("hypercube dimension must be >= 1")
-    j = np.arange(n + 1, dtype=float)
-    lam = 1.0 - 2.0 * j / n
-    logmult = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+    lam = 1.0 - 2.0 * np.arange(n + 1) / n
+    log_factorial = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    logmult = log_factorial[n] - log_factorial - log_factorial[::-1]
     return HypercubeProfile(n=n, lambdas=lam, log_multiplicities=logmult)

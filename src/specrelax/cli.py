@@ -42,7 +42,7 @@ from .first_passage import (
     tail_curve,
     uniform_start,
 )
-from .io import dump_json, fmt, load_chain_file, load_profile_file, write_csv
+from .io import dump_json, fmt, load_input_file, write_csv
 from .presets import PRESET_HELP, resolve_preset
 from .rigidity import rigidity_time, split_slow_fast
 from .trajectory import (
@@ -72,10 +72,15 @@ class RunConfig:
 
 # --- argument parsing -------------------------------------------------------
 
+# lets comma lists that start with a negative number pass as values,
+# e.g. --alpha -2,-1,0,1,2
+_NUMBER_LIST = re.compile(r"^-\d+(\.\d+)?([,e].*)?$")
+
+
 class _SubParser(argparse.ArgumentParser):
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([,e].*)?$")
+        self._negative_number_matcher = _NUMBER_LIST
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -83,10 +88,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="specrelax",
         description="Finite-time spectral relaxation analysis of reversible chains",
     )
-    # let comma lists that start with a negative number pass as values,
-    # e.g. --alpha -2,-1,0,1,2
-    number_list = re.compile(r"^-\d+(\.\d+)?([,e].*)?$")
-    p._negative_number_matcher = number_list
+    p._negative_number_matcher = _NUMBER_LIST
     p.add_argument("--config", help="JSON file of option defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
     registry: dict[str, argparse.ArgumentParser] = {}
@@ -226,18 +228,7 @@ def resolve_input(config: RunConfig):
     if name is None:
         raise ConfigError("this command requires an input")
     if os.path.exists(name):
-        if name.endswith(".json"):
-            with open(name) as fh:
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise IoError(f"malformed JSON in {name}: {exc}") from exc
-            if "kernel" in data:
-                return load_chain_file(name, _tolerances(config))
-            if "eigenvalues" in data:
-                return load_profile_file(name)
-            raise IoError(f"{name} holds neither a kernel nor a profile")
-        return load_chain_file(name, _tolerances(config))
+        return load_input_file(name, _tolerances(config))
     return resolve_preset(name, seed=config.seed)
 
 
@@ -372,7 +363,7 @@ def _cmd_thermo(config: RunConfig) -> int:
     rows = full_ledger_rows(profile, config.options["steps"])
     text_target = config.options.get("fluxes_at")
     if text_target:
-        steps = _int_list(text_target, "fluxes-at")
+        steps = _number_list(text_target, "fluxes-at", int)
         fluxes = {}
         for k in steps:
             forms = thermo_mod.canonical_covariance(profile, k)
@@ -390,23 +381,16 @@ def _cmd_thermo(config: RunConfig) -> int:
     return 0
 
 
-def _int_list(text, what):
+def _number_list(text, what, kind=float):
     try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --{what} list: {text!r}") from exc
-
-
-def _float_list(text, what):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
+        return [kind(tok) for tok in str(text).split(",") if tok != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --{what} list: {text!r}") from exc
 
 
 def _cmd_rigidity(config: RunConfig) -> int:
     profile = _as_profile(resolve_input(config), config)
-    deltas = _float_list(config.options["delta"], "delta")
+    deltas = _number_list(config.options["delta"], "delta")
     rows = []
     for d in deltas:
         report = rigidity_time(profile, d, cap=config.options.get("cap"))
@@ -467,7 +451,7 @@ def _cmd_accel(config: RunConfig) -> int:
     if config.options.get("paper_simple") is not None:
         plan = accel_mod.build_Qm(m, lambda2=config.options["paper_simple"])
     elif config.options.get("interval"):
-        a, b = _float_list(config.options["interval"], "interval")
+        a, b = _number_list(config.options["interval"], "interval")
         plan = accel_mod.build_Qm(m, a=a, b=b)
     else:
         fast = np.delete(profile.lambdas, split.slow_index)
@@ -552,7 +536,7 @@ def hypercube_window_step(n: int, alpha: float) -> int:
 
 def _cmd_hypercube(config: RunConfig) -> int:
     n = config.options["n"]
-    alphas = _float_list(config.options["alpha"], "alpha")
+    alphas = _number_list(config.options["alpha"], "alpha")
     traj = hypercube_trajectory(hypercube_profile(n))
     block = ledger_block(traj, [hypercube_window_step(n, a) for a in alphas])
     # logE, not E: the energy leaves the double range from n ~ 1030 on

@@ -95,10 +95,6 @@ class DeadMode(SpecRelaxError):
 
 # --- power iteration ---
 
-class Stalled(SpecRelaxError):
-    """Iteration energy underflowed even in log tracking (reserved)."""
-
-
 class InvalidRho(SpecRelaxError):
     """Energy ratio outside the admissible range."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain
+from .chains import ReversibleChain, _freeze
 from .errors import BadStart, Degenerate, InvalidArguments, InvalidState
 
 
@@ -32,13 +32,8 @@ class AbsorbingModel:
     restricted_pi: np.ndarray     # base stationary weights on surviving states
 
     def __post_init__(self):
-        for name in ("absorbed_kernel", "block", "nu", "modes", "restricted_pi"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        idx = np.array(self.keep, dtype=int, copy=True)
-        idx.setflags(write=False)
-        object.__setattr__(self, "keep", idx)
+        _freeze(self, "absorbed_kernel", "block", "nu", "modes", "restricted_pi")
+        _freeze(self, "keep", dtype=int)
 
 
 def absorb(chain: ReversibleChain, target: int) -> AbsorbingModel:
@@ -127,9 +122,7 @@ class TailValue:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.coefficients, dtype=float, copy=True)
-        a.setflags(write=False)
-        object.__setattr__(self, "coefficients", a)
+        _freeze(self, "coefficients")
 
 
 def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:

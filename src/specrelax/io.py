@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .chains import ReversibleChain, Tolerances, build_chain
+from .chains import DEFAULT_TOLERANCES, ReversibleChain, Tolerances, build_chain
 from .errors import IoError
 from .trajectory import SpectralProfile
 
@@ -70,32 +70,60 @@ def _jsonable(obj):
     return obj
 
 
+def load_input_file(path: str, tol: Tolerances | None = None):
+    """The chain or profile in a file, parsed once: JSON {"kernel": ...} or
+    {"eigenvalues": ..., "log_weights": ...}, or else a dense CSV kernel."""
+    if not path.endswith(".json"):
+        return load_chain_file(path, tol)
+    data = _read_json(path, "input")
+    if isinstance(data, dict) and "kernel" in data:
+        return _chain_from(data, path, tol)
+    if isinstance(data, dict) and "eigenvalues" in data:
+        return _profile_from(data, path)
+    raise IoError(f"{path} holds neither a kernel nor a profile")
+
+
 def load_chain_file(path: str, tol: Tolerances | None = None) -> ReversibleChain:
+    if path.endswith(".json"):
+        return _chain_from(_read_json(path, "chain"), path, tol)
     if not os.path.exists(path):
         raise IoError(f"chain file not found: {path}")
     try:
-        if path.endswith(".json"):
-            with open(path) as fh:
-                data = json.load(fh)
-            kernel = np.asarray(data["kernel"], dtype=float)
-        else:
-            kernel = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        kernel = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
         raise IoError(f"malformed chain file {path}: {exc}") from exc
-    return build_chain(kernel, tol) if tol else build_chain(kernel)
+    return build_chain(kernel, tol or DEFAULT_TOLERANCES)
 
 
 def load_profile_file(path: str) -> SpectralProfile:
+    return _profile_from(_read_json(path, "profile"), path)
+
+
+def _read_json(path: str, what: str):
     if not os.path.exists(path):
-        raise IoError(f"profile file not found: {path}")
+        raise IoError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise IoError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _chain_from(data, path: str, tol: Tolerances | None) -> ReversibleChain:
+    try:
+        kernel = np.asarray(data["kernel"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoError(f"malformed chain file {path}: {exc}") from exc
+    return build_chain(kernel, tol or DEFAULT_TOLERANCES)
+
+
+def _profile_from(data, path: str) -> SpectralProfile:
+    try:
         return SpectralProfile(
             lambdas=np.asarray(data["eigenvalues"], dtype=float),
             log_weights=np.asarray(data["log_weights"], dtype=float),
         )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed profile file {path}: {exc}") from exc
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ReversibleChain, SpectralDecomposition, pi_inner
+from .chains import ReversibleChain, SpectralDecomposition, _freeze, pi_inner
 from .errors import (
     Degenerate,
     InvalidArguments,
@@ -48,10 +48,7 @@ class PowerRun:
     iterates: np.ndarray         # row k is the normalized iterate v_k
 
     def __post_init__(self):
-        for name in ("log_energies", "rho", "iterates"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "log_energies", "rho", "iterates")
 
     @property
     def steps(self) -> int:
@@ -132,7 +129,6 @@ class AlphaBounds:
 
     lower: float                  # vhat / lambda2^4 <= 1 - alpha2
     upper: float                  # valid once alpha2 >= 1/2
-    upper_needs_half: bool = True
 
 
 def alpha_bounds_from_variance(vhat: float, lambda2: float,

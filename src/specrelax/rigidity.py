@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import _freeze
 from .errors import (
     DeadTrajectory,
     InvalidArguments,
@@ -143,9 +144,7 @@ class RigidityReport:
     diagnostic: str = ""
 
     def __post_init__(self):
-        a = np.array(self.alpha2_trace, dtype=float, copy=True)
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha2_trace", a)
+        _freeze(self, "alpha2_trace")
 
 
 def _alpha2_limit(profile: SpectralProfile, split: SlowFastSplit) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import _freeze
 from .errors import (
     DeadMode,
     DeadTrajectory,
@@ -126,10 +127,7 @@ class CovarianceForms:
     term_scale: float               # sum |J_i A_i|, conditioning scale of the sum
 
     def __post_init__(self):
-        for name in ("fluxes", "affinities"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "fluxes", "affinities")
 
 
 def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:

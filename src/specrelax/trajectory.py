@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import HypercubeProfile, ReversibleChain, SpectralDecomposition, pi_inner
+from .chains import (HypercubeProfile, ReversibleChain, SpectralDecomposition, _freeze,
+                     pi_inner)
 from .errors import DeadTrajectory, DimensionMismatch, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
@@ -79,10 +80,7 @@ class ModalLedger:
     terminal: bool = False
 
     def __post_init__(self):
-        for name in ("log_modal_energies", "p"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "log_modal_energies", "p")
 
     @property
     def energy(self) -> float:
@@ -245,9 +243,7 @@ class DissipationStep:
     relative: float  # fraction of energy dissipated at step k
 
     def __post_init__(self):
-        a = np.array(self.modewise_terms, dtype=float, copy=True)
-        a.setflags(write=False)
-        object.__setattr__(self, "modewise_terms", a)
+        _freeze(self, "modewise_terms")
 
 
 def dissipation_step(profile: SpectralProfile, k: int) -> DissipationStep:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
@@ -32,6 +36,12 @@ class TestBuildChain:
     def test_rotation_is_not_reversible(self):
         P = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         with pytest.raises(NotReversible):
+            sr.build_chain(P)
+
+    def test_cyclic_drift_on_symmetric_support_is_not_reversible(self):
+        # doubly stochastic, so pi is uniform, but the flow circulates 0->1->2
+        P = [[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]]
+        with pytest.raises(NotReversible, match="detailed balance"):
             sr.build_chain(P)
 
     def test_bad_row_sum(self):
@@ -208,6 +218,18 @@ class TestHypercubeProfile:
         np.testing.assert_allclose(np.exp(prof.log_multiplicities), [1, 2, 1],
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096, 8192])
+    def test_log_multiplicities_are_exact_log_binomials(self, n):
+        # ln C(n, j) from exact integers; C(4096, 2048) ~ 1e1231 is far past DBL_MAX
+        binomials = [1]
+        for j in range(n):
+            binomials.append(binomials[-1] * (n - j) // (j + 1))
+        assert binomials[n // 2] == math.comb(n, n // 2)
+        exact = np.array([math.log(c) for c in binomials])
+        got = sr.hypercube_profile(n).log_multiplicities
+        # three lgamma terms, each within about an ulp of ln n!
+        assert np.max(np.abs(got - exact)) <= 8 * np.spacing(math.lgamma(n + 1))
+
     def test_log_binomial_value(self):
         prof = sr.hypercube_profile(10)
         assert prof.log_multiplicities[5] == pytest.approx(math.log(252), abs=1e-10)
@@ -234,5 +256,102 @@ def test_complete_graph_rows_uniform(n):
 def test_degenerate_pi_unreachable_via_reducibility():
     # a kernel with an unreachable state is caught as reducible first
     P = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.raises((Reducible, DegeneratePi)):
+    with pytest.raises(Reducible):
         sr.build_chain(P)
+
+
+def _max_relative_gap(pi, exact):
+    return float(np.max(np.abs(pi / exact - 1.0)))
+
+
+def _eig_pi(P):
+    """Independent oracle: the left eigenvector of P for the eigenvalue nearest 1."""
+    evals, evecs = np.linalg.eig(P.T)
+    v = evecs[:, np.argmin(np.abs(evals - 1.0))].real
+    return v / v.sum()
+
+
+def _weighted_kernel(family, n, decades, seed):
+    """Reversible kernel W / pi with a known pi spread over `decades` orders.
+
+    W is symmetric on the family's support, W_ij <= min(pi_i, pi_j) / n off the
+    diagonal, and the diagonal tops each row of W up to pi_i, so pi_i P_ij = W_ij
+    holds by construction.  Paths and cycles visit the states in a random order,
+    so the BFS tree from state 0 is n / 2 levels deep on a cycle and n / 2 to
+    n - 1 on a path.
+    """
+    rng = np.random.default_rng(seed)
+    pi = 10.0 ** -(decades * rng.permutation(n) / max(n - 1, 1))
+    adj = np.zeros((n, n), dtype=bool)
+    if family == "dense":
+        adj[:] = True
+    elif family == "barbell":
+        m = n // 2
+        adj[:m, :m] = adj[m:, m:] = True
+        adj[m - 1, m] = True
+    else:
+        order = rng.permutation(n)
+        adj[order[:-1], order[1:]] = True
+        if family == "cycle":
+            adj[order[-1], order[0]] = True
+    adj = (adj | adj.T) & ~np.eye(n, dtype=bool)
+    u = rng.uniform(0.1, 1.0, (n, n))
+    W = np.where(adj, np.triu(u) + np.triu(u, 1).T, 0.0) * np.minimum.outer(pi, pi) / n
+    W[np.diag_indices(n)] = pi - W.sum(axis=1)
+    return W / pi[:, None], pi / pi.sum()
+
+
+@given(st.sampled_from(["dense", "path", "cycle", "barbell"]),
+       st.integers(min_value=4, max_value=200),
+       st.sampled_from([0.0, 3.0, 12.0]),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example("cycle", 1500, 12.0, False, 0)
+@example("path", 1000, 12.0, True, 1)
+@settings(max_examples=60, deadline=None)
+def test_tree_pi_matches_the_exact_law(family, n, decades, lazy, seed):
+    P, exact = _weighted_kernel(family, n, decades, seed)
+    chain = sr.build_chain(P)
+    if lazy:
+        chain = sr.lazy_transform(chain, 0.5)
+    assert _max_relative_gap(chain.pi, exact) <= 1e-12
+
+
+def test_pi_below_the_floor_is_degenerate():
+    # 16 decades of spread put the smallest weight near 1e-16, under pi_floor
+    P, _ = _weighted_kernel("path", 10, 16.0, 0)
+    with pytest.raises(DegeneratePi):
+        sr.build_chain(P)
+
+
+def test_tree_pi_matches_an_eig_oracle(rng):
+    # the oracle is only as good as the conditioning of the eigenvector for 1:
+    # at 12 decades of spread its smallest weights are off by O(1), on
+    # cycle-1500 by 3e-10 and on barbell(6, 1e-3) by 3e-12, so those cases
+    # are checked against their exact laws instead
+    chains = [sr.barbell_chain(3, 0.1), sr.cycle_graph(7)]
+    for _ in range(20):
+        chain = random_reversible(int(rng.integers(2, 40)), rng)
+        chains += [chain, sr.lazy_transform(chain, float(rng.uniform(0.05, 1.0)))]
+    for chain in chains:
+        assert _max_relative_gap(chain.pi, _eig_pi(chain.kernel)) <= 1e-12
+
+
+def test_zoo_laws_are_exact():
+    np.testing.assert_array_equal(sr.cycle_graph(1500).pi, np.full(1500, 1 / 1500))
+    # barbell pi is proportional to weighted degree: m - 1 in the cliques,
+    # m - 1 + bridge at the two bridge ends
+    for m, bridge in ((3, 0.1), (6, 1e-3)):
+        degree = np.full(2 * m, m - 1.0)
+        degree[[m - 1, m]] += bridge
+        exact = degree / degree.sum()
+        assert _max_relative_gap(sr.barbell_chain(m, bridge).pi, exact) <= 1e-15
+
+
+def test_import_needs_no_scipy():
+    src = Path(sr.__file__).resolve().parents[1]
+    code = ("import sys, specrelax.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out.strip() == "[]"

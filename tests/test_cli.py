@@ -278,11 +278,12 @@ class TestConfigAndErrors:
 
     def test_malformed_chain_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run_cli(["analyze", str(bad)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: IoError:")
-        assert "\n" not in err.strip()
+        for text in ("{not json", "5", '"kernel"', '{"eigenvalues": [0.5]}'):
+            bad.write_text(text)
+            assert run_cli(["analyze", str(bad)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: IoError:")
+            assert "\n" not in err.strip()
 
     def test_tolerances_reach_chain_profiles(self, capsys):
         # the decomposition behind simulate honours --tol as analyze does
@@ -311,6 +312,18 @@ class TestIoHelpers:
         back = load_profile_file(path)
         np.testing.assert_array_equal(back.lambdas, prof.lambdas)
         np.testing.assert_array_equal(back.log_weights, prof.log_weights)
+
+    def test_json_input_is_parsed_once(self, tmp_path, monkeypatch):
+        loads = []
+        real_load = json.load
+        monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or real_load(fh))
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps({"kernel": [[0.9, 0.1], [0.3, 0.7]]}))
+        profile_file = tmp_path / "prof.json"
+        save_profile(sr.profile_from_weights([0.9, -0.4], [1.0, 2.0]), str(profile_file))
+        for path in (chain_file, profile_file):
+            assert run_cli(["analyze", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+        assert loads == [str(chain_file), str(profile_file)]
 
     def test_chain_loaders(self, tmp_path):
         j = tmp_path / "c.json"
