@@ -46,8 +46,6 @@ from .first_passage import (
     uniform_start,
 )
 from .power_iter import (
-    PowerRun,
-    StoppingConfig,
     StoppingState,
     adaptive_stop,
     alpha_bounds_from_variance,
@@ -55,7 +53,7 @@ from .power_iter import (
     error_identity,
     gamma,
     observable_variance,
-    run_power,
+    power_steps,
 )
 from .rigidity import (
     RigidityReport,
@@ -87,7 +85,6 @@ from .trajectory import (
     ledger_block,
     ledger_blocks,
     matrix_oracle_step,
-    oracle_energies,
     profile_from_weights,
     project_initial,
     transport_residual,

@@ -9,6 +9,7 @@ with a single machine-parseable stderr line.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .chains import (
 )
 from .errors import (
     ConfigError,
+    InvalidArguments,
     IoError,
     SpecRelaxError,
     TauCollapse,
@@ -408,34 +410,36 @@ def _cmd_power(config: RunConfig) -> int:
     dec = spectral_decomposition(chain, _tolerances(config))
     rng = np.random.default_rng(config.seed)
     g0 = rng.standard_normal(chain.n)
-    run = power_mod.run_power(chain, g0, config.options["max_iter"])
-    cfg = power_mod.StoppingConfig(k_min=config.options["kmin"])
+    max_iter = config.options["max_iter"]
+    if max_iter < 1:
+        raise InvalidArguments("max_iter must be >= 1")
     state = power_mod.StoppingState(
         epsilon=config.options["epsilon"], tau=config.options.get("tau"),
-        config=cfg)
+        k_min=config.options["kmin"])
     verdict = {"verdict": "stream-ended", "stopped_at": None}
-    tau_trace = []
-    try:
-        for r in run.rho:
-            state.update(r)
-            tau_trace.append(state.tau_effective)
-            if state.verdict == "stopped":
-                verdict = {"verdict": "stopped", "stopped_at": state.stopped_at}
-                break
-    except TauCollapse as exc:
-        verdict = {"verdict": "tau-collapse", "stopped_at": None,
-                   "detail": " ".join(str(exc).split())}
     rows = []
-    upto = state.stopped_at if state.stopped_at is not None else run.steps - 1
-    for k in range(min(upto + 1, run.steps - 1)):
-        err = power_mod.eigenvector_error(chain, dec, run.iterates[k])
-        rows.append([
-            k, math.exp(run.log_energies[k]), run.rho[k],
-            state.gamma_history[k] if k < len(state.gamma_history) else "",
-            state.vhat_history[k] if k < len(state.vhat_history) else "",
-            tau_trace[k + 1] if k + 1 < len(tau_trace) else state.tau_effective,
-            math.sqrt(err),
-        ])
+    pending = None    # step k waits for rho_{k+1} before its row is written
+    # after a TauCollapse the stream runs on to max_iter with blank Gamma/Vhat
+    for k, (log_E, rho, v) in enumerate(
+            itertools.islice(power_mod.power_steps(chain, g0), max_iter)):
+        try:
+            state.update(rho)
+        except TauCollapse as exc:
+            verdict = {"verdict": "tau-collapse", "stopped_at": None,
+                       "detail": " ".join(str(exc).split())}
+        if pending is not None:
+            j, E_j, rho_j, v_j = pending
+            rows.append([
+                j, E_j, rho_j,
+                state.gamma_history[j] if j < len(state.gamma_history) else "",
+                state.vhat_history[j] if j < len(state.vhat_history) else "",
+                state.tau_effective,
+                math.sqrt(power_mod.eigenvector_error(chain, dec, v_j)),
+            ])
+        if state.verdict == "stopped":
+            verdict = {"verdict": "stopped", "stopped_at": state.stopped_at}
+            break
+        pending = (k, math.exp(log_E), rho, v)
     _emit(config, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
     verdict["epsilon"] = config.options["epsilon"]
     verdict["eta"] = state.eta()

@@ -24,7 +24,6 @@ class AbsorbingModel:
 
     base: ReversibleChain
     target: int
-    absorbed_kernel: np.ndarray   # full kernel with the target row frozen
     block: np.ndarray             # substochastic surviving block
     keep: np.ndarray              # surviving state indices
     nu: np.ndarray                # block eigenvalues, descending
@@ -32,7 +31,7 @@ class AbsorbingModel:
     restricted_pi: np.ndarray     # base stationary weights on surviving states
 
     def __post_init__(self):
-        _freeze(self, "absorbed_kernel", "block", "nu", "modes", "restricted_pi")
+        _freeze(self, "block", "nu", "modes", "restricted_pi")
         _freeze(self, "keep", dtype=int)
 
 
@@ -42,9 +41,6 @@ def absorb(chain: ReversibleChain, target: int) -> AbsorbingModel:
         raise InvalidState(f"state {target} out of range for n = {chain.n}")
     if chain.n < 2:
         raise InvalidState("need at least two states to absorb one")
-    P_a = chain.kernel.copy()
-    P_a[target, :] = 0.0
-    P_a[target, target] = 1.0
     keep = np.array([i for i in range(chain.n) if i != target])
     block = chain.kernel[np.ix_(keep, keep)]
     pr = chain.pi[keep]
@@ -56,7 +52,6 @@ def absorb(chain: ReversibleChain, target: int) -> AbsorbingModel:
     return AbsorbingModel(
         base=chain,
         target=target,
-        absorbed_kernel=P_a,
         block=block,
         keep=keep,
         nu=evals[order],
@@ -127,23 +122,18 @@ class TailValue:
 
 def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:
     """Probability the first passage to the target exceeds k steps."""
-    if k < 0:
-        raise InvalidArguments("k must be nonnegative")
-    s = _validate_start(model, start)
-    alpha = tail_coefficients(model, s)
+    matrix = float(tail_curve(model, start, k)[-1])
+    alpha = tail_coefficients(model, start)
     spectral = float(np.sum(alpha * model.nu ** k))
-    mass = s.copy()
-    for _ in range(k):
-        mass = mass @ model.block
-    matrix = float(mass.sum())
     return TailValue(k=k, spectral=spectral, matrix=matrix, coefficients=alpha)
 
 
 def tail_curve(model: AbsorbingModel, start, k_max: int) -> np.ndarray:
     """Matrix-path survival probabilities for k = 0..k_max."""
-    s = _validate_start(model, start)
+    if k_max < 0:
+        raise InvalidArguments("k_max must be nonnegative")
+    mass = _validate_start(model, start)
     out = np.empty(k_max + 1)
-    mass = s.copy()
     out[0] = mass.sum()
     for k in range(1, k_max + 1):
         mass = mass @ model.block

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ReversibleChain, SpectralDecomposition, _freeze, pi_inner
+from .chains import ReversibleChain, SpectralDecomposition, pi_inner
 from .errors import (
     Degenerate,
     InvalidArguments,
@@ -36,29 +36,22 @@ from .errors import (
     ZeroProjection,
 )
 
-RHO_SLACK = 1e-12  # tolerated backward drift of the rho sequence
+RHO_SLACK = 1e-12         # tolerated backward drift of the rho sequence
+BURN_IN = 5               # steps before the online tau estimate is trusted
+TAU_MIN = 1e-3            # floor on the online separation estimate
+FREEZE_RATIO = 1e-13      # freeze tau updates once vhat < ratio * rho^2
+COLLAPSE_PATIENCE = 5     # consecutive below-floor estimates before failing
 
 
-@dataclass(frozen=True)
-class PowerRun:
-    """Matrix-path power iteration record."""
+def power_steps(chain: ReversibleChain, g0):
+    """Stream (ln E_k, rho_k, v_k) for k = 0, 1, ... from a centered start.
 
-    log_energies: np.ndarray     # ln E_k, k = 0..steps
-    rho: np.ndarray              # rho_k = E_{k+1}/E_k, k = 0..steps-1
-    iterates: np.ndarray         # row k is the normalized iterate v_k
-
-    def __post_init__(self):
-        _freeze(self, "log_energies", "rho", "iterates")
-
-    @property
-    def steps(self) -> int:
-        return self.rho.size
-
-
-def run_power(chain: ReversibleChain, g0, max_iter: int) -> PowerRun:
-    """Iterate the kernel from a centered start, tracking energies exactly."""
-    if max_iter < 1:
-        raise InvalidArguments("max_iter must be >= 1")
+    Item k costs k + 1 kernel applications and the state is one iterate, so
+    a consumer that stops reading after step k has paid for nothing beyond
+    it.  The stream ends when the iterate dies (rho_k = 0), which happens
+    only when every nontrivial eigenvalue is zero.  ZeroProjection is raised
+    on the first pull.
+    """
     g0 = np.asarray(g0, dtype=float)
     ones = np.ones(chain.n)
     g = g0 - pi_inner(chain, g0, ones)
@@ -66,25 +59,17 @@ def run_power(chain: ReversibleChain, g0, max_iter: int) -> PowerRun:
     norm0 = pi_inner(chain, g0, g0)
     if E0 <= (1e-14) ** 2 * norm0 or E0 <= 0.0:
         raise ZeroProjection("initial vector has no component off the stationary mode")
-    vs = np.empty((max_iter + 1, chain.n))
-    log_E = np.empty(max_iter + 1)
-    rho = np.empty(max_iter)
-    vs[0] = g / math.sqrt(E0)
-    log_E[0] = math.log(E0)
-    for k in range(max_iter):
-        w = chain.kernel @ vs[k]
+    v = g / math.sqrt(E0)
+    log_E = math.log(E0)
+    while True:
+        w = chain.kernel @ v
         w = w - pi_inner(chain, w, ones)
         r2 = pi_inner(chain, w, w)
         if r2 <= 0.0:
-            # reachable only when every nontrivial eigenvalue is zero
-            vs = vs[: k + 1]
-            log_E = log_E[: k + 1]
-            rho = rho[:k]
-            break
-        rho[k] = r2
-        log_E[k + 1] = log_E[k] + math.log(r2)
-        vs[k + 1] = w / math.sqrt(r2)
-    return PowerRun(log_energies=log_E, rho=rho, iterates=vs)
+            return
+        yield log_E, r2, v
+        log_E += math.log(r2)
+        v = w / math.sqrt(r2)
 
 
 def eigenvector_error(chain: ReversibleChain, decomp: SpectralDecomposition,
@@ -144,22 +129,12 @@ def alpha_bounds_from_variance(vhat: float, lambda2: float,
 
 
 @dataclass
-class StoppingConfig:
-    k_min: int = 3
-    burn_in: int = 5              # steps before the online tau estimate is trusted
-    tau_min: float = 1e-3
-    freeze_ratio: float = 1e-13   # freeze tau updates once vhat < ratio * rho^2
-    guard_decreases: int = 0      # optional: require this many consecutive Gamma drops
-    collapse_patience: int = 5    # consecutive below-floor estimates before failing
-
-
-@dataclass
 class StoppingState:
     """Streaming state of the adaptive stopping rule; checkpointable."""
 
     epsilon: float
     tau: float | None             # supplied bound, or None for online estimation
-    config: StoppingConfig = field(default_factory=StoppingConfig)
+    k_min: int = 3                # earliest step the rule may stop at
     rho_history: list = field(default_factory=list)
     vhat_history: list = field(default_factory=list)
     gamma_history: list = field(default_factory=list)
@@ -168,6 +143,12 @@ class StoppingState:
     verdict: str = "running"      # "running" | "stopped" | "failed"
     stopped_at: int | None = None
     below_floor_streak: int = 0
+
+    def __post_init__(self):
+        if not (0.0 < self.epsilon <= 1.0):
+            raise InvalidArguments(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+        if self.tau is not None and not (0.0 < self.tau <= 1.0):
+            raise InvalidArguments(f"tau must lie in (0, 1], got {self.tau!r}")
 
     def eta(self) -> float | None:
         t = self.tau if self.tau is not None else self.tau_hat
@@ -199,19 +180,19 @@ class StoppingState:
         if self.tau is not None or self.tau_frozen or k < 1:
             return
         v_prev, v_here = self.vhat_history[k - 1], self.vhat_history[k]
-        if v_here < self.config.freeze_ratio * self.rho_history[k] ** 2:
+        if v_here < FREEZE_RATIO * self.rho_history[k] ** 2:
             if self.tau_hat is not None:
                 self.tau_frozen = True   # settled estimate, signal now roundoff
             elif v_here == 0.0:
                 # exactly zero variance: a genuinely rigid stream; stop on the
                 # conservative floor rather than waiting forever
-                self.tau_hat = self.config.tau_min
+                self.tau_hat = TAU_MIN
                 self.tau_frozen = True
             else:
                 # positive variance too small to ever resolve a ratio:
                 # degenerate separation suspected
                 self.below_floor_streak += 1
-                if self.below_floor_streak >= self.config.collapse_patience:
+                if self.below_floor_streak >= COLLAPSE_PATIENCE:
                     self.verdict = "failed"
                     raise TauCollapse(
                         f"variance signal died before any separation estimate "
@@ -220,23 +201,23 @@ class StoppingState:
         if v_prev <= 0.0:
             return
         estimate = 1.0 - math.sqrt(max(v_here / v_prev, 0.0))
-        if k + 1 < self.config.burn_in:
+        if k + 1 < BURN_IN:
             return
-        if estimate < self.config.tau_min:
+        if estimate < TAU_MIN:
             # the variance ratio dips through 1 around its transient peak, so
             # a single below-floor reading is not yet evidence of degeneracy
             self.below_floor_streak += 1
-            if self.below_floor_streak >= self.config.collapse_patience:
+            if self.below_floor_streak >= COLLAPSE_PATIENCE:
                 self.verdict = "failed"
                 raise TauCollapse(
                     f"online separation estimate {estimate!r} stayed below the "
-                    f"floor {self.config.tau_min!r} through step {k}", state=self)
+                    f"floor {TAU_MIN!r} through step {k}", state=self)
             return
         self.below_floor_streak = 0
         self.tau_hat = estimate
 
     def _maybe_stop(self, k: int):
-        if k < self.config.k_min:
+        if k < self.k_min:
             return
         g = self.gamma_history[k]
         threshold = self.eta()
@@ -244,30 +225,19 @@ class StoppingState:
             return
         if g > threshold:
             return
-        n = self.config.guard_decreases
-        if n > 0:
-            recent = self.gamma_history[max(0, k - n): k + 1]
-            if len(recent) < n + 1 or any(
-                    recent[i + 1] >= recent[i] for i in range(len(recent) - 1)):
-                return
         self.verdict = "stopped"
         self.stopped_at = k
 
 
 def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
-                  config: StoppingConfig | None = None) -> StoppingState:
+                  k_min: int = 3) -> StoppingState:
     """Fold a rho sequence through the stopping rule.
 
     Returns the state at the stop step; raises StreamEnded if the stream is
     exhausted first and TauCollapse if the online separation estimate
     degenerates.  Both exceptions carry the partial state.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidArguments(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if tau is not None and not (0.0 < tau <= 1.0):
-        raise InvalidArguments(f"tau must lie in (0, 1], got {tau!r}")
-    state = StoppingState(epsilon=epsilon, tau=tau,
-                          config=config or StoppingConfig())
+    state = StoppingState(epsilon=epsilon, tau=tau, k_min=k_min)
     for value in rho_stream:
         state.update(value)
         if state.verdict == "stopped":

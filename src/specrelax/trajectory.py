@@ -278,31 +278,3 @@ def transport_residual(profile: SpectralProfile, k: int) -> float:
         raise DeadTrajectory(f"trajectory dead near step {k}")
     predicted = led.p + led.p * (profile.lambdas ** 2 - led.rho) / led.rho
     return float(np.max(np.abs(led_next.p - predicted)))
-
-
-def oracle_energies(chain: ReversibleChain, g0, steps: int) -> np.ndarray:
-    """Log energies ln ||P^k g0_centered||^2 for k = 0..steps via the matrix path.
-
-    The iterate is re-centered and renormalized every step: exact dynamics
-    carries no stationary mass, and renormalization keeps the accumulated
-    log scale exact while the vector stays O(1).
-    """
-    g0 = np.asarray(g0, dtype=float)
-    ones = np.ones(chain.n)
-    g = g0 - pi_inner(chain, g0, ones)
-    E0 = pi_inner(chain, g, g)
-    if E0 <= 0:
-        raise ZeroProjection("initial vector has no component off the stationary mode")
-    out = np.empty(steps + 1)
-    out[0] = np.log(E0)
-    v = g / np.sqrt(E0)
-    for k in range(steps):
-        w = matrix_oracle_step(chain, v)
-        w = w - pi_inner(chain, w, ones)
-        r2 = pi_inner(chain, w, w)
-        if r2 <= 0.0:
-            out[k + 1:] = -np.inf
-            break
-        out[k + 1] = out[k] + np.log(r2)
-        v = w / np.sqrt(r2)
-    return out

@@ -6,6 +6,7 @@ The plain-arithmetic modal oracle below recomputes every ledger quantity
 without log-sum-exp; tests compare the package's log-domain path against it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from specrelax import (
     ReversibleChain,
     build_chain,
     pi_inner,
+    power_steps,
     profile_from_weights,
     spectral_decomposition,
 )
@@ -68,6 +70,12 @@ def entropy_oracle(p) -> float:
 def centered_random_start(chain, rng):
     g0 = rng.standard_normal(chain.n)
     return g0 - pi_inner(chain, g0, np.ones(chain.n))
+
+
+def power_stream(chain, g0, steps):
+    """The first `steps` items of the power stream as (ln E, rho, iterates) arrays."""
+    log_E, rho, iterates = zip(*itertools.islice(power_steps(chain, g0), steps))
+    return np.array(log_E), np.array(rho), np.array(iterates)
 
 
 def spectral_coefficients(chain, decomp, g0):

@@ -30,7 +30,7 @@ from specrelax.errors import StreamEnded
 from specrelax.presets import synthetic_s8_profile
 from specrelax.thermo import helmholtz_like
 
-from conftest import centered_random_start, entropy_oracle, random_reversible
+from conftest import centered_random_start, entropy_oracle, power_stream, random_reversible
 
 LN2 = math.log(2.0)
 
@@ -343,12 +343,12 @@ def test_criterion_10_error_identity():
         dec = sr.spectral_decomposition(chain)
         g0 = centered_random_start(chain, rng)
         prof = sr.project_initial(dec, chain, g0)
-        run = sr.run_power(chain, g0, 150)
+        _, _, iterates = power_stream(chain, g0, 150)
         slow = prof.slow_index()
         for k in range(150):
             led = sr.ledger_at(prof, k)
             alpha2 = float(np.exp(led.log_modal_energies[slow] - led.log_energy))
-            err = sr.eigenvector_error(chain, dec, run.iterates[k])
+            err = sr.eigenvector_error(chain, dec, iterates[k])
             worst = max(worst, abs(err - sr.error_identity(alpha2)))
     criterion(10, "exact eigenvector error identity", worst <= 1e-10,
               f"worst deviation {worst:.3e}")
@@ -370,15 +370,15 @@ def test_criterion_11_stopping_soundness():
         chains_used += 1
         tau = 1.0 - (lam3 / lam2) ** 2
         g0 = centered_random_start(chain, rng)
-        run = sr.run_power(chain, g0, 400)
+        _, rho, iterates = power_stream(chain, g0, 400)
         for eps in (0.2, 0.1, 0.05):
             try:
-                state = sr.adaptive_stop(run.rho, epsilon=eps, tau=tau)
+                state = sr.adaptive_stop(rho, epsilon=eps, tau=tau)
             except StreamEnded:
                 continue
             stops += 1
             k = state.stopped_at
-            err = math.sqrt(sr.eigenvector_error(chain, dec, run.iterates[k]))
+            err = math.sqrt(sr.eigenvector_error(chain, dec, iterates[k]))
             if err > eps:
                 unsound += 1
     criterion(11, "adaptive stopping soundness", unsound == 0 and stops >= 150,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specrelax as sr
+from specrelax import power_iter
 from specrelax.cli import main
 from specrelax.io import fmt, load_chain_file, load_profile_file, save_profile
 
@@ -191,6 +192,54 @@ class TestPowerCommand:
         assert run_cli(["power", "paper-s8"]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_stop_ends_the_stream(self, tmp_path, capsys, monkeypatch):
+        # a stop at step k pulls k + 2 items, however large --max-iter is
+        pulls = []
+        real_steps = power_iter.power_steps
+
+        def counted(chain, g0):
+            for item in real_steps(chain, g0):
+                pulls.append(1)
+                yield item
+
+        monkeypatch.setattr(power_iter, "power_steps", counted)
+        outputs = []
+        for max_iter in ("100000", "30"):
+            out = tmp_path / f"p{max_iter}.csv"
+            pulls.clear()
+            assert run_cli(["power", "barbell-metastable", "--tau", "0.5",
+                            "--max-iter", max_iter, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out
+            outputs.append((stdout, read(out)))
+            verdict = json.loads(stdout)
+            assert verdict["verdict"] == "stopped"
+            assert len(pulls) == verdict["stopped_at"] + 2
+        rows = [line.split(",") for line in outputs[0][1].decode().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(verdict["stopped_at"] + 1))
+        assert {r[5] for r in rows} == {"0.5"}
+        assert outputs[0] == outputs[1]
+
+    def test_tau_collapse_streams_on_to_max_iter(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run_cli(["power", "cycle-20", "--max-iter", "60", "--out", str(out)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verdict"] == "tau-collapse"
+        step = int(verdict["detail"].rsplit(" ", 1)[1])
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(59))
+        assert all(r[3] != "" for r in rows[:step + 1])
+        assert all(r[3] == r[4] == "" for r in rows[step + 1:])
+        assert {r[5] for r in rows[step:]} == {fmt(verdict["tau"])}
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "2"],
+                                       ["--tau", "5"], ["--tau", "0"]])
+    def test_epsilon_and_tau_outside_unit_interval(self, flags, capsys):
+        assert run_cli(["power", "barbell-metastable", *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidArguments:")
+        assert captured.err.count("\n") == 1
+
 
 class TestAccelCommand:
     def test_compare_traces(self, tmp_path):
@@ -218,6 +267,12 @@ class TestFptCommand:
         tails = [float(line.split(",")[1]) for line in lines[1:]]
         assert tails[0] == 1.0
         assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
+
+    def test_negative_kmax_rejected(self, capsys):
+        assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: InvalidArguments: k_max must be nonnegative\n"
 
 
 class TestHypercubeCommand:

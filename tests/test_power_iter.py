@@ -5,6 +5,7 @@ import pytest
 
 import specrelax as sr
 from specrelax.errors import (
+    InvalidArguments,
     InvalidRho,
     OutOfRange,
     StreamEnded,
@@ -12,7 +13,12 @@ from specrelax.errors import (
     ZeroProjection,
 )
 
-from conftest import centered_random_start, random_profile, random_reversible
+from conftest import (
+    centered_random_start,
+    power_stream,
+    random_profile,
+    random_reversible,
+)
 
 
 def profile_rho_stream(profile, steps):
@@ -23,11 +29,11 @@ class TestRunPower:
     def test_eigenvector_start_is_fixed(self, rng):
         chain = random_reversible(8, rng, lazy=True)
         dec = sr.spectral_decomposition(chain)
-        run = sr.run_power(chain, dec.eigenvectors[:, 1], 30)
+        _, rho, iterates = power_stream(chain, dec.eigenvectors[:, 1], 30)
         lam2 = dec.eigenvalues[1]
         for k in range(30):
-            assert run.rho[k] == pytest.approx(lam2 ** 2, rel=1e-11)
-            err = sr.eigenvector_error(chain, dec, run.iterates[k])
+            assert rho[k] == pytest.approx(lam2 ** 2, rel=1e-11)
+            err = sr.eigenvector_error(chain, dec, iterates[k])
             assert err < 1e-20
 
     def test_rho_matches_spectral_ledger(self, rng):
@@ -35,29 +41,30 @@ class TestRunPower:
         dec = sr.spectral_decomposition(chain)
         g0 = centered_random_start(chain, rng)
         prof = sr.project_initial(dec, chain, g0)
-        run = sr.run_power(chain, g0, 80)
+        _, rho, _ = power_stream(chain, g0, 80)
         for k in range(80):
-            assert run.rho[k] == pytest.approx(
+            assert rho[k] == pytest.approx(
                 sr.ledger_at(prof, k).rho, rel=1e-10)
 
     def test_two_component_moments(self, rng):
         chain = random_reversible(10, rng, lazy=True)
         dec = sr.spectral_decomposition(chain)
         g0 = dec.eigenvectors[:, 1] + dec.eigenvectors[:, 2]
-        run = sr.run_power(chain, g0, 5)
+        _, rho, _ = power_stream(chain, g0, 5)
         l2, l3 = dec.eigenvalues[1], dec.eigenvalues[2]
         rho0 = (l2 ** 2 + l3 ** 2) / 2.0
         rho1 = (l2 ** 4 + l3 ** 4) / (l2 ** 2 + l3 ** 2)
-        assert run.rho[0] == pytest.approx(rho0, rel=1e-11)
-        assert run.rho[1] == pytest.approx(rho1, rel=1e-11)
+        assert rho[0] == pytest.approx(rho0, rel=1e-11)
+        assert rho[1] == pytest.approx(rho1, rel=1e-11)
         prof = sr.project_initial(dec, chain, g0)
         assert sr.ledger_at(prof, 0).rho == pytest.approx(rho0, rel=1e-11)
         assert sr.ledger_at(prof, 1).rho == pytest.approx(rho1, rel=1e-11)
 
     def test_zero_projection(self, rng):
         chain = random_reversible(5, rng)
+        steps = sr.power_steps(chain, np.ones(5))
         with pytest.raises(ZeroProjection):
-            sr.run_power(chain, np.ones(5), 10)
+            next(steps)
 
 
 class TestErrorIdentity:
@@ -78,12 +85,12 @@ class TestErrorIdentity:
             dec = sr.spectral_decomposition(chain)
             g0 = centered_random_start(chain, rng)
             prof = sr.project_initial(dec, chain, g0)
-            run = sr.run_power(chain, g0, 150)
+            _, _, iterates = power_stream(chain, g0, 150)
             slow = prof.slow_index()
             for k in range(0, 150, 5):
                 led = sr.ledger_at(prof, k)
                 alpha2 = float(np.exp(led.log_modal_energies[slow] - led.log_energy))
-                true_err = sr.eigenvector_error(chain, dec, run.iterates[k])
+                true_err = sr.eigenvector_error(chain, dec, iterates[k])
                 assert abs(true_err - sr.error_identity(alpha2)) <= 1e-10
 
 
@@ -184,6 +191,13 @@ class TestAdaptiveStop:
         assert alpha2 >= 0.5
         assert math.sqrt(sr.error_identity(alpha2)) <= 0.1
 
+    def test_rejects_epsilon_and_tau_outside_unit_interval(self):
+        for eps, tau in ((0.0, None), (2.0, None), (0.1, 0.0), (0.1, 5.0)):
+            with pytest.raises(InvalidArguments):
+                sr.StoppingState(epsilon=eps, tau=tau)
+            with pytest.raises(InvalidArguments):
+                sr.adaptive_stop([0.5, 0.6], epsilon=eps, tau=tau)
+
     def test_stream_ended(self, s8_two_mode):
         with pytest.raises(StreamEnded) as exc:
             sr.adaptive_stop(profile_rho_stream(s8_two_mode, 5),
@@ -222,23 +236,14 @@ class TestAdaptiveStop:
                 continue
             tau = 1.0 - (l3 / l2) ** 2
             g0 = centered_random_start(chain, rng)
-            run = sr.run_power(chain, g0, 300)
+            _, rho, iterates = power_stream(chain, g0, 300)
             for eps in (0.2, 0.1):
                 try:
-                    state = sr.adaptive_stop(run.rho, epsilon=eps, tau=tau)
+                    state = sr.adaptive_stop(rho, epsilon=eps, tau=tau)
                 except StreamEnded:
                     continue
                 k = state.stopped_at
-                err = math.sqrt(sr.eigenvector_error(chain, dec, run.iterates[k]))
+                err = math.sqrt(sr.eigenvector_error(chain, dec, iterates[k]))
                 assert err <= eps
                 stops += 1
         assert stops >= 20
-
-    def test_guard_requires_consecutive_decreases(self, s8_two_mode):
-        tau = 1.0 - (0.70 / 0.95) ** 2
-        cfg = sr.StoppingConfig(guard_decreases=3)
-        plain = sr.adaptive_stop(profile_rho_stream(s8_two_mode, 400),
-                                 epsilon=0.2, tau=tau)
-        guarded = sr.adaptive_stop(profile_rho_stream(s8_two_mode, 400),
-                                   epsilon=0.2, tau=tau, config=cfg)
-        assert guarded.stopped_at >= plain.stopped_at

@@ -11,6 +11,7 @@ from specrelax.errors import DeadTrajectory, DimensionMismatch, ZeroProjection
 from conftest import (
     centered_random_start,
     modal_oracle,
+    power_stream,
     random_profile,
     random_reversible,
     spectral_coefficients,
@@ -180,7 +181,7 @@ class TestOracleEquivalence:
             dec = sr.spectral_decomposition(chain)
             g0 = centered_random_start(chain, rng)
             prof = sr.project_initial(dec, chain, g0)
-            logs = sr.oracle_energies(chain, g0, 100)
+            logs, _, _ = power_stream(chain, g0, 101)
             for k in range(0, 101, 10):
                 led = sr.ledger_at(prof, k)
                 assert abs(led.log_energy - logs[k]) < 1e-10
