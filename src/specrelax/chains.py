@@ -190,41 +190,61 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     return ReversibleChain(kernel=P, pi=pi)
 
 
-def spectral_decomposition(chain: ReversibleChain,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
-    """Full eigensystem of the kernel in the stationary-weighted inner product."""
-    d = np.sqrt(chain.pi)
-    sym = (d[:, None] * chain.kernel) / d[None, :]
-    sym = 0.5 * (sym + sym.T)
+def _weighted_eigh(kernel: np.ndarray, weights: np.ndarray,
+                   tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and weight-orthonormal eigenvectors of a kernel
+    that is self-adjoint in the inner product weighted by `weights`.
+
+    Solves the symmetrized D^{1/2} K D^{-1/2} (D = diag(weights)), then checks
+    the weighted orthonormality of the eigenvectors and the weighted-norm
+    eigen-residual of K itself.  Buffers are built in place and dropped once
+    used, so beside the kernel and eigh's own buffers at most three n x n
+    arrays are live.
+    """
+    d = np.sqrt(weights)
+    sym = d[:, None] * kernel
+    sym /= d
+    sym += sym.T
+    sym *= 0.5
     try:
         evals, evecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise EigensolveFailure(str(exc)) from exc
+    del sym
     order = np.argsort(-evals)
     evals = evals[order]
+    # project_initial sums in this array's memory order: keep its layout
     phi = (evecs / d[:, None])[:, order]
+    del evecs
+    w = d[:, None] * phi
+    gram = w.T @ w
+    del w
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    if max(gram.max(), -gram.min()) > tol.orthonormality:
+        raise EigensolveFailure("eigenvectors fail weighted orthonormality")
+    del gram
+    resid = kernel @ phi
+    resid -= phi * evals
+    resid *= d[:, None]
+    worst = float(np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid))))
+    if worst > tol.eigen_residual:
+        raise EigensolveFailure(f"eigen-residual {worst!r} too large")
+    return evals, phi
+
+
+def spectral_decomposition(chain: ReversibleChain,
+                           tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
+    """Full eigensystem of the kernel in the stationary-weighted inner product."""
+    evals, phi = _weighted_eigh(chain.kernel, chain.pi, tol)
     # sign-normalize so the stationary column is the positive constant vector
     if phi[:, 0].sum() < 0:
         phi = phi.copy()
         phi[:, 0] = -phi[:, 0]
-    dec = SpectralDecomposition(eigenvalues=evals, eigenvectors=phi)
-    _check_decomposition(chain, dec, tol)
-    return dec
-
-
-def _check_decomposition(chain, dec, tol):
-    lam, phi = dec.eigenvalues, dec.eigenvectors
-    if abs(lam[0] - 1.0) > 1e-10:
-        raise EigensolveFailure(f"top eigenvalue {lam[0]!r} is not 1")
+    if abs(evals[0] - 1.0) > 1e-10:
+        raise EigensolveFailure(f"top eigenvalue {evals[0]!r} is not 1")
     if np.max(np.abs(phi[:, 0] - 1.0)) > 1e-8:
         raise EigensolveFailure("stationary eigenvector is not constant")
-    gram = phi.T @ (chain.pi[:, None] * phi)
-    if np.max(np.abs(gram - np.eye(chain.n))) > tol.orthonormality:
-        raise EigensolveFailure("eigenvectors fail weighted orthonormality")
-    resid = chain.kernel @ phi - phi * lam
-    norms = np.sqrt(np.einsum("x,xi,xi->i", chain.pi, resid, resid))
-    if np.max(norms) > tol.eigen_residual:
-        raise EigensolveFailure(f"eigen-residual {np.max(norms)!r} too large")
+    return SpectralDecomposition(eigenvalues=evals, eigenvectors=phi)
 
 
 def pi_inner(chain: ReversibleChain, f, g) -> float:

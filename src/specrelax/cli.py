@@ -299,12 +299,17 @@ def _profile_summary(profile: SpectralProfile) -> dict:
 def _cmd_analyze(config: RunConfig) -> int:
     obj = resolve_input(config)
     if isinstance(obj, ReversibleChain):
-        dec = spectral_decomposition(obj, _tolerances(config))
+        tol = _tolerances(config)
+        dec = spectral_decomposition(obj, tol)
         # weightless summary: every nontrivial mode carries unit weight
         profile = profile_from_weights(
             np.clip(dec.eigenvalues[1:], None, 1.0 - 1e-15),
             np.ones(obj.n - 1))
         summary = _profile_summary(profile)
+        if summary["lambda2"] <= tol.eigen_residual:
+            # the check certifies each eigenvalue only to eigen_residual, so a
+            # lambda2 below it is roundoff and |lambda3|/lambda2 means nothing
+            summary["ratio"] = None
         summary["n_states"] = obj.n
         summary["spectrum"] = list(dec.eigenvalues)
     else:
@@ -486,8 +491,9 @@ def _slow_shares(profile: SpectralProfile, ks) -> list:
 
 def _cmd_fpt(config: RunConfig) -> int:
     chain = _require_chain(resolve_input(config), "fpt")
-    dec = spectral_decomposition(chain, _tolerances(config))
-    model = absorb(chain, config.options["target"])
+    tol = _tolerances(config)
+    lam = spectral_decomposition(chain, tol).eigenvalues
+    model = absorb(chain, config.options["target"], tol)
     start_spec = config.options["start"]
     if start_spec == "uniform":
         start = uniform_start(model)
@@ -499,15 +505,18 @@ def _cmd_fpt(config: RunConfig) -> int:
         path = str(start_spec)[5:]
         if not os.path.exists(path):
             raise IoError(f"start file not found: {path}")
-        start = np.loadtxt(path, delimiter=",", dtype=float)
+        try:
+            start = np.loadtxt(path, delimiter=",", dtype=float)
+        except ValueError as exc:
+            raise IoError(f"malformed start file {path}: {exc}") from exc
     else:
         raise ConfigError(f"unknown start spec: {start_spec!r}")
     kmax = config.options["kmax"]
     delta = config.options["delta"]
     alpha = tail_coefficients(model, start)
     tails = tail_curve(model, start, kmax)
-    lam2 = float(dec.eigenvalues[1])
-    lam3 = float(np.max(np.abs(dec.eigenvalues[2:]))) if chain.n > 2 else 0.0
+    lam2 = float(lam[1])
+    lam3 = float(np.max(np.abs(lam[2:]))) if chain.n > 2 else 0.0
     nu2 = float(model.nu[0])
     a2 = float(alpha[0])
     init_ratio = (float(np.sum(np.abs(alpha[1:])) / abs(a2))

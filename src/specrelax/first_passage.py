@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, _freeze
+from .chains import DEFAULT_TOLERANCES, ReversibleChain, Tolerances, _freeze, _weighted_eigh
 from .errors import BadStart, Degenerate, InvalidArguments, InvalidState
 
 
@@ -35,8 +35,13 @@ class AbsorbingModel:
         _freeze(self, "keep", dtype=int)
 
 
-def absorb(chain: ReversibleChain, target: int) -> AbsorbingModel:
-    """Freeze one state and diagonalize the surviving substochastic block."""
+def absorb(chain: ReversibleChain, target: int,
+           tol: Tolerances = DEFAULT_TOLERANCES) -> AbsorbingModel:
+    """Freeze one state and diagonalize the surviving substochastic block.
+
+    The block spectrum is checked as the chain's is (weighted orthonormality
+    and eigen-residual to `tol`); EigensolveFailure reports a miss.
+    """
     if not (0 <= target < chain.n):
         raise InvalidState(f"state {target} out of range for n = {chain.n}")
     if chain.n < 2:
@@ -44,20 +49,9 @@ def absorb(chain: ReversibleChain, target: int) -> AbsorbingModel:
     keep = np.array([i for i in range(chain.n) if i != target])
     block = chain.kernel[np.ix_(keep, keep)]
     pr = chain.pi[keep]
-    d = np.sqrt(pr)
-    sym = (d[:, None] * block) / d[None, :]
-    sym = 0.5 * (sym + sym.T)
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(-evals)
-    return AbsorbingModel(
-        base=chain,
-        target=target,
-        block=block,
-        keep=keep,
-        nu=evals[order],
-        modes=(evecs / d[:, None])[:, order],
-        restricted_pi=pr,
-    )
+    nu, modes = _weighted_eigh(block, pr, tol)
+    return AbsorbingModel(base=chain, target=target, block=block, keep=keep,
+                          nu=nu, modes=modes, restricted_pi=pr)
 
 
 def restricted_stationary_start(model: AbsorbingModel) -> np.ndarray:

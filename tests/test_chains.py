@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import specrelax as sr
 from specrelax.errors import (
     DegeneratePi,
+    EigensolveFailure,
     InvalidLaziness,
     InvalidSize,
     NonRealizable,
@@ -355,3 +357,42 @@ def test_import_needs_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
     assert out.strip() == "[]"
+
+
+# Both eigensolves go through one checked solver: (call, peak bound in units
+# of one n x n double array).  The bounds leave room over the measured 3.06
+# and 4.04; a solve that keeps extra n x n temporaries reaches 6 to 7.
+CHECKED_SOLVES = {
+    "spectral_decomposition": (sr.spectral_decomposition, 3.5),
+    "absorb": (lambda chain: sr.absorb(chain, 0), 4.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_SOLVES))
+def test_eigensolve_peak_memory(name):
+    solve, bound = CHECKED_SOLVES[name]
+    chain = sr.cycle_graph(400)
+    tracemalloc.start()
+    try:
+        solve(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * chain.n ** 2
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_SOLVES))
+def test_perturbed_eigenvector_is_caught(name, monkeypatch):
+    solve, _ = CHECKED_SOLVES[name]
+    chain = sr.barbell_chain(4, 0.05)
+    solve(chain)
+    real_eigh = np.linalg.eigh
+
+    def perturbed(a):
+        evals, evecs = real_eigh(a)
+        evecs[0, 1] += 1e-6
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(EigensolveFailure):
+        solve(chain)

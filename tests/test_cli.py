@@ -42,6 +42,19 @@ class TestAnalyze:
         assert data["n_states"] == 2
         assert data["spectrum"][1] == pytest.approx(0.6, abs=1e-12)
 
+    def test_ratio_is_blank_when_lambda2_is_roundoff(self, capsys):
+        # complete graphs: lambda2 = 0 up to roundoff, so |lambda3|/lambda2 is noise
+        assert run_cli(["analyze", "k5"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert row["ratio"] == ""
+        assert abs(float(row["lambda2"])) < 1e-9
+        for preset, has_ratio in (("k6", False), ("cycle-50", True)):
+            assert run_cli(["analyze", preset, "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert (data["ratio"] is not None) == has_ratio
+            assert data["lambda2"] == data["spectrum"][1]
+
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
         chain_file.write_text("0.9,0.1\n0.3,0.7\n")
@@ -273,6 +286,15 @@ class TestFptCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: InvalidArguments: k_max must be nonnegative\n"
+
+    def test_malformed_start_file_is_io_error(self, tmp_path, capsys):
+        start = tmp_path / "start.csv"
+        start.write_text("a,b\n")
+        assert run_cli(["fpt", "cycle-7", "--start", f"file:{start}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: IoError: malformed start file {start}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestHypercubeCommand:

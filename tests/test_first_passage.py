@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specrelax as sr
-from specrelax.errors import BadStart, Degenerate, InvalidState
+from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidState
 
 from conftest import random_reversible
 
@@ -20,6 +20,12 @@ class TestAbsorb:
         model = sr.absorb(hand_chain, 1)
         assert model.nu.shape == (1,)
         assert model.nu[0] == pytest.approx(0.9, abs=1e-14)
+
+    def test_block_eigensolve_is_checked(self):
+        chain = sr.cycle_graph(12)
+        sr.absorb(chain, 0)
+        with pytest.raises(EigensolveFailure, match="eigen-residual"):
+            sr.absorb(chain, 0, tol=sr.Tolerances(eigen_residual=1e-30))
 
     def test_invalid_state(self, hand_chain):
         with pytest.raises(InvalidState):
