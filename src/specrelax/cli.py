@@ -2,8 +2,9 @@
 
 Every command takes an input (a preset name, a chain file, or a profile
 file), a seed, and an output path/format, and emits deterministic CSV or
-JSON: the same seed produces byte-identical output.  Errors exit nonzero
-with a single machine-parseable stderr line.
+JSON through `io.write_csv` and `io.dump_json`: the same seed produces
+byte-identical output.  Errors exit nonzero with a single machine-parseable
+stderr line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .first_passage import (
     tail_curve,
     uniform_start,
 )
-from .io import dump_json, fmt, load_input_file, write_csv
+from .io import dump_json, load_input_file, write_csv
 from .presets import PRESET_HELP, resolve_preset
 from .rigidity import rigidity_time, split_slow_fast
 from .trajectory import (
@@ -61,17 +61,6 @@ LEDGER_COLUMNS = ["k", "E", "rho", "d", "alpha2", "S_spec", "Cov", "KL",
                   "G", "A", "B", "Gamma", "Vhat"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    tolerances: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-
-
 # --- argument parsing -------------------------------------------------------
 
 # lets comma lists that start with a negative number pass as values,
@@ -86,6 +75,7 @@ class _SubParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
         prog="specrelax",
         description="Finite-time spectral relaxation analysis of reversible chains",
@@ -93,12 +83,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p._negative_number_matcher = _NUMBER_LIST
     p.add_argument("--config", help="JSON file of option defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
-    registry: dict[str, argparse.ArgumentParser] = {}
-
-    def add_parser(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        registry[name] = sp
-        return sp
 
     def common(sp, needs_input=True):
         if needs_input:
@@ -110,33 +94,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--tol", action="append", default=[],
                         metavar="key=value", help="tolerance override")
 
-    sp = add_parser("analyze", help="spectral summary of a chain or profile")
+    sp = sub.add_parser("analyze", help="spectral summary of a chain or profile")
     common(sp)
 
-    sp = add_parser("simulate", help="full per-step ledger to a horizon")
+    sp = sub.add_parser("simulate", help="full per-step ledger to a horizon")
     common(sp)
     sp.add_argument("--steps", type=int, default=100)
 
-    sp = add_parser("rigidity", help="rigidity times for a list of deltas")
+    sp = sub.add_parser("rigidity", help="rigidity times for a list of deltas")
     common(sp)
     sp.add_argument("--delta", default="0.3,0.1,0.01",
                     help="comma-separated thresholds")
     sp.add_argument("--cap", type=int, default=None)
 
-    sp = add_parser("thermo", help="ledger plus optional per-mode fluxes")
+    sp = sub.add_parser("thermo", help="ledger plus optional per-mode fluxes")
     common(sp)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--fluxes-at", default=None,
                     help="comma-separated steps; emits a flux JSON next to the CSV")
 
-    sp = add_parser("power", help="power iteration with adaptive stopping")
+    sp = sub.add_parser("power", help="power iteration with adaptive stopping")
     common(sp)
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--kmin", type=int, default=3)
     sp.add_argument("--max-iter", type=int, default=200)
 
-    sp = add_parser("accel", help="polynomial acceleration comparison")
+    sp = sub.add_parser("accel", help="polynomial acceleration comparison")
     common(sp)
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--interval", default=None, metavar="a,b")
@@ -145,7 +129,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--compare-plain", action="store_true", dest="compare_plain")
     sp.add_argument("--steps", type=int, default=25)
 
-    sp = add_parser("fpt", help="first-passage tail to an absorbing state")
+    sp = sub.add_parser("fpt", help="first-passage tail to an absorbing state")
     common(sp)
     sp.add_argument("--target", type=int, default=0)
     sp.add_argument("--start", default="restricted",
@@ -153,100 +137,105 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--kmax", type=int, default=50)
     sp.add_argument("--delta", type=float, default=0.1)
 
-    sp = add_parser("hypercube", help="entropy collapse across the cutoff window")
+    sp = sub.add_parser("hypercube", help="entropy collapse across the cutoff window")
     common(sp, needs_input=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", default="-2,-1,0,1,2",
                     help="comma-separated window offsets")
-    return p, registry
+    return p, sub.choices
 
 
-def parse_config(argv=None) -> RunConfig:
-    parser, registry = _build_parser()
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the subcommand's defaults.
+
+    Explicit flags and an explicit input win however they are spelled, since
+    argparse parses them over the config's defaults.  `args.tol` comes back
+    as a Tolerances.
+    """
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        _apply_config_file(args, registry[args.command],
-                           list(argv) if argv is not None else sys.argv[1:])
-    opts = vars(args).copy()
-    opts.pop("config", None)
-    command = opts.pop("command")
-    tol = {}
-    for item in opts.pop("tol", []) or []:
-        if "=" not in item:
-            raise ConfigError(f"tolerance override must be key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        try:
-            tol[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    return RunConfig(
-        command=command,
-        input=opts.pop("input", None),
-        seed=opts.pop("seed", 0),
-        out=opts.pop("out", None),
-        format=opts.pop("format", "csv"),
-        tolerances=tol,
-        options=opts,
-    )
+        sub = commands[args.command]
+        sub.set_defaults(**_config_defaults(args.config, sub, args.command))
+        args = parser.parse_args(argv)
+    args.tol = Tolerances().override(**dict(map(_tolerance, args.tol)))
+    if getattr(args, "steps", 0) < 0:
+        raise InvalidArguments("steps must be nonnegative")
+    return args
 
 
-def _apply_config_file(args, subparser, argv):
-    """Fill unset options from a JSON config; explicit flags always win."""
-    if not os.path.exists(args.config):
-        raise IoError(f"config file not found: {args.config}")
+def _tolerance(item: str) -> tuple[str, float]:
+    key, eq, val = item.partition("=")
+    if not eq:
+        raise ConfigError(f"tolerance override must be key=value, got {item!r}")
     try:
-        with open(args.config) as fh:
+        return key, float(val)
+    except ValueError as exc:
+        raise ConfigError(f"bad tolerance value in {item!r}") from exc
+
+
+def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
+    """The JSON config's options, each checked as its flag would be."""
+    if not os.path.exists(path):
+        raise IoError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise IoError(f"malformed config file {args.config}: {exc}") from exc
+        raise IoError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {a.dest for a in subparser._actions} | {"command"}
-    unknown = set(data) - known
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(data) - set(actions) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if data.get("command", args.command) != args.command:
-        raise ConfigError(
-            f"config is for command {data['command']!r}, not {args.command!r}")
-    explicit = set()
-    for action in subparser._actions:
-        if not action.option_strings:
-            if getattr(args, action.dest, None) is not None:
-                explicit.add(action.dest)   # positional given on the line
-            continue
-        for opt in action.option_strings:
-            if any(tok == opt or tok.startswith(opt + "=") for tok in argv):
-                explicit.add(action.dest)
-    for key, value in data.items():
-        if key != "command" and key not in explicit:
-            setattr(args, key, value)
+    if data.get("command", command) != command:
+        raise ConfigError(f"config is for command {data['command']!r}, not {command!r}")
+    return {key: _config_value(actions[key], value)
+            for key, value in data.items() if key != "command"}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value with the flag's own type and choices; never null."""
+    typed = value
+    if action.nargs == 0:                       # a switch: --compare-plain
+        ok = isinstance(value, bool)
+    elif isinstance(action.default, list):      # --tol: key=value strings
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:                                       # read as the flag's text
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        try:
+            typed = (action.type or str)(str(value))
+        except ValueError:
+            ok = False
+        ok = ok and (action.choices is None or typed in action.choices)
+    if not ok:
+        raise ConfigError(f"bad config value for {action.dest}: {json.dumps(value)}")
+    return typed
 
 
 # --- input resolution -------------------------------------------------------
 
-def resolve_input(config: RunConfig):
-    """Return a ReversibleChain or SpectralProfile for the configured input."""
-    name = config.input
+def resolve_input(args: argparse.Namespace):
+    """Return a ReversibleChain or SpectralProfile for the given input."""
+    name = args.input
     if name is None:
         raise ConfigError("this command requires an input")
     if os.path.exists(name):
-        return load_input_file(name, _tolerances(config))
-    return resolve_preset(name, seed=config.seed)
+        return load_input_file(name, args.tol)
+    return resolve_preset(name, seed=args.seed)
 
 
-def _tolerances(config: RunConfig) -> Tolerances:
-    return Tolerances().override(**config.tolerances)
+def _start(chain: ReversibleChain, args: argparse.Namespace) -> np.ndarray:
+    """The seeded random start g0 of a chain."""
+    return np.random.default_rng(args.seed).standard_normal(chain.n)
 
 
-def _as_profile(obj, config: RunConfig) -> SpectralProfile:
+def _as_profile(obj, args: argparse.Namespace) -> SpectralProfile:
     """Chains become profiles through a seeded random centered start."""
     if isinstance(obj, SpectralProfile):
         return obj
-    chain = obj
-    dec = spectral_decomposition(chain, _tolerances(config))
-    rng = np.random.default_rng(config.seed)
-    g0 = rng.standard_normal(chain.n)
-    return project_initial(dec, chain, g0)
+    return project_initial(spectral_decomposition(obj, args.tol), obj, _start(obj, args))
 
 
 def _require_chain(obj, command: str) -> ReversibleChain:
@@ -255,20 +244,13 @@ def _require_chain(obj, command: str) -> ReversibleChain:
     return obj
 
 
-# --- output helpers ---------------------------------------------------------
-
-def _emit(config: RunConfig, header: list[str], rows: list[list]) -> str:
-    if config.format == "json":
-        payload = [dict(zip(header, [None if v == "" else v for v in row]))
-                   for row in rows]
-        text = dump_json(payload, config.out) + "\n"
-        if not config.out:
-            sys.stdout.write(text)
-        return text
-    text = write_csv(config.out, header, rows)
-    if not config.out:
-        sys.stdout.write(text)
-    return text
+def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
+    """Rows as CSV, or as JSON records with blank cells null, to --out or stdout."""
+    if args.format == "json":
+        dump_json([dict(zip(header, [None if v == "" else v for v in row]))
+                   for row in rows], args.out)
+    else:
+        write_csv(args.out, header, rows)
 
 
 # --- commands ---------------------------------------------------------------
@@ -290,23 +272,22 @@ def _profile_summary(profile: SpectralProfile) -> dict:
         out["delta_star"] = None
         out["L_0.1"] = math.inf
     else:
-        out["delta_star"] = 1.0 - max(0.5, (lam3 / lam2) ** 2) if lam3 > 0 else 0.5
+        out["delta_star"] = 1.0 - max(0.5, (lam3 / lam2) ** 2)
         report = rigidity_time(profile, 0.1, cap=1)
         out["L_0.1"] = report.bound
     return out
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    obj = resolve_input(config)
+def _cmd_analyze(args: argparse.Namespace):
+    obj = resolve_input(args)
     if isinstance(obj, ReversibleChain):
-        tol = _tolerances(config)
-        dec = spectral_decomposition(obj, tol)
+        dec = spectral_decomposition(obj, args.tol)
         # weightless summary: every nontrivial mode carries unit weight
         profile = profile_from_weights(
             np.clip(dec.eigenvalues[1:], None, 1.0 - 1e-15),
             np.ones(obj.n - 1))
         summary = _profile_summary(profile)
-        if summary["lambda2"] <= tol.eigen_residual:
+        if summary["lambda2"] <= args.tol.eigen_residual:
             # the check certifies each eigenvalue only to eigen_residual, so a
             # lambda2 below it is roundoff and |lambda3|/lambda2 means nothing
             summary["ratio"] = None
@@ -315,14 +296,11 @@ def _cmd_analyze(config: RunConfig) -> int:
     else:
         summary = _profile_summary(obj)
         summary["spectrum"] = list(obj.lambdas)
-    if config.format == "json":
-        text = dump_json(summary, config.out) + "\n"
-        if not config.out:
-            sys.stdout.write(text)
-        return 0
-    keys = sorted(k for k in summary if k != "spectrum")
-    _emit(config, keys, [[_scalar(summary[k]) for k in keys]])
-    return 0
+    if args.format == "json":
+        dump_json(summary, args.out)
+    else:
+        keys = sorted(k for k in summary if k != "spectrum")
+        _emit(args, keys, [[_scalar(summary[k]) for k in keys]])
 
 
 def _scalar(v):
@@ -358,21 +336,17 @@ def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
     return rows
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    profile = _as_profile(resolve_input(config), config)
-    rows = full_ledger_rows(profile, config.options["steps"])
-    _emit(config, LEDGER_COLUMNS, rows)
-    return 0
+def _cmd_simulate(args: argparse.Namespace):
+    profile = _as_profile(resolve_input(args), args)
+    _emit(args, LEDGER_COLUMNS, full_ledger_rows(profile, args.steps))
 
 
-def _cmd_thermo(config: RunConfig) -> int:
-    profile = _as_profile(resolve_input(config), config)
-    rows = full_ledger_rows(profile, config.options["steps"])
-    text_target = config.options.get("fluxes_at")
-    if text_target:
-        steps = _number_list(text_target, "fluxes-at", int)
+def _cmd_thermo(args: argparse.Namespace):
+    profile = _as_profile(resolve_input(args), args)
+    rows = full_ledger_rows(profile, args.steps)
+    if args.fluxes_at:
         fluxes = {}
-        for k in steps:
+        for k in _number_list(args.fluxes_at, "fluxes-at", int):
             forms = thermo_mod.canonical_covariance(profile, k)
             fluxes[str(k)] = {
                 "cov": forms.cov,
@@ -380,53 +354,40 @@ def _cmd_thermo(config: RunConfig) -> int:
                 "affinities": [a if math.isfinite(a) else None
                                for a in forms.affinities],
             }
-        path = (config.out + ".fluxes.json") if config.out else None
-        text = dump_json(fluxes, path) + "\n"
-        if not path:
-            sys.stdout.write(text)
-    _emit(config, LEDGER_COLUMNS, rows)
-    return 0
+        dump_json(fluxes, args.out + ".fluxes.json" if args.out else None)
+    _emit(args, LEDGER_COLUMNS, rows)
 
 
 def _number_list(text, what, kind=float):
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok != ""]
+        return [kind(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --{what} list: {text!r}") from exc
 
 
-def _cmd_rigidity(config: RunConfig) -> int:
-    profile = _as_profile(resolve_input(config), config)
-    deltas = _number_list(config.options["delta"], "delta")
+def _cmd_rigidity(args: argparse.Namespace):
+    profile = _as_profile(resolve_input(args), args)
     rows = []
-    for d in deltas:
-        report = rigidity_time(profile, d, cap=config.options.get("cap"))
-        rows.append([
-            d, report.bound,
-            report.t_rigid if report.reached else "",
-            report.ratio, report.init_ratio,
-        ])
-    _emit(config, ["delta", "L", "T_rigid", "ratio", "init_ratio"], rows)
-    return 0
+    for d in _number_list(args.delta, "delta"):
+        report = rigidity_time(profile, d, cap=args.cap)
+        rows.append([d, report.bound, report.t_rigid if report.reached else "",
+                     report.ratio, report.init_ratio])
+    _emit(args, ["delta", "L", "T_rigid", "ratio", "init_ratio"], rows)
 
 
-def _cmd_power(config: RunConfig) -> int:
-    chain = _require_chain(resolve_input(config), "power")
-    dec = spectral_decomposition(chain, _tolerances(config))
-    rng = np.random.default_rng(config.seed)
-    g0 = rng.standard_normal(chain.n)
-    max_iter = config.options["max_iter"]
-    if max_iter < 1:
+def _cmd_power(args: argparse.Namespace):
+    chain = _require_chain(resolve_input(args), "power")
+    dec = spectral_decomposition(chain, args.tol)
+    if args.max_iter < 1:
         raise InvalidArguments("max_iter must be >= 1")
-    state = power_mod.StoppingState(
-        epsilon=config.options["epsilon"], tau=config.options.get("tau"),
-        k_min=config.options["kmin"])
+    state = power_mod.StoppingState(epsilon=args.epsilon, tau=args.tau, k_min=args.kmin)
     verdict = {"verdict": "stream-ended", "stopped_at": None}
     rows = []
     pending = None    # step k waits for rho_{k+1} before its row is written
     # after a TauCollapse the stream runs on to max_iter with blank Gamma/Vhat
     for k, (log_E, rho, v) in enumerate(
-            itertools.islice(power_mod.power_steps(chain, g0), max_iter)):
+            itertools.islice(power_mod.power_steps(chain, _start(chain, args)),
+                             args.max_iter)):
         try:
             state.update(rho)
         except TauCollapse as exc:
@@ -445,23 +406,24 @@ def _cmd_power(config: RunConfig) -> int:
             verdict = {"verdict": "stopped", "stopped_at": state.stopped_at}
             break
         pending = (k, math.exp(log_E), rho, v)
-    _emit(config, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
-    verdict["epsilon"] = config.options["epsilon"]
+    _emit(args, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
+    verdict["epsilon"] = args.epsilon
     verdict["eta"] = state.eta()
     verdict["tau"] = state.tau_effective
-    sys.stdout.write(dump_json(verdict) + "\n")
-    return 0
+    dump_json(verdict)
 
 
-def _cmd_accel(config: RunConfig) -> int:
-    profile = _as_profile(resolve_input(config), config)
-    m = config.options["degree"]
+def _cmd_accel(args: argparse.Namespace):
+    profile = _as_profile(resolve_input(args), args)
+    m = args.degree
     split = split_slow_fast(profile)
-    if config.options.get("paper_simple") is not None:
-        plan = accel_mod.build_Qm(m, lambda2=config.options["paper_simple"])
-    elif config.options.get("interval"):
-        a, b = _number_list(config.options["interval"], "interval")
-        plan = accel_mod.build_Qm(m, a=a, b=b)
+    if args.paper_simple is not None:
+        plan = accel_mod.build_Qm(m, lambda2=args.paper_simple)
+    elif args.interval:
+        bounds = _number_list(args.interval, "interval")
+        if len(bounds) != 2:
+            raise ConfigError(f"--interval takes two numbers a,b, got {args.interval!r}")
+        plan = accel_mod.build_Qm(m, a=bounds[0], b=bounds[1])
     else:
         fast = np.delete(profile.lambdas, split.slow_index)
         if fast.size == 0:
@@ -473,13 +435,12 @@ def _cmd_accel(config: RunConfig) -> int:
             raise ConfigError("cannot infer a suppression interval; pass --interval")
         plan = accel_mod.build_Qm(m, a=lo, b=hi)
     mapped = accel_mod.accelerated_spectrum(profile, plan)
-    steps = range(config.options["steps"] + 1)
+    steps = range(args.steps + 1)
     plain = (_slow_shares(profile, [K * m for K in steps])
-             if config.options.get("compare_plain", True) else [""] * len(steps))
+             if args.compare_plain else [""] * len(steps))
     rows = [[K * m, a_plain, a_acc]
             for K, a_plain, a_acc in zip(steps, plain, _slow_shares(mapped, steps))]
-    _emit(config, ["step_equivalent", "alpha2_plain", "alpha2_accel"], rows)
-    return 0
+    _emit(args, ["step_equivalent", "alpha2_plain", "alpha2_accel"], rows)
 
 
 def _slow_shares(profile: SpectralProfile, ks) -> list:
@@ -489,20 +450,18 @@ def _slow_shares(profile: SpectralProfile, ks) -> list:
             for a, dead in zip(block.share(slow).tolist(), block.terminal)]
 
 
-def _cmd_fpt(config: RunConfig) -> int:
-    chain = _require_chain(resolve_input(config), "fpt")
-    tol = _tolerances(config)
-    lam = spectral_decomposition(chain, tol).eigenvalues
-    model = absorb(chain, config.options["target"], tol)
-    start_spec = config.options["start"]
-    if start_spec == "uniform":
+def _cmd_fpt(args: argparse.Namespace):
+    chain = _require_chain(resolve_input(args), "fpt")
+    lam = spectral_decomposition(chain, args.tol).eigenvalues
+    model = absorb(chain, args.target, args.tol)
+    if args.start == "uniform":
         start = uniform_start(model)
-    elif start_spec == "quasistationary":
+    elif args.start == "quasistationary":
         start = quasistationary_start(model)
-    elif start_spec == "restricted":
+    elif args.start == "restricted":
         start = restricted_stationary_start(model)
-    elif str(start_spec).startswith("file:"):
-        path = str(start_spec)[5:]
+    elif args.start.startswith("file:"):
+        path = args.start[5:]
         if not os.path.exists(path):
             raise IoError(f"start file not found: {path}")
         try:
@@ -510,9 +469,8 @@ def _cmd_fpt(config: RunConfig) -> int:
         except ValueError as exc:
             raise IoError(f"malformed start file {path}: {exc}") from exc
     else:
-        raise ConfigError(f"unknown start spec: {start_spec!r}")
-    kmax = config.options["kmax"]
-    delta = config.options["delta"]
+        raise ConfigError(f"unknown start spec: {args.start!r}")
+    kmax, delta = args.kmax, args.delta
     alpha = tail_coefficients(model, start)
     tails = tail_curve(model, start, kmax)
     lam2 = float(lam[1])
@@ -526,16 +484,12 @@ def _cmd_fpt(config: RunConfig) -> int:
         spectral = float(np.sum(alpha * model.nu ** k))
         approx = a2 * nu2 ** k
         rel = abs(tails[k] / approx - 1.0) if approx != 0 else ""
+        bound = ""
         if 0.0 < lam3 < lam2 and 0 < delta < 0.5 and abs(a2) > 0:
-            b = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
-                                       nu2, a2, tails[k])
-            bound = b.relative_error_bound
-        else:
-            bound = ""
+            bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
+                                           nu2, a2, tails[k]).relative_error_bound
         rows.append([k, tails[k], spectral, approx, rel, bound])
-    _emit(config, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"],
-          rows)
-    return 0
+    _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 
 
 def hypercube_window_step(n: int, alpha: float) -> int:
@@ -547,16 +501,14 @@ def hypercube_window_step(n: int, alpha: float) -> int:
     return max(0, round((n / 4.0) * math.log(n) + alpha * n))
 
 
-def _cmd_hypercube(config: RunConfig) -> int:
-    n = config.options["n"]
-    alphas = _number_list(config.options["alpha"], "alpha")
-    traj = hypercube_trajectory(hypercube_profile(n))
-    block = ledger_block(traj, [hypercube_window_step(n, a) for a in alphas])
+def _cmd_hypercube(args: argparse.Namespace):
+    alphas = _number_list(args.alpha, "alpha")
+    traj = hypercube_trajectory(hypercube_profile(args.n))
+    block = ledger_block(traj, [hypercube_window_step(args.n, a) for a in alphas])
     # logE, not E: the energy leaves the double range from n ~ 1030 on
     columns = [alphas, block.ks.tolist(), thermo_mod.entropy_rows(block.p).tolist(),
                block.log_energy.tolist(), block.p[:, traj.slow_index()].tolist()]
-    _emit(config, ["alpha", "k", "S_spec", "logE", "alpha2"], list(map(list, zip(*columns))))
-    return 0
+    _emit(args, ["alpha", "k", "S_spec", "logE", "alpha2"], list(map(list, zip(*columns))))
 
 
 _COMMANDS = {
@@ -571,30 +523,20 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ConfigError(f"unknown command: {config.command!r}")
-    return handler(config)
+def run(args: argparse.Namespace) -> int:
+    _COMMANDS[args.command](args)
+    return 0
 
 
 def main(argv=None) -> int:
+    """Run one command; an error is one stderr line and exit 2 (arguments),
+    3 (files) or 4 (everything else)."""
     try:
         return run(parse_config(argv))
-    except ConfigError as exc:
-        _fail(exc)
-        return 2
-    except IoError as exc:
-        _fail(exc)
-        return 3
     except SpecRelaxError as exc:
-        _fail(exc)
-        return 4
-
-
-def _fail(exc: Exception):
-    message = " ".join(str(exc).split())
-    sys.stderr.write(f"error: {type(exc).__name__}: {message}\n")
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"error: {type(exc).__name__}: {message}\n")
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, IoError) else 4
 
 
 if __name__ == "__main__":

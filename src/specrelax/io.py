@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -35,24 +36,30 @@ def fmt(x) -> str:
 
 
 def write_csv(path: str | None, header: list[str], rows: list[list]) -> str:
-    """Render rows to CSV text; write to `path` when given.  Returns the text."""
+    """Render rows to CSV text and write it to `path`, or to stdout when there
+    is none.  Returns the text."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
     text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, text)
     return text
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    """Deterministic JSON with full-precision floats."""
+    """Deterministic JSON with full-precision floats, written as one line to
+    `path`, or to stdout when there is none.  Returns the text, newline excluded."""
     text = json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    _write(path, text + "\n")
+    return text
+
+
+def _write(path: str | None, text: str):
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _jsonable(obj):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chains import (HypercubeProfile, ReversibleChain, SpectralDecomposition, _freeze,
                      pi_inner)
-from .errors import DeadTrajectory, DimensionMismatch, ZeroProjection
+from .errors import DeadTrajectory, DimensionMismatch, InvalidArguments, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
 LEDGER_BLOCK_ELEMENTS = 1 << 18  # entries per (steps x modes) block: 2 MB a float array
@@ -185,7 +185,7 @@ def ledger_block(profile: SpectralProfile, ks) -> LedgerBlock:
     """
     ks = np.asarray(ks, dtype=np.int64)
     if np.any(ks < 0):
-        raise ValueError("step must be nonnegative")
+        raise InvalidArguments("step must be nonnegative")
     lam = profile.lambdas
     alive = lam != 0.0
     log_abs = np.log(np.abs(np.where(alive, lam, 1.0)))

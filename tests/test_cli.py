@@ -97,6 +97,41 @@ class TestDeterminism:
             assert read(a) == read(b), argv
 
 
+
+class TestOutputRouting:
+    """Every output reaches stdout with the same bytes it gives the --out file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "k5"],
+        ["analyze", "k5", "--format", "json"],
+        ["analyze", "cycle-50", "--format", "json"],
+        ["simulate", "paper-s8", "--steps", "4", "--format", "json"],
+    ])
+    def test_stdout_equals_out_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.encode() == read(out)
+
+    def test_thermo_fluxes_line_precedes_the_ledger(self, tmp_path, capsys):
+        argv = ["thermo", "paper-s8", "--steps", "6", "--fluxes-at", "0,5"]
+        out = tmp_path / "t.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert run_cli(argv) == 0
+        fluxes = read(tmp_path / "t.csv.fluxes.json")
+        assert capsys.readouterr().out.encode() == fluxes + read(out)
+        assert fluxes.count(b"\n") == 1
+
+    def test_power_verdict_stays_on_stdout(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run_cli(["power", "barbell-metastable", "--format", "json",
+                        "--out", str(out)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        rows = json.loads(out.read_text())
+        assert verdict["verdict"] == "stopped"
+        assert rows[-1]["k"] == verdict["stopped_at"]
+
 class TestRigidityCommand:
     def test_benchmark_row(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -374,6 +409,67 @@ class TestConfigAndErrors:
         assert run_cli(["analyze", str(bad)]) == 4
         assert "NotReversible" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("flag", [["--steps", "2"], ["--steps=2"], ["--ste", "2"],
+                                      ["--st=2"]])
+    def test_flag_beats_config_in_any_spelling(self, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 5, "input": "paper-s8"}))
+        assert run_cli(["simulate", "s8-two-mode", "--steps", "2"]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(["--config", str(cfg), "simulate", "s8-two-mode", *flag]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(expected.splitlines()) == 4
+
+    def test_config_text_is_read_as_the_flag_reads_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "7", "delta": 0.1}))
+        assert run_cli(["--config", str(cfg), "rigidity", "paper-s8"]) == 0
+        from_config = capsys.readouterr().out
+        assert run_cli(["rigidity", "paper-s8", "--seed", "7", "--delta", "0.1"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize("values", [
+        {"steps": "abc"}, {"steps": None}, {"steps": 2.5}, {"steps": True},
+        {"seed": [7]}, {"format": "xml"}, {"input": None}, {"compare_plain": 1},
+        {"tol": "eigen_residual=1"}, {"tol": [1]},
+    ])
+    def test_config_values_are_checked_like_flags(self, values, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        command = "accel" if "compare_plain" in values else "simulate"
+        assert run_cli(["--config", str(cfg), command, "s8-two-mode"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ConfigError: bad config value for ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "paper-s8", "--steps", "2"],
+        ["hypercube", "--n", "8"],
+        ["analyze", "k5"],
+    ])
+    def test_unknown_tolerance_key_rejected_by_every_command(self, argv, capsys):
+        assert run_cli(argv + ["--tol", "bogus=1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: InvalidArguments: unknown tolerance keys: "
+                                "['bogus']\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["thermo", "paper-s8", "--steps", "3", "--fluxes-at", "-1"], 4),
+        (["accel", "paper-s8", "--interval", "1"], 2),
+        (["accel", "paper-s8", "--interval", "0.1,0.2,0.3"], 2),
+        (["simulate", "paper-s8", "--steps", "-1"], 4),
+        (["thermo", "paper-s8", "--steps", "-1"], 4),
+        (["accel", "paper-s8", "--steps", "-1"], 4),
+    ])
+    def test_bad_arguments_give_one_error_line(self, argv, code, capsys):
+        assert run_cli(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 class TestIoHelpers:
     def test_float_formatting_roundtrip(self):
