@@ -181,7 +181,8 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
 
     pi = _stationary_law(P)
     if np.any(pi <= tol.pi_floor):
-        raise DegeneratePi(f"stationary weight min {pi.min()!r} is not positive")
+        raise DegeneratePi(f"stationary weight min {float(pi.min())!r} is at or below "
+                           f"Tolerances.pi_floor = {tol.pi_floor!r}")
 
     worst = _worst_balance_gap(pi[:, None] * P, tol.detailed_balance)
     if worst > tol.detailed_balance:

@@ -46,7 +46,7 @@ from .first_passage import (
 )
 from .io import dump_json, load_input_file, write_csv
 from .presets import PRESET_HELP, resolve_preset
-from .rigidity import rigidity_time, split_slow_fast
+from .rigidity import _bound_for_split, rigidity_time, split_slow_fast
 from .trajectory import (
     SpectralProfile,
     hypercube_trajectory,
@@ -273,8 +273,7 @@ def _profile_summary(profile: SpectralProfile) -> dict:
         out["L_0.1"] = math.inf
     else:
         out["delta_star"] = 1.0 - max(0.5, (lam3 / lam2) ** 2)
-        report = rigidity_time(profile, 0.1, cap=1)
-        out["L_0.1"] = report.bound
+        out["L_0.1"] = _bound_for_split(split, 0.1)
     return out
 
 
@@ -384,28 +383,33 @@ def _cmd_power(args: argparse.Namespace):
     verdict = {"verdict": "stream-ended", "stopped_at": None}
     rows = []
     pending = None    # step k waits for rho_{k+1} before its row is written
+
+    def row(j, E_j, rho_j, v_j):
+        return [j, E_j, rho_j,
+                state.gamma_history[j] if j < len(state.gamma_history) else "",
+                state.vhat_history[j] if j < len(state.vhat_history) else "",
+                state.tau_effective,
+                math.sqrt(power_mod.eigenvector_error(chain, dec, v_j))]
+
     # after a TauCollapse the stream runs on to max_iter with blank Gamma/Vhat
     for k, (log_E, rho, v) in enumerate(
             itertools.islice(power_mod.power_steps(chain, _start(chain, args)),
                              args.max_iter)):
         try:
-            state.update(rho)
+            if rho > 0.0:     # rho_k = 0: the iterate dies and the stream ends
+                state.update(rho)
         except TauCollapse as exc:
             verdict = {"verdict": "tau-collapse", "stopped_at": None,
                        "detail": " ".join(str(exc).split())}
         if pending is not None:
-            j, E_j, rho_j, v_j = pending
-            rows.append([
-                j, E_j, rho_j,
-                state.gamma_history[j] if j < len(state.gamma_history) else "",
-                state.vhat_history[j] if j < len(state.vhat_history) else "",
-                state.tau_effective,
-                math.sqrt(power_mod.eigenvector_error(chain, dec, v_j)),
-            ])
+            rows.append(row(*pending))
         if state.verdict == "stopped":
             verdict = {"verdict": "stopped", "stopped_at": state.stopped_at}
             break
         pending = (k, math.exp(log_E), rho, v)
+    else:
+        if pending is not None and pending[0] + 1 < args.max_iter:
+            rows.append(row(*pending))    # stream ended early: no rho_{k+1}, so no Gamma/Vhat
     _emit(args, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
     verdict["epsilon"] = args.epsilon
     verdict["eta"] = state.eta()

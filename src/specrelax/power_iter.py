@@ -48,9 +48,9 @@ def power_steps(chain: ReversibleChain, g0):
 
     Item k costs k + 1 kernel applications and the state is one iterate, so
     a consumer that stops reading after step k has paid for nothing beyond
-    it.  The stream ends when the iterate dies (rho_k = 0), which happens
-    only when every nontrivial eigenvalue is zero.  ZeroProjection is raised
-    on the first pull.
+    it.  The stream ends with the first step whose successor dies (rho_k =
+    0), which happens only when every nontrivial eigenvalue is zero.
+    ZeroProjection is raised on the first pull.
     """
     g0 = np.asarray(g0, dtype=float)
     ones = np.ones(chain.n)
@@ -65,9 +65,9 @@ def power_steps(chain: ReversibleChain, g0):
         w = chain.kernel @ v
         w = w - pi_inner(chain, w, ones)
         r2 = pi_inner(chain, w, w)
+        yield log_E, r2, v
         if r2 <= 0.0:
             return
-        yield log_E, r2, v
         log_E += math.log(r2)
         v = w / math.sqrt(r2)
 

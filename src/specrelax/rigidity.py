@@ -9,26 +9,22 @@ Conventions, chosen once and used consistently:
   modes under the signed reading.
 
 When a negative eigenvalue dominates the slow one in absolute value the
-trajectory never purifies onto the slow mode; the scan reports that mode in
-its diagnostic instead of looping to the cap.
+trajectory never purifies onto the slow mode; if that mode's weight alone
+keeps the slow fraction below 1 - delta, `rigidity_time` names it in its
+diagnostic instead of searching to the cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .chains import _freeze
-from .errors import (
-    DeadTrajectory,
-    InvalidArguments,
-    NoSlowMode,
-    PreconditionUnmet,
-    TooShort,
-)
-from .trajectory import SpectralProfile, ledger_at, ledger_block, ledger_blocks
+from .errors import (DeadTrajectory, InvalidArguments, NoSlowMode, PreconditionUnmet,
+                     TooShort)
+from .trajectory import SpectralProfile, ledger_at, ledger_block
 
 DEGENERACY_TOL = 1e-12
 DEFAULT_CAP = 1_000_000
@@ -47,6 +43,7 @@ class SlowFastSplit:
     slow_weight: float          # |c_2|^2 (relative scale)
     fast_abs_lambda: float      # max |lambda| over fast modes (0 if none)
     fast_weight: float          # R_0 (same scale)
+    log_init_ratio: float       # ln(R_0 / |c_2|^2), finite where the ratio leaves the doubles
     min_fast_lambda_sq: float
     degenerate: bool            # slow eigenvalue tied with (or below) a fast |lambda|
 
@@ -59,7 +56,7 @@ class SlowFastSplit:
 
     @property
     def init_ratio(self) -> float:
-        return self.fast_weight / self.slow_weight
+        return self.fast_weight / self.slow_weight if self.slow_weight else math.inf
 
 
 def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
@@ -71,19 +68,18 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
             f"{profile.chain_lambda2!r}: the slow mode carries no weight"
         )
     w = np.exp(profile.log_weights - np.max(profile.log_weights))
-    mask = np.ones(profile.n_modes, dtype=bool)
-    mask[i] = False
-    fast_lam = profile.lambdas[mask]
-    fast_w = w[mask]
+    fast_lam = np.delete(profile.lambdas, i)
     if fast_lam.size == 0:
-        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, 0.0, False)
+        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, 0.0, False)
     fabs = float(np.max(np.abs(fast_lam)))
     return SlowFastSplit(
         slow_index=i,
         slow_lambda=lam_slow,
         slow_weight=float(w[i]),
         fast_abs_lambda=fabs,
-        fast_weight=float(fast_w.sum()),
+        fast_weight=float(np.delete(w, i).sum()),
+        log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
+                             - profile.log_weights[i]),
         min_fast_lambda_sq=float(np.min(fast_lam ** 2)),
         degenerate=bool(fabs >= lam_slow - DEGENERACY_TOL),
     )
@@ -120,12 +116,17 @@ def rigidity_bound_L(lambda2: float, lambda3: float, c2_sq: float,
 
 
 def _bound_for_split(split: SlowFastSplit, delta: float) -> float:
-    if split.fast_weight == 0.0 or split.fast_weight <= split.slow_weight * delta:
+    c2_delta = split.slow_weight * delta
+    if split.fast_weight == 0.0 or split.fast_weight <= c2_delta:
         return 0.0
     if split.slow_lambda <= 0.0 or split.degenerate:
         return math.inf
     if split.fast_abs_lambda == 0.0:
         return 1.0  # fast sector dies entirely at the first step
+    if c2_delta == 0.0 or split.fast_weight / c2_delta == math.inf:
+        # R0 / (c2 delta) leaves the double range: take it in logs
+        return ((split.log_init_ratio - math.log(delta))
+                / (2.0 * math.log(split.slow_lambda / split.fast_abs_lambda)))
     return rigidity_bound_L(split.slow_lambda, split.fast_abs_lambda,
                             split.slow_weight, split.fast_weight, delta)
 
@@ -134,38 +135,39 @@ def _bound_for_split(split: SlowFastSplit, delta: float) -> float:
 class RigidityReport:
     delta: float
     reached: bool
-    t_rigid: int | None            # None when the scan gave up
+    t_rigid: int | None            # None when the threshold is not reached
     terminal: bool                 # rigidity by total energy death (all modes dead)
     bound: float                   # closed-form estimate, may be +inf
-    alpha2_trace: np.ndarray       # alpha_2(k) for k = 0..t_rigid (or scanned prefix)
     ratio: float                   # |lambda3| / lambda2
     init_ratio: float              # R0 / |c2|^2
     cap: int
     diagnostic: str = ""
 
-    def __post_init__(self):
-        _freeze(self, "alpha2_trace")
-
-
-def _alpha2_limit(profile: SpectralProfile, split: SlowFastSplit) -> float:
-    """k -> inf limit of the slow fraction (|lambda| ties share the energy)."""
-    lam = profile.lambdas
-    w = np.exp(profile.log_weights - np.max(profile.log_weights))
-    top = np.max(np.abs(lam))
-    cluster = np.abs(np.abs(lam) - top) <= DEGENERACY_TOL
-    if not cluster[split.slow_index]:
-        return 0.0
-    return float(w[split.slow_index] / w[cluster].sum())
-
 
 def rigidity_time(profile: SpectralProfile, delta: float,
                   cap: int | None = None) -> RigidityReport:
-    """First step at which the slow mode holds at least 1-delta of the energy.
+    """First step T at which the slow mode holds at least 1-delta of the energy.
 
-    Exact chunked scan; the step before the reported crossing is re-verified
-    to fail the threshold.  Provably unreachable thresholds (degenerate slow
-    cluster, dominating negative mode) are reported without scanning to the
-    cap.
+    alpha_2(k) = 1/(1 + f(k)), f(k) = sum_{i != slow} (w_i/w_slow)
+    (lambda_i/lambda_slow)^{2k}; 1 - alpha_2 is the fast modes' ledger share
+    summed directly, which stays accurate however small delta is.
+
+    Why a search is exact: when every fast |lambda_i| <= |lambda_slow| each
+    term of f is non-increasing, so "alpha_2(k) >= 1 - delta" is monotone in
+    k; galloping k = 1, 2, 4, ... to a bracket and bisecting it finds T in
+    O(log T) ledger rows.  A mode with |lambda_i| > |lambda_slow| (a negative
+    mode just above lambda_slow in a degenerate cluster, or a light
+    dominating one) makes f rise in the end, but f stays convex (a positive
+    sum of exponentials in k): D(k) = f(k+1) - f(k) is non-decreasing.  The
+    search then runs on "threshold met or D(k) > 0", which is monotone, as
+    D(k) > 0 gives D(k+1) > 0 and a met threshold with D(k) <= 0 stays met.
+    If the threshold fails at its first true step, f rises from there on
+    after failing at every step before, so T never comes.
+
+    The answer is re-verified: alpha_2(T-1) < 1-delta <= alpha_2(T).  `cap`
+    bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
+    alpha_2 at w_slow over their total weight for good; a threshold above
+    that ceiling (degenerate slow cluster, dominating mode) returns at once.
     """
     if not (0.0 < delta < 1.0):
         raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
@@ -175,60 +177,51 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
     if cap < 1:
         raise InvalidArguments("cap must be >= 1")
-
+    report = partial(RigidityReport, delta=delta, reached=False, t_rigid=None,
+                     terminal=False, bound=L, ratio=split.ratio,
+                     init_ratio=split.init_ratio, cap=cap)
     slow = split.slow_index
-    alpha0 = float(ledger_block(profile, [0]).share(slow)[0])
-    if alpha0 >= 1.0 - delta:
-        return RigidityReport(
-            delta=delta, reached=True, t_rigid=0, terminal=False, bound=L,
-            alpha2_trace=np.array([alpha0]), ratio=split.ratio,
-            init_ratio=split.init_ratio, cap=cap,
-        )
+
+    def fast_share(*ks) -> np.ndarray:
+        return np.delete(ledger_block(profile, ks).p, slow, axis=1).sum(axis=1)
+
+    if fast_share(0)[0] <= delta:
+        return report(reached=True, t_rigid=0)
 
     if np.count_nonzero(profile.lambdas) == 0:
-        # every mode dies at k = 1: rigidity by total energy death
-        return RigidityReport(
-            delta=delta, reached=True, t_rigid=1, terminal=True, bound=L,
-            alpha2_trace=np.array([alpha0]), ratio=split.ratio,
-            init_ratio=split.init_ratio, cap=cap,
-            diagnostic="all modes dead after one step: terminal rigidity",
-        )
+        return report(reached=True, t_rigid=1, terminal=True,
+                      diagnostic="all modes dead after one step: terminal rigidity")
 
-    limit = _alpha2_limit(profile, split)
-    if limit < 1.0 - delta and (split.degenerate or split.slow_lambda <= 0.0):
+    # no mode with |lambda| >= |lambda_slow| ever loses energy to the slow one
+    lasting = np.abs(profile.lambdas) >= abs(split.slow_lambda)
+    log_lasting = np.logaddexp.reduce(profile.log_weights[lasting])
+    ceiling = math.exp(profile.log_weights[slow] - log_lasting)
+    if ceiling < 1.0 - delta:
         who = ("degenerate slow cluster"
                if abs(split.fast_abs_lambda - split.slow_lambda) <= DEGENERACY_TOL
                else f"dominating mode with |lambda| = {split.fast_abs_lambda!r}")
-        return RigidityReport(
-            delta=delta, reached=False, t_rigid=None, terminal=False, bound=L,
-            alpha2_trace=ledger_block(profile, range(min(cap, 64) + 1)).share(slow),
-            ratio=split.ratio, init_ratio=split.init_ratio, cap=cap,
-            diagnostic=f"limit alpha_2 = {limit!r} < 1 - delta ({who})",
-        )
+        return report(diagnostic=f"alpha_2 <= {ceiling!r} < 1 - delta at every step ({who})")
 
-    trace_parts = [np.array([alpha0])]
-    for block in ledger_blocks(profile, range(1, cap + 1)):
-        alpha = block.share(slow)
-        hit = np.flatnonzero(alpha >= 1.0 - delta)
-        if hit.size:
-            t = int(block.ks[hit[0]])
-            trace_parts.append(alpha[: hit[0] + 1])
-            trace = np.concatenate(trace_parts)
-            if not trace[t - 1] < 1.0 - delta:
-                raise RuntimeError("scan invariant violated: previous step already rigid")
-            return RigidityReport(
-                delta=delta, reached=True, t_rigid=t, terminal=False, bound=L,
-                alpha2_trace=trace, ratio=split.ratio,
-                init_ratio=split.init_ratio, cap=cap,
-            )
-        trace_parts.append(alpha)
-    trace = np.concatenate(trace_parts)
-    return RigidityReport(
-        delta=delta, reached=False, t_rigid=None, terminal=False, bound=L,
-        alpha2_trace=trace[: min(trace.size, 4096)], ratio=split.ratio,
-        init_ratio=split.init_ratio, cap=cap,
-        diagnostic=f"threshold not reached within cap {cap}",
-    )
+    rising = split.fast_abs_lambda > abs(split.slow_lambda)   # some r_i > 1
+
+    def found(k: int) -> bool:       # threshold met at k, or (rising only) f rising at k
+        share = fast_share(*range(k, k + 1 + rising))
+        return share[0] <= delta or share[-1] > share[0]
+
+    lo, hi = 0, 1                    # T > 0 here: gallop, then bisect
+    while not found(hi):
+        if hi >= cap:
+            return report(diagnostic=f"threshold not reached within cap {cap}")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if found(mid) else (mid, hi)
+    before, at = fast_share(hi - 1, hi)
+    if at > delta:
+        return report(diagnostic=f"alpha_2 peaks below 1 - delta at step {hi}")
+    if not before > delta:
+        raise RuntimeError("search invariant violated: previous step already rigid")
+    return report(reached=True, t_rigid=hi)
 
 
 @dataclass(frozen=True)
@@ -286,6 +279,7 @@ def closure_bound(profile: SpectralProfile, delta: float, k: int,
         return ClosureBound(k=k, bound=0.0, actual=float(actual))
     lam3 = split.fast_abs_lambda
     worst_fast_rate = 1.0 - split.min_fast_lambda_sq
-    bound = ((1.0 - lam3 ** 2) * delta
-             + worst_fast_rate * (lam3 / lam2) ** (2 * k) * split.init_ratio)
+    # the tail (R0/c2)(lam3/lam2)^(2k) in logs: R0/c2 alone may leave the doubles
+    log_tail = split.log_init_ratio + 2 * k * math.log(lam3 / lam2) if lam3 else -math.inf
+    bound = (1.0 - lam3 ** 2) * delta + worst_fast_rate * math.exp(min(log_tail, 709.0))
     return ClosureBound(k=k, bound=float(bound), actual=float(actual))

@@ -56,8 +56,8 @@ def spectral_entropy(p) -> float:
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each distribution along the last axis, unvalidated."""
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
+    """Shannon entropy of each distribution along the last axis (+0.0 for a point mass)."""
+    return 0.0 - np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
 
 
 def kl_rows(block: LedgerBlock) -> np.ndarray:

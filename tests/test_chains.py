@@ -326,6 +326,20 @@ def test_pi_below_the_floor_is_degenerate():
         sr.build_chain(P)
 
 
+def test_pi_floor_rejection_names_the_floor():
+    # lazy birth-death chain, n = 400, up/down ratio 0.9: pi spans 19 decades
+    n = 400
+    P = np.zeros((n, n))
+    i = np.arange(n - 1)
+    P[i, i + 1] = 0.225
+    P[i + 1, i] = 0.25
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+    with pytest.raises(DegeneratePi, match=r"pi_floor = 1e-14"):
+        sr.build_chain(P)
+    chain = sr.build_chain(P, sr.Tolerances(pi_floor=0.0))
+    assert 1e-20 < chain.pi.min() < 1e-19
+
+
 def test_tree_pi_matches_an_eig_oracle(rng):
     # the oracle is only as good as the conditioning of the eigenvector for 1:
     # at 12 decades of spread its smallest weights are off by O(1), on

@@ -267,6 +267,21 @@ class TestPowerCommand:
         assert {r[5] for r in rows} == {"0.5"}
         assert outputs[0] == outputs[1]
 
+    def test_dying_stream_writes_its_last_row(self, capsys):
+        # every nontrivial eigenvalue of k5 is 0: the stream ends after step 0,
+        # whose row has rho_0 = 0 and no rho_1 for Gamma or Vhat
+        assert run_cli(["power", "k5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "k,E,rho,Gamma,Vhat,tauhat,true_error"
+        row = lines[1].split(",")
+        assert row[0] == "0" and float(row[1]) > 0 and row[2] == "0"
+        assert row[3] == row[4] == ""
+        assert math.isfinite(float(row[6]))
+        assert json.loads(lines[2])["verdict"] == "stream-ended"
+        # a run cut by --max-iter still holds its last row back
+        assert run_cli(["power", "k5", "--max-iter", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_tau_collapse_streams_on_to_max_iter(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert run_cli(["power", "cycle-20", "--max-iter", "60", "--out", str(out)]) == 0
@@ -353,6 +368,11 @@ class TestHypercubeCommand:
         assert rows[0][3] > math.log(np.finfo(float).max)   # E itself would be inf
         S = [r[2] for r in rows]
         assert all(a > b for a, b in zip(S, S[1:]))
+
+    def test_point_mass_entropy_prints_as_zero(self, capsys):
+        assert run_cli(["hypercube", "--n", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows and {r[2] for r in rows} == {"0"}
 
     def test_negative_window_clamps_to_zero(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import specrelax as sr
+from specrelax import rigidity
 from specrelax.errors import (
     InvalidArguments,
     NoSlowMode,
@@ -68,8 +71,8 @@ class TestRigidityTime:
         report = sr.rigidity_time(s8_two_mode, 0.1)
         assert report.reached and report.t_rigid == 8
         assert report.bound == pytest.approx(7.367518, abs=1e-3)
-        assert report.alpha2_trace.size == 9
-        assert report.alpha2_trace[7] < 0.9 <= report.alpha2_trace[8]
+        alpha = sr.ledger_block(s8_two_mode, range(9)).share(s8_two_mode.slow_index())
+        assert alpha[7] < 0.9 <= alpha[8]
         assert report.ratio == pytest.approx(0.70 / 0.95, rel=1e-12)
         assert report.init_ratio == pytest.approx(9.0, rel=1e-12)
 
@@ -111,6 +114,123 @@ class TestRigidityTime:
             report = sr.rigidity_time(prof, 0.01, cap=500_000)
             k_far = 4 * math.ceil(report.bound)
             assert sr.slow_fraction(prof, k_far) >= 0.99
+
+
+def scan_oracle(prof, delta, cap):
+    """First k in 0..cap whose fast-mode ledger share is <= delta, testing every step."""
+    slow = prof.slow_index()
+    for block in sr.ledger_blocks(prof, range(cap + 1)):
+        hit = np.flatnonzero(np.delete(block.p, slow, axis=1).sum(axis=1) <= delta)
+        if hit.size:
+            return int(block.ks[hit[0]])
+    return None
+
+
+@st.composite
+def search_profiles(draw):
+    """Profiles around a slow eigenvalue of any magnitude down to 1e-300."""
+    lam_s = 10.0 ** draw(st.floats(-300.0, -1e-6))
+    modes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["ratio", "near-tie", "tie", "above", "tiny", "zero"]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "ratio":
+            modes.append(sign * lam_s * draw(st.floats(0.0, 1.0)))
+        elif kind == "near-tie":        # lambda3 -> lambda2
+            modes.append(sign * lam_s * (1.0 - 10.0 ** draw(st.floats(-15.0, -1.0))))
+        elif kind == "tie":
+            modes.append(sign * lam_s)
+        elif kind == "above":           # negative mode up to DEGENERACY_TOL above lam_s
+            modes.append(-(lam_s + draw(st.floats(0.0, rigidity.DEGENERACY_TOL))))
+        elif kind == "tiny":
+            modes.append(sign * max(lam_s * 10.0 ** draw(st.floats(-300.0, 0.0)), 1e-300))
+        else:
+            modes.append(0.0)
+    lam = np.array([lam_s, *modes])
+    log_w = np.array(draw(st.lists(st.floats(-700.0, 700.0), min_size=lam.size,
+                                   max_size=lam.size)))
+    return sr.SpectralProfile(lambdas=lam, log_weights=log_w)
+
+
+class TestRigiditySearch:
+    """The O(log T) search against a scan of every step."""
+
+    @given(search_profiles(),
+           st.one_of(st.sampled_from([0.5, 0.3, 1e-2, 1e-6, 1e-12]),
+                     st.floats(1e-12, 0.99)),
+           st.integers(1, 3000))
+    @example(sr.profile_from_weights([1e-11, -1.1e-11, 5e-12], [1.0, 0.05, 30.0]), 0.3, 3000)
+    @example(sr.profile_from_weights([1e-200, 5e-201], [1.0, 100.0]), 0.01, 3000)
+    @example(sr.profile_from_weights([0.5, -0.6, 0.1], [1.0, 1e-3, 10.0]), 0.3, 3000)
+    @example(sr.SpectralProfile(lambdas=[0.5, 0.1], log_weights=[-700.0, 700.0]), 0.3, 3000)
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_matches_the_step_by_step_scan(self, prof, delta, cap):
+        report = sr.rigidity_time(prof, delta, cap=cap)
+        expected = scan_oracle(prof, delta, cap)
+        assert report.t_rigid == expected
+        assert report.reached == (expected is not None)
+
+    @staticmethod
+    def interval_profile(u2_scale):
+        # f(k) = u1 2.25^k + u2 0.25^k meets delta/(1 - delta) only at k = 6, 7
+        # when u2_scale = 1/2.5, and never when u2_scale = 2; galloping past 7
+        # must still find 6
+        c = 0.3 / 0.7
+        return sr.profile_from_weights([1e-12, -1.5e-12, 0.5e-12],
+                                       [1.0, 2.25 ** -6 * c / 3, 4 ** 6 * c * u2_scale])
+
+    def test_rising_mode_interval(self):
+        prof = self.interval_profile(1 / 2.5)
+        assert scan_oracle(prof, 0.3, 100) == 6
+        assert sr.rigidity_time(prof, 0.3).t_rigid == 6
+        assert sr.rigidity_time(prof, 0.3, cap=5).t_rigid is None
+
+    def test_rising_mode_peak_below_threshold(self):
+        prof = self.interval_profile(2.0)
+        report = sr.rigidity_time(prof, 0.3)
+        assert scan_oracle(prof, 0.3, 1000) is None
+        assert not report.reached and "peaks below" in report.diagnostic
+
+    def test_tiny_separated_pair_is_reached(self):
+        # |lambda| below DEGENERACY_TOL is no tie: lambda3/lambda2 = 0.5 crosses at 7
+        prof = sr.profile_from_weights([1e-200, 5e-201], [1.0, 100.0])
+        assert sr.rigidity_time(prof, 0.01).t_rigid == 7
+
+    def test_light_dominating_mode_crosses_transiently(self):
+        prof = sr.profile_from_weights([0.5, -0.6, 0.1], [1.0, 1e-3, 10.0])
+        assert sr.rigidity_time(prof, 0.3).t_rigid == 1
+
+    def test_weight_ratio_beyond_the_double_range(self):
+        # R0 / c2 = e^1400: init_ratio is inf and L is taken in logs
+        prof = sr.SpectralProfile(lambdas=[0.5, 0.1], log_weights=[-700.0, 700.0])
+        report = sr.rigidity_time(prof, 0.3)
+        assert report.init_ratio == math.inf
+        assert report.bound == pytest.approx((1400 - math.log(0.3)) / (2 * math.log(5)),
+                                             rel=1e-12)
+        assert report.t_rigid == 436       # ceil of the exact two-mode crossing 435.198
+        for k in (436, 500):
+            result = sr.closure_bound(prof, 0.3, k)
+            assert math.isfinite(result.bound) and result.actual <= result.bound
+
+    def test_near_tie_rows_evaluated(self, monkeypatch):
+        # 2000 modes, lambda2 = 0.999999, lambda3 = 0.99999: T from a full scan
+        # of every step is 47,072, 383,707 and 1,023,366
+        lam = np.concatenate([[0.999999, 0.99999], np.linspace(-0.9, 0.9, 1998)])
+        prof = sr.profile_from_weights(lam, np.ones(lam.size))
+        rows = []
+        real = rigidity.ledger_block
+
+        def counted(profile, ks):
+            block = real(profile, ks)
+            rows.append(block.ks.size)
+            return block
+
+        monkeypatch.setattr(rigidity, "ledger_block", counted)
+        monkeypatch.setattr(sr.trajectory, "ledger_block", counted)   # seen by ledger_blocks
+        for delta, T in ((0.3, 47_072), (1e-3, 383_707), (1e-8, 1_023_366)):
+            rows.clear()
+            assert sr.rigidity_time(prof, delta).t_rigid == T
+            assert sum(rows) <= 100
 
 
 class TestSandwich:

@@ -24,6 +24,10 @@ class TestSpectralEntropy:
         assert sr.spectral_entropy([1.0]) == 0.0
         assert sr.spectral_entropy([0.0, 1.0, 0.0]) == 0.0
 
+    def test_point_mass_is_positive_zero(self):
+        # -0.0 == 0.0, so the sign is checked on its own: a -0.0 prints as "-0"
+        assert math.copysign(1.0, sr.spectral_entropy([1.0])) == 1.0
+
     def test_fair_coin(self):
         assert sr.spectral_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-15)
 
