@@ -138,13 +138,8 @@ def minimax_verify(plan: AccelPlan, grid_size: int = GRID_POINTS,
 
 
 def _local_maxima_at_level(q: np.ndarray, level: float) -> int:
-    count = 0
-    for i in range(q.size):
-        left = q[i - 1] if i > 0 else -math.inf
-        right = q[i + 1] if i < q.size - 1 else -math.inf
-        if q[i] >= left and q[i] >= right and q[i] >= level:
-            count += 1
-    return count
+    padded = np.concatenate([[-np.inf], q, [-np.inf]])
+    return int(np.count_nonzero((q >= padded[:-2]) & (q >= padded[2:]) & (q >= level)))
 
 
 def accelerated_spectrum(profile: SpectralProfile, plan: AccelPlan) -> SpectralProfile:

@@ -313,11 +313,8 @@ def barbell_chain(clique_size: int = 3, bridge_weight: float = 0.1) -> Reversibl
         raise InvalidArguments("bridge weight must be positive")
     m = clique_size
     W = np.zeros((2 * m, 2 * m))
-    for block in (range(m), range(m, 2 * m)):
-        for i in block:
-            for j in block:
-                if i != j:
-                    W[i, j] = 1.0
+    W[:m, :m] = W[m:, m:] = 1.0
+    np.fill_diagonal(W, 0.0)
     W[m - 1, m] = W[m, m - 1] = bridge_weight
     P = W / W.sum(axis=1, keepdims=True)
     return build_chain(P)

@@ -40,6 +40,7 @@ from .first_passage import (
     exponential_tail_bound,
     quasistationary_start,
     restricted_stationary_start,
+    spectral_tails,
     tail_coefficients,
     tail_curve,
     uniform_start,
@@ -50,7 +51,6 @@ from .rigidity import _bound_for_split, rigidity_time, split_slow_fast
 from .trajectory import (
     SpectralProfile,
     hypercube_trajectory,
-    ledger_at,
     ledger_block,
     ledger_blocks,
     profile_from_weights,
@@ -84,7 +84,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--config", help="JSON file of option defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
 
-    def common(sp, needs_input=True):
+    def command(name, summary, needs_input=True):
+        sp = sub.add_parser(name, help=summary)
         if needs_input:
             sp.add_argument("input", nargs="?", default=None,
                             help=f"chain/profile file or preset ({PRESET_HELP})")
@@ -93,35 +94,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--tol", action="append", default=[],
                         metavar="key=value", help="tolerance override")
+        return sp
 
-    sp = sub.add_parser("analyze", help="spectral summary of a chain or profile")
-    common(sp)
+    command("analyze", "spectral summary of a chain or profile")
 
-    sp = sub.add_parser("simulate", help="full per-step ledger to a horizon")
-    common(sp)
+    sp = command("simulate", "full per-step ledger to a horizon")
     sp.add_argument("--steps", type=int, default=100)
 
-    sp = sub.add_parser("rigidity", help="rigidity times for a list of deltas")
-    common(sp)
+    sp = command("rigidity", "rigidity times for a list of deltas")
     sp.add_argument("--delta", default="0.3,0.1,0.01",
                     help="comma-separated thresholds")
     sp.add_argument("--cap", type=int, default=None)
 
-    sp = sub.add_parser("thermo", help="ledger plus optional per-mode fluxes")
-    common(sp)
+    sp = command("thermo", "ledger plus optional per-mode fluxes")
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--fluxes-at", default=None,
                     help="comma-separated steps; emits a flux JSON next to the CSV")
 
-    sp = sub.add_parser("power", help="power iteration with adaptive stopping")
-    common(sp)
+    sp = command("power", "power iteration with adaptive stopping")
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--kmin", type=int, default=3)
     sp.add_argument("--max-iter", type=int, default=200)
 
-    sp = sub.add_parser("accel", help="polynomial acceleration comparison")
-    common(sp)
+    sp = command("accel", "polynomial acceleration comparison")
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--interval", default=None, metavar="a,b")
     sp.add_argument("--paper-simple", type=float, default=None,
@@ -129,16 +125,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--compare-plain", action="store_true", dest="compare_plain")
     sp.add_argument("--steps", type=int, default=25)
 
-    sp = sub.add_parser("fpt", help="first-passage tail to an absorbing state")
-    common(sp)
+    sp = command("fpt", "first-passage tail to an absorbing state")
     sp.add_argument("--target", type=int, default=0)
     sp.add_argument("--start", default="restricted",
                     help="restricted | uniform | quasistationary | file:PATH")
     sp.add_argument("--kmax", type=int, default=50)
     sp.add_argument("--delta", type=float, default=0.1)
 
-    sp = sub.add_parser("hypercube", help="entropy collapse across the cutoff window")
-    common(sp, needs_input=False)
+    sp = command("hypercube", "entropy collapse across the cutoff window", needs_input=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", default="-2,-1,0,1,2",
                     help="comma-separated window offsets")
@@ -257,24 +251,17 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
 
 def _profile_summary(profile: SpectralProfile) -> dict:
     split = split_slow_fast(profile)
-    lam2, lam3 = split.slow_lambda, split.fast_abs_lambda
-    degenerate = split.degenerate and split.fast_weight > 0
-    out = {
+    return {
         "n_modes": profile.n_modes,
-        "lambda2": lam2,
-        "lambda3_abs": lam3,
-        "gap": 1.0 - lam2,
+        "lambda2": split.slow_lambda,
+        "lambda3_abs": split.fast_abs_lambda,
+        "gap": 1.0 - split.slow_lambda,
         "ratio": split.ratio,
-        "degenerate_slow_pair": degenerate,
+        "degenerate_slow_pair": split.degenerate and split.fast_weight > 0,
         "init_ratio": split.init_ratio,
+        "delta_star": split.delta_star,
+        "L_0.1": math.inf if split.delta_star is None else _bound_for_split(split, 0.1),
     }
-    if degenerate or lam2 <= 0:
-        out["delta_star"] = None
-        out["L_0.1"] = math.inf
-    else:
-        out["delta_star"] = 1.0 - max(0.5, (lam3 / lam2) ** 2)
-        out["L_0.1"] = _bound_for_split(split, 0.1)
-    return out
 
 
 def _cmd_analyze(args: argparse.Namespace):
@@ -284,7 +271,7 @@ def _cmd_analyze(args: argparse.Namespace):
         # weightless summary: every nontrivial mode carries unit weight
         profile = profile_from_weights(
             np.clip(dec.eigenvalues[1:], None, 1.0 - 1e-15),
-            np.ones(obj.n - 1))
+            np.ones(obj.n - 1), chain_lambda2=float(dec.eigenvalues[1]))
         summary = _profile_summary(profile)
         if summary["lambda2"] <= args.tol.eigen_residual:
             # the check certifies each eigenvalue only to eigen_residual, so a
@@ -299,38 +286,30 @@ def _cmd_analyze(args: argparse.Namespace):
         dump_json(summary, args.out)
     else:
         keys = sorted(k for k in summary if k != "spectrum")
-        _emit(args, keys, [[_scalar(summary[k]) for k in keys]])
-
-
-def _scalar(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    return v
+        _emit(args, keys, [[str(v).lower() if isinstance(v, bool) else v
+                            for v in map(summary.get, keys)]])
 
 
 def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
     """Per-step ledger rows in the canonical column order."""
     if not np.any(profile.lambdas):
         # every mode dies at k = 1: the step identities need a live step k + 1
-        led = ledger_at(profile, 0)
-        E, S = led.energy, thermo_mod.spectral_entropy(led.p)
-        row = [0, E, led.rho, led.d, float(led.p[profile.slow_index()]), S, "", "", E * S]
+        block = ledger_block(profile, [0])
+        E, S, G = (float(c[0]) for c in thermo_mod.G_rows(block))
+        row = [0, E, float(block.rho[0]), 1.0 - float(block.rho[0]),
+               float(block.p[0, profile.slow_index()]), S, "", "", G]
         return [row + [""] * 4] + [[1, 0.0] + [""] * 11][:steps]
     slow = split_slow_fast(profile).slow_index
     rows = []
     for block in ledger_blocks(profile, range(steps + 2), pairs=True):
         # each row k pairs with k + 1; the block's last row opens the next block
         here = block[:-1]
+        E, S, G = thermo_mod.G_rows(here)       # raises first if E leaves the doubles
         A, B = thermo_mod.release_rows(here)    # raises first if some rho_k is 0
-        E = np.exp(here.log_energy)
-        S = thermo_mod.entropy_rows(here.p)
-        rho, rho_next = block.rho[:-1], block.rho[1:]
+        rho = here.rho
         columns = [here.ks, E, rho, 1.0 - rho, here.p[:, slow], S,
                    thermo_mod.covariance_rows(here, slow)[0], thermo_mod.kl_rows(block),
-                   E * S, A, B, np.maximum(rho_next / rho - 1.0, 0.0),
-                   np.maximum(rho * (rho_next - rho), 0.0)]
+                   G, A, B, *power_mod.gamma_vhat(rho, block.rho[1:])]
         rows.extend(map(list, zip(*(c.tolist() for c in columns))))
     return rows
 
@@ -382,39 +361,31 @@ def _cmd_power(args: argparse.Namespace):
     state = power_mod.StoppingState(epsilon=args.epsilon, tau=args.tau, k_min=args.kmin)
     verdict = {"verdict": "stream-ended", "stopped_at": None}
     rows = []
-    pending = None    # step k waits for rho_{k+1} before its row is written
-
-    def row(j, E_j, rho_j, v_j):
-        return [j, E_j, rho_j,
-                state.gamma_history[j] if j < len(state.gamma_history) else "",
-                state.vhat_history[j] if j < len(state.vhat_history) else "",
-                state.tau_effective,
-                math.sqrt(power_mod.eigenvector_error(chain, dec, v_j))]
-
-    # after a TauCollapse the stream runs on to max_iter with blank Gamma/Vhat
-    for k, (log_E, rho, v) in enumerate(
-            itertools.islice(power_mod.power_steps(chain, _start(chain, args)),
-                             args.max_iter)):
-        try:
-            if rho > 0.0:     # rho_k = 0: the iterate dies and the stream ends
-                state.update(rho)
-        except TauCollapse as exc:
-            verdict = {"verdict": "tau-collapse", "stopped_at": None,
-                       "detail": " ".join(str(exc).split())}
-        if pending is not None:
-            rows.append(row(*pending))
-        if state.verdict == "stopped":
-            verdict = {"verdict": "stopped", "stopped_at": state.stopped_at}
+    steps = itertools.islice(power_mod.power_steps(chain, _start(chain, args)), args.max_iter)
+    # row k needs rho_{k+1}: the last step, paired with None, gets a row only
+    # when the stream died (rho_k = 0) before max_iter
+    for k, ((log_E, rho, v), nxt) in enumerate(itertools.pairwise(
+            itertools.chain(steps, [None]))):
+        if nxt is None and k + 1 == args.max_iter:
             break
-        pending = (k, math.exp(log_E), rho, v)
-    else:
-        if pending is not None and pending[0] + 1 < args.max_iter:
-            rows.append(row(*pending))    # stream ended early: no rho_{k+1}, so no Gamma/Vhat
+        pair = None
+        if nxt is not None and nxt[1] > 0.0:
+            try:
+                if k == 0:
+                    state.update(rho)     # the first rho opens the fold
+                pair = state.update(nxt[1])
+            except TauCollapse as exc:    # the stream runs on with blank Gamma/Vhat
+                pair = state.gamma, state.vhat
+                verdict = {"verdict": "tau-collapse", "stopped_at": None,
+                           "detail": " ".join(str(exc).split())}
+        rows.append([k, math.exp(log_E), rho, *(pair or ("", "")), state.tau_effective,
+                     math.sqrt(power_mod.eigenvector_error(chain, dec, v))])
+        if state.verdict == "stopped":
+            break
+    if state.verdict in ("stopped", "unresolvable"):
+        verdict = {"verdict": state.verdict, "stopped_at": state.stopped_at}
     _emit(args, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
-    verdict["epsilon"] = args.epsilon
-    verdict["eta"] = state.eta()
-    verdict["tau"] = state.tau_effective
-    dump_json(verdict)
+    dump_json(dict(verdict, epsilon=args.epsilon, eta=state.eta(), tau=state.tau_effective))
 
 
 def _cmd_accel(args: argparse.Namespace):
@@ -451,19 +422,17 @@ def _slow_shares(profile: SpectralProfile, ks) -> list:
     """Slow-mode energy fraction at each step of ks; blank once every mode is dead."""
     slow = profile.slow_index()
     return ["" if dead else a for block in ledger_blocks(profile, ks)
-            for a, dead in zip(block.share(slow).tolist(), block.terminal)]
+            for a, dead in zip(block.p[:, slow].tolist(), block.terminal)]
 
 
 def _cmd_fpt(args: argparse.Namespace):
     chain = _require_chain(resolve_input(args), "fpt")
     lam = spectral_decomposition(chain, args.tol).eigenvalues
     model = absorb(chain, args.target, args.tol)
-    if args.start == "uniform":
-        start = uniform_start(model)
-    elif args.start == "quasistationary":
-        start = quasistationary_start(model)
-    elif args.start == "restricted":
-        start = restricted_stationary_start(model)
+    starts = {"uniform": uniform_start, "quasistationary": quasistationary_start,
+              "restricted": restricted_stationary_start}
+    if args.start in starts:
+        start = starts[args.start](model)
     elif args.start.startswith("file:"):
         path = args.start[5:]
         if not os.path.exists(path):
@@ -476,7 +445,8 @@ def _cmd_fpt(args: argparse.Namespace):
         raise ConfigError(f"unknown start spec: {args.start!r}")
     kmax, delta = args.kmax, args.delta
     alpha = tail_coefficients(model, start)
-    tails = tail_curve(model, start, kmax)
+    tails = tail_curve(model, start, kmax).tolist()
+    spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(kmax + 1)))
     lam2 = float(lam[1])
     lam3 = float(np.max(np.abs(lam[2:]))) if chain.n > 2 else 0.0
     nu2 = float(model.nu[0])
@@ -485,14 +455,12 @@ def _cmd_fpt(args: argparse.Namespace):
                   if abs(a2) > 0 else math.inf)
     rows = []
     for k in range(kmax + 1):
-        spectral = float(np.sum(alpha * model.nu ** k))
-        approx = a2 * nu2 ** k
-        rel = abs(tails[k] / approx - 1.0) if approx != 0 else ""
+        rel = abs(tails[k] / approx[k] - 1.0) if approx[k] != 0 else ""
         bound = ""
         if 0.0 < lam3 < lam2 and 0 < delta < 0.5 and abs(a2) > 0:
             bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
                                            nu2, a2, tails[k]).relative_error_bound
-        rows.append([k, tails[k], spectral, approx, rel, bound])
+        rows.append([k, tails[k], spectral[k], approx[k], rel, bound])
     _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 
 

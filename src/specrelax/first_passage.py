@@ -118,8 +118,21 @@ def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:
     """Probability the first passage to the target exceeds k steps."""
     matrix = float(tail_curve(model, start, k)[-1])
     alpha = tail_coefficients(model, start)
-    spectral = float(np.sum(alpha * model.nu ** k))
+    spectral = float(spectral_tails(model, alpha, [k])[0][0])
     return TailValue(k=k, spectral=spectral, matrix=matrix, coefficients=alpha)
+
+
+def spectral_tails(model: AbsorbingModel, alpha, ks) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion sum_i alpha_i nu_i^k and its one-mode part alpha_2 nu_2^k
+    at each k of `ks`.
+
+    Each k raises nu to a Python-int power, one k at a time: numpy squares
+    exactly at k = 2, where an array of exponents would round through pow,
+    and memory stays O(modes) however many steps.  The one-mode part takes
+    Python's float power, whose last bit numpy's pow need not share.
+    """
+    spectral = np.array([np.sum(alpha * model.nu ** k) for k in ks])
+    return spectral, alpha[0] * np.array([float(model.nu[0]) ** k for k in ks])
 
 
 def tail_curve(model: AbsorbingModel, start, k_max: int) -> np.ndarray:

@@ -9,6 +9,7 @@ round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -25,14 +26,7 @@ def fmt(x) -> str:
         return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")     # nan, inf and -inf included
 
 
 def write_csv(path: str | None, header: list[str], rows: list[list]) -> str:
@@ -68,10 +62,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            return fmt(x)
-        return float(fmt(x))
+        return float(obj) if math.isfinite(obj) else fmt(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

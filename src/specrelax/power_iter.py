@@ -16,12 +16,21 @@ energy.  The step count of this rule is near-optimal among all rules that
 observe only the energy sequence; no operation corresponds to that
 optimality statement, it is an information-theoretic fact about the
 observable sequence itself.
+
+Gamma_k has a float floor.  The quotient rho_{k+1}/rho_k lies on a grid of
+spacing 2^-52 just above 1 (2^-53 below) and is rounded to it, and the
+subtraction of 1 is exact, so any Gamma below 2^-52 may read 0.  Each rho
+also carries its own relative error r, a few ulps of a pi-weighted sum of
+squares, which the quotient doubles: Gamma resolves nothing below about
+2^-52 + 2r.  With r = 4 ulps = 2^-50 that is GAMMA_FLOOR = 9 * 2^-52, about
+2e-15.  A threshold eta below it would certify roundoff, so the rule then
+refuses to stop (verdict "unresolvable").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +50,7 @@ BURN_IN = 5               # steps before the online tau estimate is trusted
 TAU_MIN = 1e-3            # floor on the online separation estimate
 FREEZE_RATIO = 1e-13      # freeze tau updates once vhat < ratio * rho^2
 COLLAPSE_PATIENCE = 5     # consecutive below-floor estimates before failing
+GAMMA_FLOOR = 2.0 ** -52 + 2.0 * 2.0 ** -50   # smallest threshold Gamma can resolve
 
 
 def power_steps(chain: ReversibleChain, g0):
@@ -48,9 +58,14 @@ def power_steps(chain: ReversibleChain, g0):
 
     Item k costs k + 1 kernel applications and the state is one iterate, so
     a consumer that stops reading after step k has paid for nothing beyond
-    it.  The stream ends with the first step whose successor dies (rho_k =
-    0), which happens only when every nontrivial eigenvalue is zero.
-    ZeroProjection is raised on the first pull.
+    it.  The stream ends with the first step whose successor dies, which
+    happens only when every nontrivial eigenvalue is zero; that step's rho_k
+    reads 0.  "Dies" means an energy at or below the roundoff of one kernel
+    application: fl(K v) is off by about n ulps of K|v| entrywise, and
+    ||K|v|||_pi <= ||v||_pi = 1, so the floor is (n * 2^-52)^2.  A rank-one
+    kernel with a non-uniform pi leaves such a roundoff iterate, which
+    renormalized would feed the stopping rule noise.  ZeroProjection is
+    raised on the first pull.
     """
     g0 = np.asarray(g0, dtype=float)
     ones = np.ones(chain.n)
@@ -61,13 +76,15 @@ def power_steps(chain: ReversibleChain, g0):
         raise ZeroProjection("initial vector has no component off the stationary mode")
     v = g / math.sqrt(E0)
     log_E = math.log(E0)
+    roundoff = (chain.n * 2.0 ** -52) ** 2
     while True:
         w = chain.kernel @ v
         w = w - pi_inner(chain, w, ones)
         r2 = pi_inner(chain, w, w)
-        yield log_E, r2, v
-        if r2 <= 0.0:
+        if r2 <= roundoff:
+            yield log_E, 0.0, v
             return
+        yield log_E, r2, v
         log_E += math.log(r2)
         v = w / math.sqrt(r2)
 
@@ -88,24 +105,31 @@ def error_identity(alpha2: float) -> float:
     return 2.0 * (1.0 - math.sqrt(min(alpha2, 1.0)))
 
 
-def _check_rho_pair(rho_k: float, rho_k1: float):
+def gamma_vhat(rho_k, rho_k1):
+    """(Gamma_k, Vhat_k) = (rho_{k+1}/rho_k - 1, rho_k (rho_{k+1} - rho_k)), each
+    floored at 0, elementwise: the one definition of both observables."""
+    return np.maximum(rho_k1 / rho_k - 1.0, 0.0), np.maximum(rho_k * (rho_k1 - rho_k), 0.0)
+
+
+def _check_rho_pair(rho_k: float, rho_k1: float) -> tuple[float, float]:
+    """(Gamma_k, Vhat_k) of a pair of energy ratios, once checked to be one."""
     if not (0.0 < rho_k < 1.0) or not (0.0 < rho_k1 < 1.0):
         raise InvalidRho(f"rho values must lie in (0, 1), got {rho_k!r}, {rho_k1!r}")
     if rho_k1 < rho_k - RHO_SLACK:
         raise InvalidRho(
             f"rho decreased from {rho_k!r} to {rho_k1!r}: not a reversible trajectory")
+    g, v = gamma_vhat(rho_k, rho_k1)
+    return float(g), float(v)
 
 
 def observable_variance(rho_k: float, rho_k1: float) -> float:
     """Modal variance of the squared eigenvalues, from two energy ratios."""
-    _check_rho_pair(rho_k, rho_k1)
-    return max(rho_k * (rho_k1 - rho_k), 0.0)
+    return _check_rho_pair(rho_k, rho_k1)[1]
 
 
 def gamma(rho_k: float, rho_k1: float) -> float:
     """Dimensionless convergence indicator rho_{k+1}/rho_k - 1."""
-    _check_rho_pair(rho_k, rho_k1)
-    return max(rho_k1 / rho_k - 1.0, 0.0)
+    return _check_rho_pair(rho_k, rho_k1)[0]
 
 
 @dataclass(frozen=True)
@@ -130,17 +154,23 @@ def alpha_bounds_from_variance(vhat: float, lambda2: float,
 
 @dataclass
 class StoppingState:
-    """Streaming state of the adaptive stopping rule; checkpointable."""
+    """The adaptive stopping rule as an O(1) fold over the rho stream.
+
+    It keeps the last rho, the last (Gamma, Vhat) pair and the separation
+    estimate, never the history; `update` hands each completed pair to its
+    caller.
+    """
 
     epsilon: float
     tau: float | None             # supplied bound, or None for online estimation
     k_min: int = 3                # earliest step the rule may stop at
-    rho_history: list = field(default_factory=list)
-    vhat_history: list = field(default_factory=list)
-    gamma_history: list = field(default_factory=list)
+    steps: int = 0                # rho values folded in
+    rho: float | None = None      # the last rho
+    gamma: float | None = None    # Gamma and Vhat of the last complete pair
+    vhat: float | None = None
     tau_hat: float | None = None
     tau_frozen: bool = False
-    verdict: str = "running"      # "running" | "stopped" | "failed"
+    verdict: str = "running"      # "running" | "stopped" | "unresolvable" | "failed"
     stopped_at: int | None = None
     below_floor_streak: int = 0
 
@@ -151,36 +181,32 @@ class StoppingState:
             raise InvalidArguments(f"tau must lie in (0, 1], got {self.tau!r}")
 
     def eta(self) -> float | None:
-        t = self.tau if self.tau is not None else self.tau_hat
-        if t is None:
-            return None
-        return t * t * self.epsilon ** 4 / 8.0
+        t = self.tau_effective
+        return None if t is None else t * t * self.epsilon ** 4 / 8.0
 
     @property
     def tau_effective(self) -> float | None:
         return self.tau if self.tau is not None else self.tau_hat
 
-    def update(self, rho_value: float) -> "StoppingState":
-        """Feed the next energy ratio; may settle the verdict."""
+    def update(self, rho_value: float) -> tuple[float, float] | None:
+        """Feed rho_{k+1}; returns (Gamma_k, Vhat_k), or None before the first
+        pair and once the verdict is settled.  May settle the verdict."""
         if self.verdict != "running":
-            return self
-        self.rho_history.append(float(rho_value))
-        if len(self.rho_history) < 2:
-            return self
-        k = len(self.rho_history) - 2     # index of the newly complete pair
-        r0, r1 = self.rho_history[k], self.rho_history[k + 1]
-        vhat = observable_variance(r0, r1)
-        self.vhat_history.append(vhat)
-        self.gamma_history.append(gamma(r0, r1))
-        self._update_tau_hat(k)
+            return None
+        rho_k, self.rho, self.steps = self.rho, float(rho_value), self.steps + 1
+        if rho_k is None:
+            return None
+        k, vhat_prev = self.steps - 2, self.vhat
+        self.gamma, self.vhat = _check_rho_pair(rho_k, self.rho)
+        self._update_tau_hat(k, rho_k, vhat_prev)
         self._maybe_stop(k)
-        return self
+        return self.gamma, self.vhat
 
-    def _update_tau_hat(self, k: int):
+    def _update_tau_hat(self, k: int, rho_k: float, v_prev: float | None):
         if self.tau is not None or self.tau_frozen or k < 1:
             return
-        v_prev, v_here = self.vhat_history[k - 1], self.vhat_history[k]
-        if v_here < FREEZE_RATIO * self.rho_history[k] ** 2:
+        v_here = self.vhat
+        if v_here < FREEZE_RATIO * rho_k ** 2:
             if self.tau_hat is not None:
                 self.tau_frozen = True   # settled estimate, signal now roundoff
             elif v_here == 0.0:
@@ -191,12 +217,8 @@ class StoppingState:
             else:
                 # positive variance too small to ever resolve a ratio:
                 # degenerate separation suspected
-                self.below_floor_streak += 1
-                if self.below_floor_streak >= COLLAPSE_PATIENCE:
-                    self.verdict = "failed"
-                    raise TauCollapse(
-                        f"variance signal died before any separation estimate "
-                        f"resolved (step {k})", state=self)
+                self._below_floor(f"variance signal died before any separation "
+                                  f"estimate resolved (step {k})")
             return
         if v_prev <= 0.0:
             return
@@ -206,27 +228,26 @@ class StoppingState:
         if estimate < TAU_MIN:
             # the variance ratio dips through 1 around its transient peak, so
             # a single below-floor reading is not yet evidence of degeneracy
-            self.below_floor_streak += 1
-            if self.below_floor_streak >= COLLAPSE_PATIENCE:
-                self.verdict = "failed"
-                raise TauCollapse(
-                    f"online separation estimate {estimate!r} stayed below the "
-                    f"floor {TAU_MIN!r} through step {k}", state=self)
+            self._below_floor(f"online separation estimate {estimate!r} stayed "
+                              f"below the floor {TAU_MIN!r} through step {k}")
             return
         self.below_floor_streak = 0
         self.tau_hat = estimate
 
+    def _below_floor(self, message: str):
+        self.below_floor_streak += 1
+        if self.below_floor_streak >= COLLAPSE_PATIENCE:
+            self.verdict = "failed"
+            raise TauCollapse(message, state=self)
+
     def _maybe_stop(self, k: int):
-        if k < self.k_min:
-            return
-        g = self.gamma_history[k]
         threshold = self.eta()
-        if threshold is None:
+        if k < self.k_min or threshold is None or self.gamma > threshold:
             return
-        if g > threshold:
-            return
-        self.verdict = "stopped"
-        self.stopped_at = k
+        if threshold < GAMMA_FLOOR:      # Gamma <= eta would certify roundoff
+            self.verdict = "unresolvable"
+        else:
+            self.verdict, self.stopped_at = "stopped", k
 
 
 def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
@@ -234,7 +255,8 @@ def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
     """Fold a rho sequence through the stopping rule.
 
     Returns the state at the stop step; raises StreamEnded if the stream is
-    exhausted first and TauCollapse if the online separation estimate
+    exhausted first or the rule finds eta below GAMMA_FLOOR (verdict
+    "unresolvable"), and TauCollapse if the online separation estimate
     degenerates.  Both exceptions carry the partial state.
     """
     state = StoppingState(epsilon=epsilon, tau=tau, k_min=k_min)
@@ -242,6 +264,8 @@ def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
         state.update(value)
         if state.verdict == "stopped":
             return state
+        if state.verdict != "running":
+            break
     raise StreamEnded(
-        f"stream ended after {len(state.rho_history)} values without stopping",
+        f"no certified stop after {state.steps} values (verdict {state.verdict})",
         state=state)

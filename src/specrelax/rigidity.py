@@ -26,7 +26,7 @@ from .errors import (DeadTrajectory, InvalidArguments, NoSlowMode, PreconditionU
                      TooShort)
 from .trajectory import SpectralProfile, ledger_at, ledger_block
 
-DEGENERACY_TOL = 1e-12
+DEGENERACY_TOL = 1e-12      # ties, relative to |lambda_slow| (see split_slow_fast)
 DEFAULT_CAP = 1_000_000
 
 
@@ -46,6 +46,7 @@ class SlowFastSplit:
     log_init_ratio: float       # ln(R_0 / |c_2|^2), finite where the ratio leaves the doubles
     min_fast_lambda_sq: float
     degenerate: bool            # slow eigenvalue tied with (or below) a fast |lambda|
+    tie_tol: float              # the absolute width of a tie
 
     @property
     def ratio(self) -> float:
@@ -58,11 +59,28 @@ class SlowFastSplit:
     def init_ratio(self) -> float:
         return self.fast_weight / self.slow_weight if self.slow_weight else math.inf
 
+    @property
+    def delta_star(self) -> float | None:
+        """Rigidity level 1 - max(1/2, ratio^2) past which the covariance is
+        negative and the entropy falls; None without strict separation."""
+        if self.slow_lambda <= 0 or (self.degenerate and self.fast_weight > 0):
+            return None
+        return 1.0 - max(0.5, self.ratio ** 2)
+
 
 def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
+    """The slow mode, the fast sector, and whether they tie.
+
+    A tie is |lambda| within DEGENERACY_TOL * |lambda_slow|: a profile's
+    eigenvalues are exact, so a pair at 1e-200 and 5e-201 is as separated as
+    one at 1 and 0.5.  A chain's eigenvalues carry an absolute error of a few
+    ulps of ||P|| = 1, so for a chain-derived profile (`chain_lambda2` set)
+    the width is DEGENERACY_TOL * max(|lambda_slow|, 1) = DEGENERACY_TOL.
+    """
     i = profile.slow_index()
     lam_slow = float(profile.lambdas[i])
-    if profile.chain_lambda2 is not None and lam_slow < profile.chain_lambda2 - DEGENERACY_TOL:
+    tol = DEGENERACY_TOL * (1.0 if profile.chain_lambda2 is not None else abs(lam_slow))
+    if profile.chain_lambda2 is not None and lam_slow < profile.chain_lambda2 - tol:
         raise NoSlowMode(
             f"profile's top eigenvalue {lam_slow!r} is below the chain's "
             f"{profile.chain_lambda2!r}: the slow mode carries no weight"
@@ -70,7 +88,7 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
     w = np.exp(profile.log_weights - np.max(profile.log_weights))
     fast_lam = np.delete(profile.lambdas, i)
     if fast_lam.size == 0:
-        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, 0.0, False)
+        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, 0.0, False, tol)
     fabs = float(np.max(np.abs(fast_lam)))
     return SlowFastSplit(
         slow_index=i,
@@ -81,7 +99,8 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
                              - profile.log_weights[i]),
         min_fast_lambda_sq=float(np.min(fast_lam ** 2)),
-        degenerate=bool(fabs >= lam_slow - DEGENERACY_TOL),
+        degenerate=bool(fabs >= lam_slow - tol),
+        tie_tol=tol,
     )
 
 
@@ -91,7 +110,7 @@ def slow_fraction(profile: SpectralProfile, k: int) -> float:
     led = ledger_at(profile, k)
     if led.terminal:
         raise DeadTrajectory(f"energy is zero at step {k}")
-    return float(np.exp(led.log_modal_energies[split.slow_index] - led.log_energy))
+    return float(led.p[split.slow_index])
 
 
 def rigidity_bound_L(lambda2: float, lambda3: float, c2_sq: float,
@@ -110,7 +129,7 @@ def rigidity_bound_L(lambda2: float, lambda3: float, c2_sq: float,
         raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
     if R0 <= c2_sq * delta:
         return 0.0
-    if lam3 >= lambda2 - DEGENERACY_TOL:
+    if lam3 >= lambda2 * (1.0 - DEGENERACY_TOL):
         return math.inf
     return math.log(R0 / (c2_sq * delta)) / (2.0 * math.log(lambda2 / lam3))
 
@@ -198,7 +217,7 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     ceiling = math.exp(profile.log_weights[slow] - log_lasting)
     if ceiling < 1.0 - delta:
         who = ("degenerate slow cluster"
-               if abs(split.fast_abs_lambda - split.slow_lambda) <= DEGENERACY_TOL
+               if split.fast_abs_lambda - split.slow_lambda <= split.tie_tol
                else f"dominating mode with |lambda| = {split.fast_abs_lambda!r}")
         return report(diagnostic=f"alpha_2 <= {ceiling!r} < 1 - delta at every step ({who})")
 

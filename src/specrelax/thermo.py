@@ -31,6 +31,7 @@ from .errors import (
     NonConvergent,
     NoSlowMode,
     NotADistribution,
+    OutOfRange,
 )
 from .rigidity import rigidity_time, split_slow_fast
 from .trajectory import (
@@ -42,7 +43,7 @@ from .trajectory import (
     profile_from_weights,
 )
 
-LN2 = math.log(2.0)
+LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 def spectral_entropy(p) -> float:
@@ -201,18 +202,9 @@ def two_mode_transition(lambda2: float, lambdaj: float,
     # continuous-time slow fraction at the crossing; exactly 1/2 up to roundoff
     ratio = (wj / w2) * (abs(lambdaj) / lambda2) ** (2.0 * k_real)
     alpha = 1.0 / (1.0 + ratio)
-    entropy = _binary_entropy(alpha)
+    entropy = float(entropy_rows(np.array([alpha, 1.0 - alpha])))
     return TwoModeTransition(k_star=report.t_rigid, k_real=k_real,
                              entropy_at_crossing=entropy)
-
-
-def _binary_entropy(a: float) -> float:
-    s = 0.0
-    if a > 0:
-        s -= a * math.log(a)
-    if a < 1:
-        s -= (1.0 - a) * math.log(1.0 - a)
-    return s
 
 
 @dataclass(frozen=True)
@@ -226,10 +218,9 @@ def general_threshold(profile: SpectralProfile, cap: int | None = None) -> Gener
     split = split_slow_fast(profile)
     if split.fast_weight == 0.0:
         return GeneralThreshold(delta_star=0.5, t_threshold=0)
-    if split.slow_lambda <= 0 or split.degenerate:
+    delta_star = split.delta_star
+    if delta_star is None:
         raise Degenerate("threshold requires strict slow/fast separation")
-    ratio_sq = (split.fast_abs_lambda / split.slow_lambda) ** 2
-    delta_star = 1.0 - max(0.5, ratio_sq)
     report = rigidity_time(profile, delta_star, cap=cap)
     if not report.reached:
         raise NonConvergent("rigidity threshold not reached within cap")
@@ -300,10 +291,26 @@ class SecondLawStep:
 def G_step(profile: SpectralProfile, k: int) -> SecondLawStep:
     """One step of the energy-weighted entropy G = E * S and its exact split."""
     block = _step_pair(profile, k)
-    G = np.exp(block.log_energy) * entropy_rows(block.p)
+    G = G_rows(block)[2]
     A, B = release_rows(block[:1])
     return SecondLawStep(k=k, G_k=float(G[0]), G_k1=float(G[1]),
                          A=float(A[0]), B=float(B[0]))
+
+
+def G_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, S, G = E * S) at each row of a ledger block.
+
+    S <= ln(modes), A <= E S and B <= E / e, so E max(1, ln(modes)) within
+    the doubles keeps E, G and the release terms finite; a block beyond that
+    is refused before any exp overflows.
+    """
+    top = int(np.argmax(block.log_energy))
+    log_E = float(block.log_energy[top])
+    if log_E + math.log(max(1.0, math.log(block.lambdas.size))) > LOG_DOUBLE_MAX:
+        raise OutOfRange(f"ln E = {log_E!r} at step {int(block.ks[top])}: E, G, A and B "
+                         "leave the double range")
+    E, S = np.exp(block.log_energy), entropy_rows(block.p)
+    return E, S, E * S
 
 
 def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -350,15 +357,8 @@ def entropy_decomposition(profile: SpectralProfile, k: int) -> EntropySplit:
     alpha2 = float(led.p[split.slow_index])
     fast_p = np.delete(led.p, split.slow_index)
     rest = float(fast_p.sum())   # 1 - alpha2 without cancellation
-    H_bin = 0.0
-    if alpha2 > 0:
-        H_bin -= alpha2 * math.log(alpha2)
-    if rest > 0:
-        H_bin -= rest * math.log(rest)
-    if rest <= 0.0:
-        H_fast = 0.0
-    else:
-        H_fast = float(entropy_rows(fast_p / rest))
+    H_bin = float(entropy_rows(np.array([alpha2, rest])))
+    H_fast = float(entropy_rows(fast_p / rest)) if rest > 0.0 else 0.0
     return EntropySplit(k=k, alpha2=alpha2, H_binary=H_bin, H_fast=H_fast,
                         total=H_bin + rest * H_fast)
 

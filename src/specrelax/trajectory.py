@@ -116,11 +116,6 @@ class LedgerBlock:
         log_E = np.where(self.terminal, 0.0, self.log_energy)
         return np.where(np.isfinite(self.log_n), self.log_n - log_E[:, None], 0.0)
 
-    def share(self, mode: int) -> np.ndarray:
-        """exp(log n_mode - log E) per row: one mode's energy fraction, 0 when terminal."""
-        log_E = np.where(self.terminal, 0.0, self.log_energy)
-        return np.exp(self.log_n[:, mode] - log_E)
-
     def row(self, i: int) -> ModalLedger:
         rho = float(self.rho[i])
         return ModalLedger(k=int(self.ks[i]), log_modal_energies=self.log_n[i],
@@ -251,9 +246,7 @@ def dissipation_step(profile: SpectralProfile, k: int) -> DissipationStep:
     led = ledger_at(profile, k)
     if led.terminal:
         raise DeadTrajectory(f"energy is zero at step {k}")
-    log_n = led.log_modal_energies
-    n = np.where(np.isfinite(log_n), np.exp(log_n), 0.0)
-    terms = (1.0 - profile.lambdas ** 2) * n
+    terms = (1.0 - profile.lambdas ** 2) * np.exp(led.log_modal_energies)  # dead: exp(-inf) = 0
     return DissipationStep(
         k=k,
         delta_E=float(led.energy * led.d),

@@ -64,6 +64,33 @@ class TestAnalyze:
         assert "lambda2" in header
 
 
+class TestProfileDomain:
+    def test_tiny_separated_pair(self, tmp_path, capsys):
+        # lambda = (1e-200, 5e-201) is a 2:1 pair, not a tie
+        prof = tmp_path / "tiny.json"
+        prof.write_text(json.dumps({"eigenvalues": [1e-200, 5e-201],
+                                    "log_weights": [0.0, math.log(100.0)]}))
+        assert run_cli(["analyze", str(prof), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["degenerate_slow_pair"] is False and data["delta_star"] == 0.5
+        assert math.isfinite(data["L_0.1"])
+        assert run_cli(["rigidity", str(prof), "--delta", "0.01"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(6.643856189774725, rel=1e-12)
+        assert row[2] == "7"
+
+    @pytest.mark.parametrize("command", ["simulate", "thermo"])
+    def test_energy_beyond_the_doubles_is_refused(self, command, tmp_path, capsys):
+        # E_0 = e^800: every E printed inf and G, A, B nan, with exit 0
+        prof = tmp_path / "big.json"
+        prof.write_text(json.dumps({"eigenvalues": [0.9, 0.5], "log_weights": [800.0, 0.0]}))
+        assert run_cli([command, str(prof), "--steps", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: OutOfRange: ln E = 800.0 at step 0")
+        assert captured.err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -281,6 +308,33 @@ class TestPowerCommand:
         # a run cut by --max-iter still holds its last row back
         assert run_cli(["power", "k5", "--max-iter", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_eta_below_gamma_floor_runs_on_unresolvable(self, tmp_path, capsys):
+        # eta = 3.1e-38 is below what Gamma resolves; Gamma reads 0 at k = 30,
+        # where the old rule stopped with true_error 1.85e-8 > epsilon
+        out = tmp_path / "u.csv"
+        assert run_cli(["power", "barbell-metastable", "--epsilon", "1e-9", "--tau", "0.5",
+                        "--max-iter", "3000", "--seed", "3", "--out", str(out)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verdict"] == "unresolvable" and verdict["stopped_at"] is None
+        assert verdict["eta"] < power_iter.GAMMA_FLOOR
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(2999))
+        assert rows[30][3] == "0" and rows[29][3] != "0"
+        assert all(r[3] == r[4] == "" for r in rows[31:])
+
+    def test_roundoff_iterate_ends_the_stream(self, tmp_path, capsys):
+        # rank one with a non-uniform pi: rho_0 was roundoff (6.1e-64), Gamma_0
+        # 8.1e31, and the run "stopped" at k = 3 with true_error 1.414
+        pi = [0.1, 0.2, 0.3, 0.15, 0.25]
+        path = tmp_path / "r1b.csv"
+        path.write_text("\n".join(",".join(map(repr, pi)) for _ in pi) + "\n")
+        assert run_cli(["power", str(path), "--seed", "0", "--max-iter", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        row = lines[1].split(",")
+        assert row[0] == "0" and row[2] == "0" and row[3] == row[4] == ""
+        assert json.loads(lines[2])["verdict"] == "stream-ended"
 
     def test_tau_collapse_streams_on_to_max_iter(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from specrelax.errors import (
     TauCollapse,
     ZeroProjection,
 )
+from specrelax.power_iter import GAMMA_FLOOR
 
 from conftest import (
     centered_random_start,
@@ -59,6 +62,15 @@ class TestRunPower:
         prof = sr.project_initial(dec, chain, g0)
         assert sr.ledger_at(prof, 0).rho == pytest.approx(rho0, rel=1e-11)
         assert sr.ledger_at(prof, 1).rho == pytest.approx(rho1, rel=1e-11)
+
+    def test_roundoff_iterate_ends_the_stream(self):
+        # rank one with a non-uniform pi: every nontrivial eigenvalue is 0, but
+        # fl(K v) leaves an iterate of energy ~1e-64 that is pure roundoff
+        pi = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        chain = sr.build_chain(np.tile(pi, (5, 1)))
+        g0 = np.random.default_rng(0).standard_normal(5)
+        steps = list(itertools.islice(sr.power_steps(chain, g0), 10))
+        assert len(steps) == 1 and steps[0][1] == 0.0
 
     def test_zero_projection(self, rng):
         chain = random_reversible(5, rng)
@@ -179,7 +191,42 @@ class TestAdaptiveStop:
         state = sr.adaptive_stop(profile_rho_stream(prof, 20), epsilon=0.1, tau=0.5)
         assert state.verdict == "stopped"
         assert state.stopped_at == 3
-        assert state.gamma_history[state.stopped_at] == 0.0
+        assert state.gamma == 0.0      # Gamma of the last pair, the one at the stop
+
+    def test_eta_below_gamma_floor_is_unresolvable(self):
+        # eta = 0.25 * 1e-36 / 8 is far below the ~2e-15 that Gamma resolves; on
+        # this stream Gamma reads exactly 0 at k = 30 while the error is 1.9e-8
+        chain = sr.barbell_chain(clique_size=3, bridge_weight=0.1)
+        dec = sr.spectral_decomposition(chain)
+        g0 = np.random.default_rng(3).standard_normal(chain.n)
+        _, rho, iterates = power_stream(chain, g0, 40)
+        with pytest.raises(StreamEnded) as exc:
+            sr.adaptive_stop(rho, epsilon=1e-9, tau=0.5)
+        state = exc.value.state
+        assert state.verdict == "unresolvable" and state.stopped_at is None
+        assert state.gamma == 0.0 and state.eta() < GAMMA_FLOOR
+        k = state.steps - 2
+        assert math.sqrt(sr.eigenvector_error(chain, dec, iterates[k])) > 1e-9
+        # at a resolvable eta the same stream stops, and soundly
+        state = sr.adaptive_stop(rho, epsilon=0.2, tau=0.5)
+        err = math.sqrt(sr.eigenvector_error(chain, dec, iterates[state.stopped_at]))
+        assert err <= 0.2
+
+    def test_state_does_not_grow(self):
+        # 10^5 updates that never stop: the fold's memory stays flat
+        state = sr.StoppingState(epsilon=0.1, tau=0.5, k_min=10 ** 9)
+        rhos = (0.9 - 0.5 * 0.9999 ** k for k in range(100_000))
+        tracemalloc.start()
+        try:
+            for i, r in enumerate(rhos):
+                state.update(r)
+                if i == 1000:
+                    early = tracemalloc.get_traced_memory()[0]
+            late = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state.verdict == "running" and state.steps == 100_000
+        assert late - early < 4096
 
     def test_benchmark_profile_stop_is_sound(self, s8_two_mode):
         tau = 1.0 - (0.70 / 0.95) ** 2
@@ -237,7 +284,9 @@ class TestAdaptiveStop:
             tau = 1.0 - (l3 / l2) ** 2
             g0 = centered_random_start(chain, rng)
             _, rho, iterates = power_stream(chain, g0, 300)
-            for eps in (0.2, 0.1):
+            # at eps = 1e-6 and 1e-12 eta is below Gamma's float floor for every
+            # tau: those runs must end unresolvable, never in an unsound stop
+            for eps in (0.2, 0.1, 1e-6, 1e-12):
                 try:
                     state = sr.adaptive_stop(rho, epsilon=eps, tau=tau)
                 except StreamEnded:

@@ -71,7 +71,7 @@ class TestRigidityTime:
         report = sr.rigidity_time(s8_two_mode, 0.1)
         assert report.reached and report.t_rigid == 8
         assert report.bound == pytest.approx(7.367518, abs=1e-3)
-        alpha = sr.ledger_block(s8_two_mode, range(9)).share(s8_two_mode.slow_index())
+        alpha = sr.ledger_block(s8_two_mode, range(9)).p[:, s8_two_mode.slow_index()]
         assert alpha[7] < 0.9 <= alpha[8]
         assert report.ratio == pytest.approx(0.70 / 0.95, rel=1e-12)
         assert report.init_ratio == pytest.approx(9.0, rel=1e-12)
@@ -284,6 +284,39 @@ class TestSandwich:
         report = sr.rigidity_time(s8_two_mode, 0.3)
         assert report.t_rigid == 5
         assert report.bound > report.t_rigid
+
+
+class TestRelativeDegeneracy:
+    """A tie is DEGENERACY_TOL relative to |lambda_slow| for a profile's exact
+    eigenvalues, and DEGENERACY_TOL absolute for a chain's computed ones."""
+
+    def test_tiny_separated_pair_has_a_finite_bound(self):
+        prof = sr.profile_from_weights([1e-200, 5e-201], [1.0, 100.0])
+        assert not rigidity.split_slow_fast(prof).degenerate
+        report = sr.rigidity_time(prof, 0.01)
+        # criterion 3's sandwich L- <= T <= floor(L) + 1: 6.637 <= 7 <= 7, with
+        # L = ln(R0 / (c2 delta)) / (2 ln 2) and L- = ln(w3 (1-delta) / (c2 delta)) / (2 ln 2)
+        assert report.bound == pytest.approx(math.log(1e4) / (2 * math.log(2)), rel=1e-12)
+        lower = math.log(100.0 * 0.99 / 0.01) / (2 * math.log(2))
+        assert lower <= report.t_rigid == 7 <= math.floor(report.bound) + 1
+        assert sr.general_threshold(prof).delta_star == 0.5
+
+    def test_tie_scales_with_the_slow_eigenvalue(self):
+        for scale in (0.5, 1e-100, 1e-250):
+            tied = sr.profile_from_weights([scale, scale * (1 - 1e-13)], [1.0, 1.0])
+            apart = sr.profile_from_weights([scale, scale * (1 - 1e-11)], [1.0, 1.0])
+            assert rigidity.split_slow_fast(tied).degenerate
+            assert not rigidity.split_slow_fast(apart).degenerate
+            assert sr.rigidity_bound_L(scale, scale * (1 - 1e-13), 1.0, 1.0, 0.1) == math.inf
+
+    def test_chain_eigenvalues_tie_absolutely(self):
+        # k6 is rank one: its computed nontrivial eigenvalues are roundoff near
+        # 1e-17, which no relative tolerance would tie
+        chain = sr.complete_graph(6)
+        dec = sr.spectral_decomposition(chain)
+        prof = sr.project_initial(dec, chain, np.arange(6.0))
+        assert rigidity.split_slow_fast(prof).degenerate
+        assert sr.rigidity_time(prof, 0.1).bound == math.inf
 
 
 class TestDetectRigid:

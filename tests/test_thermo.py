@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import DeadMode, Degenerate, NonConvergent, NotADistribution
+from specrelax.errors import DeadMode, Degenerate, NonConvergent, NotADistribution, OutOfRange
 from specrelax.thermo import helmholtz_like
 
 from conftest import entropy_oracle, modal_oracle, random_profile
@@ -216,6 +216,14 @@ class TestSecondLaw:
         assert F0 == pytest.approx(0.6137056388801094, abs=1e-12)
         assert F1 == pytest.approx(0.7659940325279879, abs=1e-12)
         assert F1 > F0  # not monotone, unlike G
+
+    def test_energy_beyond_the_doubles_is_refused(self):
+        prof = sr.SpectralProfile(lambdas=[0.9, 0.5], log_weights=[800.0, 0.0])
+        with pytest.raises(OutOfRange):
+            sr.G_step(prof, 0)
+        # by k = 2000, E = e^800 0.81^k is back inside the doubles
+        step = sr.G_step(prof, 2000)
+        assert all(math.isfinite(x) for x in (step.G_k, step.G_k1, step.A, step.B))
 
     def test_single_mode_identically_zero(self):
         prof = sr.profile_from_weights([0.6], [5.0])
