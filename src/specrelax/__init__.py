@@ -27,6 +27,7 @@ from .chains import (
     barbell_chain,
     build_chain,
     chain_from_spectrum,
+    chain_spectrum,
     complete_graph,
     cycle_graph,
     dirichlet_form,

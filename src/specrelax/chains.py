@@ -191,6 +191,33 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     return ReversibleChain(kernel=P, pi=pi)
 
 
+def _symmetrized(kernel: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d = sqrt(weights) and the symmetric part (S + S^T)/2 of S = D^{1/2} K D^{-1/2},
+    built in place in one n x n array."""
+    d = np.sqrt(weights)
+    sym = d[:, None] * kernel
+    sym /= d
+    sym += sym.T
+    sym *= 0.5
+    return d, sym
+
+
+def _antisymmetry_bound(kernel: np.ndarray, d: np.ndarray, sym: np.ndarray) -> float:
+    """b >= ||S - sym||_2: the smaller of the Frobenius norm and
+    sqrt(||.||_1 ||.||_inf), from 128-row blocks so no n x n temporary is made."""
+    n = kernel.shape[0]
+    fro2, row_max, col_sums = 0.0, 0.0, np.zeros(n)
+    for s in range(0, n, 128):
+        a = d[s:s + 128, None] * kernel[s:s + 128]
+        a /= d
+        a -= sym[s:s + 128]
+        fro2 += float(np.einsum("ij,ij->", a, a))
+        np.abs(a, out=a)
+        row_max = max(row_max, float(a.sum(axis=1).max()))
+        col_sums += a.sum(axis=0)
+    return min(math.sqrt(fro2), math.sqrt(row_max * float(col_sums.max())))
+
+
 def _weighted_eigh(kernel: np.ndarray, weights: np.ndarray,
                    tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and weight-orthonormal eigenvectors of a kernel
@@ -202,11 +229,7 @@ def _weighted_eigh(kernel: np.ndarray, weights: np.ndarray,
     used, so beside the kernel and eigh's own buffers at most three n x n
     arrays are live.
     """
-    d = np.sqrt(weights)
-    sym = d[:, None] * kernel
-    sym /= d
-    sym += sym.T
-    sym *= 0.5
+    d, sym = _symmetrized(kernel, weights)
     try:
         evals, evecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -246,6 +269,65 @@ def spectral_decomposition(chain: ReversibleChain,
     if np.max(np.abs(phi[:, 0] - 1.0)) > 1e-8:
         raise EigensolveFailure("stationary eigenvector is not constant")
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=phi)
+
+
+def chain_spectrum(chain: ReversibleChain,
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Eigenvalues (descending) of the kernel, certified without eigenvectors.
+
+    One `eigvalsh` of sym = (S + S^T)/2, S = D^{1/2} K D^{-1/2}, the matrix
+    `spectral_decomposition` solves, in place of its checked `eigh`.  The
+    certificate stands in for that solve's per-pair checks:
+
+    * Symmetrization error.  With A = S - sym, let (lam, y), ||y||_2 = 1, be
+      an exact eigenpair of sym and phi = D^{-1/2} y, so ||phi||_pi = 1.  Then
+      D^{1/2}(K phi - lam phi) = S y - lam y = A y, so the weighted residual
+      ||K phi - lam phi||_pi, which `_weighted_eigh` checks, is at most
+      ||A||_2 <= b (`_antisymmetry_bound`).  LAPACK's eigenvalues are exact
+      for sym + E with ||E||_2 about n 2^-52 ||sym||_2, which moves each
+      residual by at most ||E||_2.  sym is nonnegative, so ||sym||_2 is its
+      Perron root lambda_1, held to 1 +- 1e-10 below.  So b + n 2^-52 <=
+      tol.eigen_residual certifies every eigenvalue as the full check would.
+      Otherwise, or when tol.orthonormality is below the n 2^-52 to which
+      LAPACK's eigenvectors are orthonormal, the full `spectral_decomposition`
+      runs: no kernel it accepts is refused here and none it refuses passes.
+    * Stationary mode.  lambda_1 must lie within 1e-10 of 1, and in place of
+      "phi_1 is constant" ||sym sqrt(pi) - sqrt(pi)||_2 <= tol.eigen_residual
+      (K 1 = 1 and pi K = pi give S sqrt(pi) = S^T sqrt(pi) = sqrt(pi)).
+      Being relative to ||sqrt(pi)||_2 = 1, it does not fail where pi is tiny
+      as the absolute test on phi_1 = u / sqrt(pi) does.
+    * The list itself.  The exact eigenvalues have sum lam = tr sym and
+      sum lam^2 = ||sym||_F^2.  The full check holds each computed eigenvalue
+      within about tol.eigen_residual of its own exact one (residual plus
+      orthonormality), and |lam| <= 1, so a list it passes has
+      |sum lam - tr sym| <= n tol.eigen_residual and
+      |sum lam^2 - ||sym||_F^2| <= 2 n tol.eigen_residual; a corrupted list
+      fails them.
+
+    Beside the kernel only sym and eigvalsh's copy of it are live.
+    """
+    n = chain.n
+    d, sym = _symmetrized(chain.kernel, chain.pi)
+    backward = n * 2.0 ** -52     # LAPACK's backward error on sym, ||sym||_2 = 1
+    if (_antisymmetry_bound(chain.kernel, d, sym) + backward > tol.eigen_residual
+            or backward > tol.orthonormality):
+        del sym
+        return spectral_decomposition(chain, tol).eigenvalues
+    try:
+        evals = np.linalg.eigvalsh(sym)[::-1].copy()
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh rarely fails
+        raise EigensolveFailure(str(exc)) from exc
+    if abs(evals[0] - 1.0) > 1e-10:
+        raise EigensolveFailure(f"top eigenvalue {evals[0]!r} is not 1")
+    stationary = float(np.linalg.norm(sym @ d - d))
+    if stationary > tol.eigen_residual:
+        raise EigensolveFailure(f"stationary mode residual {stationary!r} too large")
+    trace_gap = abs(evals.sum() - np.trace(sym))
+    square_gap = abs(evals @ evals - np.einsum("ij,ij->", sym, sym))
+    if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
+        raise EigensolveFailure(f"eigenvalues miss tr sym by {trace_gap!r} "
+                                f"and ||sym||_F^2 by {square_gap!r}")
+    return evals
 
 
 def pi_inner(chain: ReversibleChain, f, g) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (HypercubeProfile, ReversibleChain, SpectralDecomposition, _freeze,
-                     pi_inner)
+from .chains import (DEFAULT_TOLERANCES, HypercubeProfile, ReversibleChain,
+                     SpectralDecomposition, Tolerances, _freeze, pi_inner)
 from .errors import DeadTrajectory, DimensionMismatch, InvalidArguments, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
@@ -124,12 +124,16 @@ class LedgerBlock:
 
 
 def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
-                    g0, drop_tol: float = DROP_TOL) -> SpectralProfile:
+                    g0, drop_tol: float = DROP_TOL,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralProfile:
     """Project an initial vector onto the nontrivial eigenmodes.
 
     The stationary component is removed first; modes whose squared projection
     falls below drop_tol times the centered energy are pruned and counted in
-    the profile's `dropped` field.
+    the profile's `dropped` field.  The solve certifies each eigenvalue only
+    to tol.eigen_residual, so one at or below it in size is taken as 0 (the
+    mode dies at k = 1): on a rank-one kernel such as k6 every nontrivial
+    eigenvalue is exactly 0 and computes as roundoff near 1e-17.
     """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (chain.n,):
@@ -144,11 +148,13 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
     keep = weights > drop_tol * total
     if not np.any(keep):
         raise ZeroProjection("all modal weights below the pruning threshold")
+    lam = decomp.eigenvalues[1:]
+    lam = np.where(np.abs(lam) <= tol.eigen_residual, 0.0, lam)
     return SpectralProfile(
-        lambdas=decomp.eigenvalues[1:][keep],
+        lambdas=lam[keep],
         log_weights=np.log(weights[keep]),
         dropped=int(np.count_nonzero(~keep)),
-        chain_lambda2=float(decomp.eigenvalues[1]),
+        chain_lambda2=float(lam[0]),
     )
 
 

@@ -373,12 +373,14 @@ def test_import_needs_no_scipy():
     assert out.strip() == "[]"
 
 
-# Both eigensolves go through one checked solver: (call, peak bound in units
-# of one n x n double array).  The bounds leave room over the measured 3.06
-# and 4.04; a solve that keeps extra n x n temporaries reaches 6 to 7.
+# The checked eigensolves: (call, peak bound in units of one n x n double
+# array).  The bounds leave room over the measured 3.06, 4.04 and 2.05; a
+# solve that keeps extra n x n temporaries reaches 6 to 7, and chain_spectrum
+# with a whole antisymmetric part as a temporary 3.0.
 CHECKED_SOLVES = {
     "spectral_decomposition": (sr.spectral_decomposition, 3.5),
     "absorb": (lambda chain: sr.absorb(chain, 0), 4.5),
+    "chain_spectrum": (sr.chain_spectrum, 2.5),
 }
 
 
@@ -395,7 +397,7 @@ def test_eigensolve_peak_memory(name):
     assert peak <= bound * 8 * chain.n ** 2
 
 
-@pytest.mark.parametrize("name", sorted(CHECKED_SOLVES))
+@pytest.mark.parametrize("name", ["absorb", "spectral_decomposition"])
 def test_perturbed_eigenvector_is_caught(name, monkeypatch):
     solve, _ = CHECKED_SOLVES[name]
     chain = sr.barbell_chain(4, 0.05)
@@ -410,3 +412,53 @@ def test_perturbed_eigenvector_is_caught(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(EigensolveFailure):
         solve(chain)
+
+
+class TestChainSpectrum:
+    def test_matches_the_full_decomposition(self, rng, hand_chain):
+        chains = [hand_chain, sr.cycle_graph(6), sr.cycle_graph(7), sr.complete_graph(5),
+                  sr.barbell_chain(3, 0.1), sr.barbell_chain(6, 1e-3)]
+        chains += [random_reversible(int(rng.integers(2, 60)), rng, lazy=bool(i % 2))
+                   for i in range(10)]
+        for chain in chains:
+            want = sr.spectral_decomposition(chain).eigenvalues
+            assert np.max(np.abs(sr.chain_spectrum(chain) - want)) <= 1e-12
+        # the even cycle is periodic: its last eigenvalue is -1
+        assert sr.chain_spectrum(sr.cycle_graph(6))[-1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_shifted_eigenvalue_is_caught(self, monkeypatch):
+        chain = sr.barbell_chain(4, 0.05)
+        sr.chain_spectrum(chain)
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def shifted(a):
+            evals = real_eigvalsh(a)
+            evals[3] += 1e-6
+            return evals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(EigensolveFailure, match="tr sym"):
+            sr.chain_spectrum(chain)
+
+    def test_tight_residual_takes_the_full_check(self, monkeypatch):
+        chain = sr.barbell_chain(4, 0.05)
+        tol = sr.Tolerances(eigen_residual=1e-30)
+        with pytest.raises(EigensolveFailure) as full:
+            sr.spectral_decomposition(chain, tol)
+
+        def refuse(a):
+            raise AssertionError("the certificate cannot hold at this tolerance")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(EigensolveFailure) as fast:
+            sr.chain_spectrum(chain, tol)
+        assert str(fast.value) == str(full.value)
+
+    def test_non_stationary_weights_are_caught(self):
+        # symmetric, so S = sym and the certificate holds, and the top
+        # eigenvalue is 1, but the second row sums to 1/2: pi is not stationary
+        chain = sr.ReversibleChain(kernel=[[1.0, 0.0], [0.0, 0.5]], pi=[0.5, 0.5])
+        with pytest.raises(EigensolveFailure, match="stationary mode residual"):
+            sr.chain_spectrum(chain)
+        with pytest.raises(EigensolveFailure, match="not constant"):
+            sr.spectral_decomposition(chain)

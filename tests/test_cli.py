@@ -55,6 +55,27 @@ class TestAnalyze:
             assert (data["ratio"] is not None) == has_ratio
             assert data["lambda2"] == data["spectrum"][1]
 
+    def test_wide_stationary_law_is_analyzed(self, tmp_path, capsys):
+        # lazy birth-death chain, n = 1000, up/down ratio 0.9: pi spans 47
+        # decades, where phi_1 = u / sqrt(pi) cannot be resolved as constant
+        n, up, down = 1000, 0.225, 0.25
+        i = np.arange(n - 1)
+        P = np.zeros((n, n))
+        P[i, i + 1] = up
+        P[i + 1, i] = down
+        P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+        chain_file = tmp_path / "birth_death.json"
+        chain_file.write_text(json.dumps({"kernel": P.tolist()}))
+        assert run_cli(["analyze", str(chain_file), "--tol", "pi_floor=0",
+                        "--format", "json"]) == 0
+        got = np.array(json.loads(capsys.readouterr().out)["spectrum"])
+        # W = diag(pi) P with pi_i proportional to (up/down)^i; the scale of pi
+        # cancels in D^{-1/2} W D^{-1/2}
+        pi = (up / down) ** np.arange(n)
+        W = pi[:, None] * P
+        want = np.linalg.eigvalsh(W / np.sqrt(pi)[:, None] / np.sqrt(pi))[::-1]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
         chain_file.write_text("0.9,0.1\n0.3,0.7\n")
@@ -62,6 +83,30 @@ class TestAnalyze:
         assert run_cli(["analyze", str(chain_file), "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert "lambda2" in header
+
+
+def _count_eigensolves(monkeypatch) -> dict:
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestEigensolveCalls:
+    """Only commands that read eigenvectors pay for them."""
+
+    def test_analyze_solves_for_eigenvalues_only(self, monkeypatch, capsys):
+        counts = _count_eigensolves(monkeypatch)
+        assert run_cli(["analyze", "cycle-50", "--format", "json"]) == 0
+        assert counts == {"eigh": 0, "eigvalsh": 1}
+
+    def test_fpt_needs_eigenvectors_of_the_block_only(self, monkeypatch, capsys):
+        counts = _count_eigensolves(monkeypatch)
+        assert run_cli(["fpt", "barbell-metastable", "--kmax", "5"]) == 0
+        assert counts == {"eigh": 1, "eigvalsh": 1}
 
 
 class TestProfileDomain:
@@ -181,6 +226,14 @@ class TestRigidityCommand:
         assert row[2] == ""
 
 
+    @pytest.mark.parametrize("preset", ["k5", "k6"])
+    def test_rank_one_chain_is_rigid_at_step_one(self, preset, capsys):
+        # every mode of a rank-one kernel dies at k = 1: terminal rigidity
+        assert run_cli(["rigidity", preset]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[2] for r in rows] == ["1", "1", "1"]
+
+
 class TestLedgerCommands:
     def test_simulate_columns_and_roundtrip(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -247,6 +300,16 @@ class TestLedgerCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[-1].startswith("1,0")
         assert len(lines) == 3  # header, k=0, terminal k=1
+
+
+    def test_roundoff_eigenvalues_die_at_the_first_step(self, capsys):
+        # k6 has rank one: every nontrivial eigenvalue is exactly 0 and
+        # computes as roundoff near 1e-17, so E_1 = 0 and the ledger ends there
+        assert run_cli(["simulate", "k6", "--steps", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[0][2] == "0"
+        assert rows[1] == ["1", "0"] + [""] * 11
+        assert len(rows) == 2
 
 
 class TestPowerCommand:
@@ -544,6 +607,29 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        (["power", "barbell-metastable", "--max-iter", "0"], "InvalidArguments"),
+        (["power", "barbell-metastable", "--epsilon", "-1"], "InvalidArguments"),
+        (["power", "barbell-metastable", "--tau", "2"], "InvalidArguments"),
+        (["fpt", "barbell-metastable", "--kmax", "-1"], "InvalidArguments"),
+        (["fpt", "barbell-metastable", "--start", "bogus"], "ConfigError"),
+        (["fpt", "barbell-metastable", "--start", "file:no-such-start.csv"], "IoError"),
+        (["fpt", "barbell-metastable", "--target", "6"], "InvalidState"),
+    ])
+    def test_bad_arguments_are_refused_before_any_eigensolve(self, argv, error,
+                                                             monkeypatch, capsys):
+        def refuse(*args, **kw):
+            raise AssertionError("an O(n^3) eigensolve ran before the argument checks")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert run_cli(argv) in (2, 3, 4)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestIoHelpers:
     def test_float_formatting_roundtrip(self):
