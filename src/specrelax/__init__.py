@@ -2,93 +2,46 @@
 
 Builds and validates reversible kernels, evolves relaxation trajectories in
 log-domain spectral coordinates, and exposes the exact finite-time machinery
-that follows: per-step dissipation identities, rigidity times with two-sided
-bounds, an entropy ledger with its balance law and second-law functional,
-observable power-iteration stopping rules, Chebyshev suppression plans, and
-first-passage tail expansions for absorbing chains.
+that follows: the entropy ledger and its identities, rigidity times with
+their closed-form bound, an observable power-iteration stopping rule,
+Chebyshev suppression plans, and first-passage tail expansions for absorbing
+chains.
+
+The names below are exported lazily (PEP 562): `import specrelax` loads no
+submodule, and `specrelax.X` imports the one module that defines X on first
+use, so each command pays only for the modules it runs.
 """
 
-from .accel import (
-    AccelPlan,
-    accelerated_profile_step,
-    accelerated_rigidity_bound,
-    accelerated_spectrum,
-    build_Qm,
-    chebyshev_T,
-    minimax_verify,
-    momentum_beta_star,
-    momentum_roots,
-)
-from .chains import (
-    HypercubeProfile,
-    ReversibleChain,
-    SpectralDecomposition,
-    Tolerances,
-    barbell_chain,
-    build_chain,
-    chain_from_spectrum,
-    chain_spectrum,
-    complete_graph,
-    cycle_graph,
-    dirichlet_form,
-    hypercube_profile,
-    lazy_transform,
-    pi_inner,
-    spectral_decomposition,
-)
-from .first_passage import (
-    AbsorbingModel,
-    absorb,
-    exponential_tail_bound,
-    fpt_tail,
-    quasistationary_start,
-    restricted_stationary_start,
-    tail_coefficients,
-    uniform_start,
-)
-from .power_iter import (
-    StoppingState,
-    adaptive_stop,
-    alpha_bounds_from_variance,
-    eigenvector_error,
-    error_identity,
-    gamma,
-    observable_variance,
-    power_steps,
-)
-from .rigidity import (
-    RigidityReport,
-    RigidityVerdict,
-    closure_bound,
-    detect_rigid,
-    rigidity_bound_L,
-    rigidity_time,
-    slow_fraction,
-)
-from .thermo import (
-    G_step,
-    canonical_covariance,
-    clausius_check,
-    entropy_balance,
-    entropy_decomposition,
-    fdt_check,
-    general_threshold,
-    spectral_entropy,
-    two_mode_transition,
-)
-from .trajectory import (
-    LedgerBlock,
-    ModalLedger,
-    SpectralProfile,
-    dissipation_step,
-    hypercube_trajectory,
-    ledger_at,
-    ledger_block,
-    ledger_blocks,
-    matrix_oracle_step,
-    profile_from_weights,
-    project_initial,
-    transport_residual,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "accel": ("AccelPlan", "accelerated_spectrum", "build_Qm", "chebyshev_T"),
+    "chains": ("HypercubeProfile", "ReversibleChain", "SpectralDecomposition", "Tolerances",
+               "barbell_chain", "build_chain", "chain_spectrum", "complete_graph",
+               "cycle_graph", "hypercube_profile", "pi_inner", "spectral_decomposition"),
+    "first_passage": ("AbsorbingModel", "absorb", "exponential_tail_bound",
+                      "quasistationary_start", "restricted_stationary_start",
+                      "spectral_tails", "tail_coefficients", "tail_curve", "uniform_start"),
+    "power_iter": ("StoppingState", "eigenvector_error", "power_steps"),
+    "rigidity": ("RigidityReport", "rigidity_bound_L", "rigidity_time"),
+    "thermo": ("canonical_covariance",),
+    "trajectory": ("LedgerBlock", "SpectralProfile", "hypercube_trajectory",
+                   "ledger_block", "ledger_blocks", "profile_from_weights", "project_initial"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

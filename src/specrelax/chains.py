@@ -9,7 +9,7 @@ eigenvectors are orthonormal in the weighted inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,13 +18,10 @@ from .errors import (
     DimensionMismatch,
     EigensolveFailure,
     InvalidArguments,
-    InvalidLaziness,
     InvalidSize,
-    NonRealizable,
     NotReversible,
     Reducible,
     RowSumError,
-    SpecRelaxError,
 )
 
 
@@ -339,26 +336,6 @@ def pi_inner(chain: ReversibleChain, f, g) -> float:
     return float(np.sum(f * g * chain.pi))
 
 
-def dirichlet_form(chain: ReversibleChain, f, agreement_tol: float = 1e-12) -> float:
-    """Quadratic dissipation form of f.
-
-    Evaluated both as the half-sum over edges of pi(x)P(x,y)(f(x)-f(y))^2 and
-    as <f, (I-P)f>; the two must agree to within `agreement_tol` relative.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (chain.n,):
-        raise DimensionMismatch(f"expected vector of length {chain.n}")
-    diff = f[:, None] - f[None, :]
-    edge_sum = 0.5 * float(np.sum(chain.pi[:, None] * chain.kernel * diff * diff))
-    operator_form = pi_inner(chain, f, f - chain.kernel @ f)
-    scale = max(abs(edge_sum), abs(operator_form), 1e-300)
-    if abs(edge_sum - operator_form) > agreement_tol * max(scale, 1.0):
-        raise SpecRelaxError(
-            f"dirichlet form mismatch: {edge_sum!r} vs {operator_form!r}"
-        )
-    return edge_sum
-
-
 # --- chain zoo ---
 
 def complete_graph(n: int) -> ReversibleChain:
@@ -379,14 +356,6 @@ def cycle_graph(n: int) -> ReversibleChain:
     return build_chain(P)
 
 
-def lazy_transform(chain: ReversibleChain, a: float) -> ReversibleChain:
-    """Mix the kernel with the identity: (1-a) I + a P.  Same stationary law."""
-    if not (0.0 < a <= 1.0):
-        raise InvalidLaziness(f"laziness must lie in (0, 1], got {a!r}")
-    P = (1.0 - a) * np.eye(chain.n) + a * chain.kernel
-    return build_chain(P)
-
-
 def barbell_chain(clique_size: int = 3, bridge_weight: float = 0.1) -> ReversibleChain:
     """Two weighted cliques joined by a weak bridge edge; metastable by design."""
     if clique_size < 2:
@@ -400,50 +369,6 @@ def barbell_chain(clique_size: int = 3, bridge_weight: float = 0.1) -> Reversibl
     W[m - 1, m] = W[m, m - 1] = bridge_weight
     P = W / W.sum(axis=1, keepdims=True)
     return build_chain(P)
-
-
-def _orthogonal_with_uniform_column(n: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((n, n))
-    A[:, 0] = 1.0 / math.sqrt(n)
-    Q, _ = np.linalg.qr(A)
-    if Q[0, 0] < 0:
-        Q = -Q
-    return Q
-
-
-def chain_from_spectrum(eigenvalues,
-                        max_resample: int = 1000,
-                        seed: int = 0) -> ReversibleChain:
-    """Realize a prescribed spectrum as a uniform-stationary reversible kernel.
-
-    Conjugates diag(eigenvalues) by random orthogonal bases whose first column
-    is the uniform vector, resampling until all kernel entries are nonnegative.
-    Not every spectrum is realizable this way; NonRealizable reports the
-    attempt count when the budget runs out.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise InvalidArguments("need at least two eigenvalues")
-    if abs(lam[0] - 1.0) > 1e-12:
-        raise InvalidArguments("first eigenvalue must be 1")
-    if np.any(np.abs(lam) > 1.0 + 1e-12):
-        raise InvalidArguments("eigenvalues must lie in [-1, 1]")
-    if np.all(lam[1:] >= 1.0 - 1e-12):
-        raise InvalidArguments("at least one eigenvalue must be below 1")
-    n = lam.size
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, max_resample + 1):
-        Q = _orthogonal_with_uniform_column(n, rng)
-        P = (Q * lam) @ Q.T
-        if P.min() >= 0.0:
-            # clean up roundoff asymmetry before validation
-            P = 0.5 * (P + P.T)
-            P /= P.sum(axis=1, keepdims=True)
-            return build_chain(P)
-    raise NonRealizable(
-        f"no nonnegative kernel found for the requested spectrum "
-        f"after {max_resample} attempts", attempts=max_resample,
-    )
 
 
 def hypercube_profile(n: int) -> HypercubeProfile:

@@ -19,44 +19,17 @@ import sys
 
 import numpy as np
 
-from . import accel as accel_mod
-from . import power_iter as power_mod
-from . import thermo as thermo_mod
-from .chains import (
-    ReversibleChain,
-    Tolerances,
-    chain_spectrum,
-    hypercube_profile,
-    spectral_decomposition,
-)
-from .errors import (
-    ConfigError,
-    InvalidArguments,
-    IoError,
-    SpecRelaxError,
-    TauCollapse,
-)
-from .first_passage import (
-    absorb,
-    exponential_tail_bound,
-    quasistationary_start,
-    restricted_stationary_start,
-    spectral_tails,
-    tail_coefficients,
-    tail_curve,
-    uniform_start,
-)
+# The modules that parsing and input resolution load anyway are imported here.
+# Each command imports the others it runs in its own body, so a call loads and
+# compiles no module that it does not use.
+from .chains import (ReversibleChain, Tolerances, chain_spectrum, hypercube_profile,
+                     spectral_decomposition)
+from .errors import (ConfigError, InvalidArguments, InvalidSize, IoError, SpecRelaxError,
+                     TauCollapse)
 from .io import dump_json, load_input_file, write_csv
 from .presets import PRESET_HELP, resolve_preset
-from .rigidity import _bound_for_split, rigidity_time, split_slow_fast
-from .trajectory import (
-    SpectralProfile,
-    hypercube_trajectory,
-    ledger_block,
-    ledger_blocks,
-    profile_from_weights,
-    project_initial,
-)
+from .trajectory import (SpectralProfile, hypercube_trajectory, ledger_block, ledger_blocks,
+                         profile_from_weights, project_initial)
 
 LEDGER_COLUMNS = ["k", "E", "rho", "d", "alpha2", "S_spec", "Cov", "KL",
                   "G", "A", "B", "Gamma", "Vhat"]
@@ -252,6 +225,8 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
 # --- commands ---------------------------------------------------------------
 
 def _profile_summary(profile: SpectralProfile) -> dict:
+    from .rigidity import _bound_for_split, split_slow_fast
+
     split = split_slow_fast(profile)
     return {
         "n_modes": profile.n_modes,
@@ -269,6 +244,9 @@ def _profile_summary(profile: SpectralProfile) -> dict:
 def _cmd_analyze(args: argparse.Namespace):
     obj = resolve_input(args)
     if isinstance(obj, ReversibleChain):
+        if obj.n < 2:
+            raise InvalidSize("analyze needs at least two states: a one-state chain "
+                              "has no nontrivial eigenvalue")
         lam = chain_spectrum(obj, args.tol)
         # weightless summary: every nontrivial mode carries unit weight
         profile = profile_from_weights(np.clip(lam[1:], None, 1.0 - 1e-15),
@@ -293,6 +271,10 @@ def _cmd_analyze(args: argparse.Namespace):
 
 def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
     """Per-step ledger rows in the canonical column order."""
+    from . import thermo as thermo_mod
+    from .power_iter import gamma_vhat
+    from .rigidity import split_slow_fast
+
     if not np.any(profile.lambdas):
         # every mode dies at k = 1: the step identities need a live step k + 1
         block = ledger_block(profile, [0])
@@ -310,7 +292,7 @@ def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
         rho = here.rho
         columns = [here.ks, E, rho, 1.0 - rho, here.p[:, slow], S,
                    thermo_mod.covariance_rows(here, slow)[0], thermo_mod.kl_rows(block),
-                   G, A, B, *power_mod.gamma_vhat(rho, block.rho[1:])]
+                   G, A, B, *gamma_vhat(rho, block.rho[1:])]
         rows.extend(map(list, zip(*(c.tolist() for c in columns))))
     return rows
 
@@ -321,12 +303,14 @@ def _cmd_simulate(args: argparse.Namespace):
 
 
 def _cmd_thermo(args: argparse.Namespace):
+    from .thermo import canonical_covariance
+
     profile = _as_profile(resolve_input(args), args)
     rows = full_ledger_rows(profile, args.steps)
     if args.fluxes_at:
         fluxes = {}
         for k in _number_list(args.fluxes_at, "fluxes-at", int):
-            forms = thermo_mod.canonical_covariance(profile, k)
+            forms = canonical_covariance(profile, k)
             fluxes[str(k)] = {
                 "cov": forms.cov,
                 "fluxes": list(forms.fluxes),
@@ -345,6 +329,8 @@ def _number_list(text, what, kind=float):
 
 
 def _cmd_rigidity(args: argparse.Namespace):
+    from .rigidity import rigidity_time
+
     profile = _as_profile(resolve_input(args), args)
     rows = []
     for d in _number_list(args.delta, "delta"):
@@ -355,6 +341,8 @@ def _cmd_rigidity(args: argparse.Namespace):
 
 
 def _cmd_power(args: argparse.Namespace):
+    from . import power_iter as power_mod
+
     chain = _require_chain(resolve_input(args), "power")
     if args.max_iter < 1:
         raise InvalidArguments("max_iter must be >= 1")
@@ -390,6 +378,9 @@ def _cmd_power(args: argparse.Namespace):
 
 
 def _cmd_accel(args: argparse.Namespace):
+    from . import accel as accel_mod
+    from .rigidity import split_slow_fast
+
     profile = _as_profile(resolve_input(args), args)
     m = args.degree
     split = split_slow_fast(profile)
@@ -427,6 +418,10 @@ def _slow_shares(profile: SpectralProfile, ks) -> list:
 
 
 def _cmd_fpt(args: argparse.Namespace):
+    from .first_passage import (absorb, exponential_tail_bound, quasistationary_start,
+                                restricted_stationary_start, spectral_tails,
+                                tail_coefficients, tail_curve, uniform_start)
+
     chain = _require_chain(resolve_input(args), "fpt")
     kmax, delta = args.kmax, args.delta
     if kmax < 0:
@@ -454,17 +449,18 @@ def _cmd_fpt(args: argparse.Namespace):
     spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(kmax + 1)))
     lam2 = float(lam[1])
     lam3 = float(np.max(np.abs(lam[2:]))) if chain.n > 2 else 0.0
-    nu2 = float(model.nu[0])
     a2 = float(alpha[0])
     init_ratio = (float(np.sum(np.abs(alpha[1:])) / abs(a2))
                   if abs(a2) > 0 else math.inf)
     rows = []
     for k in range(kmax + 1):
-        rel = abs(tails[k] / approx[k] - 1.0) if approx[k] != 0 else ""
-        bound = ""
-        if 0.0 < lam3 < lam2 and 0 < delta < 0.5 and abs(a2) > 0:
-            bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
-                                           nu2, a2, tails[k]).relative_error_bound
+        rel = bound = ""
+        # a one-mode tail of 0 (alpha_2 = 0, or nu_2^k underflowed) has no relative error
+        if approx[k] != 0:
+            rel = abs(tails[k] / approx[k] - 1.0)
+            if 0.0 < lam3 < lam2 and 0 < delta < 0.5:
+                bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
+                                               approx[k], tails[k]).relative_error_bound
         rows.append([k, tails[k], spectral[k], approx[k], rel, bound])
     _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 
@@ -479,11 +475,13 @@ def hypercube_window_step(n: int, alpha: float) -> int:
 
 
 def _cmd_hypercube(args: argparse.Namespace):
+    from .thermo import entropy_rows
+
     alphas = _number_list(args.alpha, "alpha")
     traj = hypercube_trajectory(hypercube_profile(args.n))
     block = ledger_block(traj, [hypercube_window_step(args.n, a) for a in alphas])
     # logE, not E: the energy leaves the double range from n ~ 1030 on
-    columns = [alphas, block.ks.tolist(), thermo_mod.entropy_rows(block.p).tolist(),
+    columns = [alphas, block.ks.tolist(), entropy_rows(block.p).tolist(),
                block.log_energy.tolist(), block.p[:, traj.slow_index()].tolist()]
     _emit(args, ["alpha", "k", "S_spec", "logE", "alpha2"], list(map(list, zip(*columns))))
 

@@ -35,18 +35,6 @@ class InvalidSize(SpecRelaxError):
     """State count outside the supported range."""
 
 
-class InvalidLaziness(SpecRelaxError):
-    """Laziness parameter outside (0, 1]."""
-
-
-class NonRealizable(SpecRelaxError):
-    """No nonnegative kernel with the requested spectrum was found."""
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
-
-
 # --- trajectories ---
 
 class ZeroProjection(SpecRelaxError):
@@ -67,30 +55,10 @@ class InvalidArguments(SpecRelaxError):
     """Arguments violate an operation precondition."""
 
 
-class TooShort(SpecRelaxError):
-    """Energy sequence too short for rigidity detection."""
-
-
-class PreconditionUnmet(SpecRelaxError):
-    """Step is below the rigidity time required by the bound."""
-
-
 # --- thermodynamics ---
-
-class NotADistribution(SpecRelaxError):
-    """Input is not a probability vector within tolerance."""
-
 
 class Degenerate(SpecRelaxError):
     """Slow and fast eigenvalues coincide; the quantity is undefined."""
-
-
-class NonConvergent(SpecRelaxError):
-    """Spectral entropy does not vanish (degenerate slow cluster)."""
-
-
-class DeadMode(SpecRelaxError):
-    """Requested mode has already dissipated completely."""
 
 
 # --- power iteration ---
@@ -101,14 +69,6 @@ class InvalidRho(SpecRelaxError):
 
 class OutOfRange(SpecRelaxError):
     """Scalar argument outside its admissible interval."""
-
-
-class StreamEnded(SpecRelaxError):
-    """The rho stream was exhausted before the stopping rule fired."""
-
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class TauCollapse(SpecRelaxError):
@@ -123,10 +83,6 @@ class TauCollapse(SpecRelaxError):
 
 class InvalidInterval(SpecRelaxError):
     """Suppression interval is empty or does not exclude the fixed point."""
-
-
-class SlowModeSuppressed(SpecRelaxError):
-    """The plan damps the slow mode at least as hard as the fast interval."""
 
 
 # --- first passage ---

@@ -9,7 +9,6 @@ eigenexpansion; the two must agree to near machine precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,25 +102,6 @@ def _validate_start(model: AbsorbingModel, start) -> np.ndarray:
     return start
 
 
-@dataclass(frozen=True)
-class TailValue:
-    k: int
-    spectral: float               # sum alpha_i nu_i^k
-    matrix: float                 # survival mass after k block applications
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "coefficients")
-
-
-def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:
-    """Probability the first passage to the target exceeds k steps."""
-    matrix = float(tail_curve(model, start, k)[-1])
-    alpha = tail_coefficients(model, start)
-    spectral = float(spectral_tails(model, alpha, [k])[0][0])
-    return TailValue(k=k, spectral=spectral, matrix=matrix, coefficients=alpha)
-
-
 def spectral_tails(model: AbsorbingModel, alpha, ks) -> tuple[np.ndarray, np.ndarray]:
     """The expansion sum_i alpha_i nu_i^k and its one-mode part alpha_2 nu_2^k
     at each k of `ks`.
@@ -160,26 +140,24 @@ class TailBound:
 
 
 def exponential_tail_bound(lambda2: float, lambda3: float, delta: float,
-                           init_ratio: float, k: int, nu2: float,
-                           alpha2_coef: float, tail_prob: float) -> TailBound:
+                           init_ratio: float, k: int, approx: float,
+                           tail_prob: float) -> TailBound:
     """Certified relative error of the single-mode exponential tail.
 
-    `tail_prob` is the exact survival probability at step k (from fpt_tail);
-    the bound uses the base-chain separation and the initial fast/slow weight
-    ratio.  The bound's constant comes from a proof sketch; callers should
-    treat violations as monitored findings.
+    `approx` is the one-mode tail alpha_2 nu_2^k and `tail_prob` the exact
+    survival probability, both at step k, as `spectral_tails` and
+    `tail_curve` give them; the bound uses the base-chain separation and the
+    initial fast/slow weight ratio.  The bound's constant comes from a proof
+    sketch; callers should treat violations as monitored findings.
     """
     lam3 = abs(lambda3)
     if not (0.0 < lam3 < lambda2 <= 1.0):
         raise Degenerate(f"need 0 < |lambda3| < lambda2, got {lambda2!r}, {lambda3!r}")
     if not (0.0 < delta < 0.5):
         raise InvalidArguments(f"delta must lie in (0, 1/2), got {delta!r}")
-    if nu2 <= 0 or alpha2_coef == 0:
-        raise InvalidArguments("need a positive dominant absorbed eigenvalue "
-                               "and a nonzero leading coefficient")
+    if approx == 0:
+        raise InvalidArguments("the one-mode tail is 0: its relative error is undefined")
     C = (1.0 - lam3 ** 2) / (lambda2 ** 2 - lam3 ** 2)
     bound = C * (delta + init_ratio * (lam3 / lambda2) ** (2 * k))
-    approx = alpha2_coef * nu2 ** k
-    actual = abs(tail_prob / approx - 1.0)
     return TailBound(k=k, relative_error_bound=float(bound),
-                     actual_relative_error=float(actual))
+                     actual_relative_error=float(abs(tail_prob / approx - 1.0)))

@@ -93,10 +93,6 @@ def load_chain_file(path: str, tol: Tolerances | None = None) -> ReversibleChain
     return build_chain(kernel, tol or DEFAULT_TOLERANCES)
 
 
-def load_profile_file(path: str) -> SpectralProfile:
-    return _profile_from(_read_json(path, "profile"), path)
-
-
 def _read_json(path: str, what: str):
     if not os.path.exists(path):
         raise IoError(f"{what} file not found: {path}")
@@ -123,8 +119,3 @@ def _profile_from(data, path: str) -> SpectralProfile:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed profile file {path}: {exc}") from exc
-
-
-def save_profile(profile: SpectralProfile, path: str):
-    dump_json({"eigenvalues": list(profile.lambdas),
-               "log_weights": list(profile.log_weights)}, path)

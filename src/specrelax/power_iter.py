@@ -35,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ReversibleChain, SpectralDecomposition, pi_inner
-from .errors import (
-    Degenerate,
-    InvalidArguments,
-    InvalidRho,
-    OutOfRange,
-    StreamEnded,
-    TauCollapse,
-    ZeroProjection,
-)
+from .errors import InvalidArguments, InvalidRho, TauCollapse, ZeroProjection
 
 RHO_SLACK = 1e-12         # tolerated backward drift of the rho sequence
 BURN_IN = 5               # steps before the online tau estimate is trusted
@@ -98,13 +90,6 @@ def eigenvector_error(chain: ReversibleChain, decomp: SpectralDecomposition,
     return pi_inner(chain, diff, diff)
 
 
-def error_identity(alpha2: float) -> float:
-    """Exact squared eigenvector error as a function of the slow fraction."""
-    if not (0.0 < alpha2 <= 1.0 + 1e-12):
-        raise OutOfRange(f"slow fraction must lie in (0, 1], got {alpha2!r}")
-    return 2.0 * (1.0 - math.sqrt(min(alpha2, 1.0)))
-
-
 def gamma_vhat(rho_k, rho_k1):
     """(Gamma_k, Vhat_k) = (rho_{k+1}/rho_k - 1, rho_k (rho_{k+1} - rho_k)), each
     floored at 0, elementwise: the one definition of both observables."""
@@ -120,36 +105,6 @@ def _check_rho_pair(rho_k: float, rho_k1: float) -> tuple[float, float]:
             f"rho decreased from {rho_k!r} to {rho_k1!r}: not a reversible trajectory")
     g, v = gamma_vhat(rho_k, rho_k1)
     return float(g), float(v)
-
-
-def observable_variance(rho_k: float, rho_k1: float) -> float:
-    """Modal variance of the squared eigenvalues, from two energy ratios."""
-    return _check_rho_pair(rho_k, rho_k1)[1]
-
-
-def gamma(rho_k: float, rho_k1: float) -> float:
-    """Dimensionless convergence indicator rho_{k+1}/rho_k - 1."""
-    return _check_rho_pair(rho_k, rho_k1)[0]
-
-
-@dataclass(frozen=True)
-class AlphaBounds:
-    """Observable bounds on the fast-energy share 1 - alpha_2."""
-
-    lower: float                  # vhat / lambda2^4 <= 1 - alpha2
-    upper: float                  # valid once alpha2 >= 1/2
-
-
-def alpha_bounds_from_variance(vhat: float, lambda2: float,
-                               lambda3: float) -> AlphaBounds:
-    """Sandwich the fast share between variance-derived bounds."""
-    lam3 = abs(lambda3)
-    if vhat < 0:
-        raise InvalidArguments("variance must be nonnegative")
-    if not (0.0 < lambda2 <= 1.0) or lam3 >= lambda2:
-        raise Degenerate(f"need |lambda3| < lambda2, got {lambda2!r}, {lambda3!r}")
-    gap_sq = (lambda2 ** 2 - lam3 ** 2) ** 2
-    return AlphaBounds(lower=vhat / lambda2 ** 4, upper=2.0 * vhat / gap_sq)
 
 
 @dataclass
@@ -179,6 +134,8 @@ class StoppingState:
             raise InvalidArguments(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         if self.tau is not None and not (0.0 < self.tau <= 1.0):
             raise InvalidArguments(f"tau must lie in (0, 1], got {self.tau!r}")
+        if self.k_min < 0:
+            raise InvalidArguments(f"k_min must be nonnegative, got {self.k_min!r}")
 
     def eta(self) -> float | None:
         t = self.tau_effective
@@ -248,24 +205,3 @@ class StoppingState:
             self.verdict = "unresolvable"
         else:
             self.verdict, self.stopped_at = "stopped", k
-
-
-def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
-                  k_min: int = 3) -> StoppingState:
-    """Fold a rho sequence through the stopping rule.
-
-    Returns the state at the stop step; raises StreamEnded if the stream is
-    exhausted first or the rule finds eta below GAMMA_FLOOR (verdict
-    "unresolvable"), and TauCollapse if the online separation estimate
-    degenerates.  Both exceptions carry the partial state.
-    """
-    state = StoppingState(epsilon=epsilon, tau=tau, k_min=k_min)
-    for value in rho_stream:
-        state.update(value)
-        if state.verdict == "stopped":
-            return state
-        if state.verdict != "running":
-            break
-    raise StreamEnded(
-        f"no certified stop after {state.steps} values (verdict {state.verdict})",
-        state=state)

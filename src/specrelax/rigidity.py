@@ -1,4 +1,4 @@
-"""Slow-mode fraction, rigidity times, and the closed-form crossing bound.
+"""The slow/fast split, rigidity times, and the closed-form crossing bound.
 
 Conventions, chosen once and used consistently:
 
@@ -22,9 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (DeadTrajectory, InvalidArguments, NoSlowMode, PreconditionUnmet,
-                     TooShort)
-from .trajectory import SpectralProfile, ledger_at, ledger_block
+from .errors import InvalidArguments, NoSlowMode
+from .trajectory import SpectralProfile, ledger_block
 
 DEGENERACY_TOL = 1e-12      # ties, relative to |lambda_slow| (see split_slow_fast)
 DEFAULT_CAP = 1_000_000
@@ -102,15 +101,6 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         degenerate=bool(fabs >= lam_slow - tol),
         tie_tol=tol,
     )
-
-
-def slow_fraction(profile: SpectralProfile, k: int) -> float:
-    """Share of the step-k energy carried by the largest-eigenvalue mode."""
-    split = split_slow_fast(profile)
-    led = ledger_at(profile, k)
-    if led.terminal:
-        raise DeadTrajectory(f"energy is zero at step {k}")
-    return float(led.p[split.slow_index])
 
 
 def rigidity_bound_L(lambda2: float, lambda3: float, c2_sq: float,
@@ -241,64 +231,3 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     if not before > delta:
         raise RuntimeError("search invariant violated: previous step already rigid")
     return report(reached=True, t_rigid=hi)
-
-
-@dataclass(frozen=True)
-class RigidityVerdict:
-    rigid: bool                    # constant dissipation fraction from the start
-    rigid_from: int | None         # first step after which the fraction is constant
-    rho: float | None
-    eta: float | None
-    witness: tuple[int, float, float] | None  # (k, d_k, d_{k+1}) of the first violation
-
-
-def detect_rigid(energies, tol: float = 1e-10) -> RigidityVerdict:
-    """Check whether an energy sequence decays by a constant fraction each step."""
-    E = np.asarray(energies, dtype=float)
-    if E.size < 3:
-        raise TooShort("need at least E_0..E_2 to compare two dissipation fractions")
-    if np.any(E <= 0):
-        raise InvalidArguments("energies must be positive")
-    d = 1.0 - E[1:] / E[:-1]
-    diffs = np.abs(np.diff(d))
-    bad = np.where(diffs > tol)[0]
-    if bad.size == 0:
-        return RigidityVerdict(True, 0, float(np.sqrt(E[1] / E[0])), float(d[0]), None)
-    witness = (int(bad[0]), float(d[bad[0]]), float(d[bad[0] + 1]))
-    j = int(bad[-1]) + 1
-    if j <= d.size - 2:  # the constant suffix must contain at least two fractions
-        return RigidityVerdict(False, j, float(np.sqrt(E[j + 1] / E[j])),
-                               float(d[j]), witness)
-    return RigidityVerdict(False, None, None, None, witness)
-
-
-@dataclass(frozen=True)
-class ClosureBound:
-    k: int
-    bound: float
-    actual: float
-
-
-def closure_bound(profile: SpectralProfile, delta: float, k: int,
-                  cap: int | None = None) -> ClosureBound:
-    """Bound on |d_k - (1 - lambda2^2)| valid past the rigidity time."""
-    split = split_slow_fast(profile)
-    if split.fast_weight > 0 and (split.degenerate or split.slow_lambda <= 0.0):
-        raise InvalidArguments("closure bound requires strict slow/fast separation")
-    report = rigidity_time(profile, delta, cap=cap)
-    if not report.reached or k < report.t_rigid:
-        raise PreconditionUnmet(
-            f"step {k} is below the rigidity time for delta={delta!r}")
-    led = ledger_at(profile, k)
-    if led.terminal:
-        raise DeadTrajectory(f"energy is zero at step {k}")
-    lam2 = split.slow_lambda
-    actual = abs(led.d - (1.0 - lam2 ** 2))
-    if split.fast_weight == 0:
-        return ClosureBound(k=k, bound=0.0, actual=float(actual))
-    lam3 = split.fast_abs_lambda
-    worst_fast_rate = 1.0 - split.min_fast_lambda_sq
-    # the tail (R0/c2)(lam3/lam2)^(2k) in logs: R0/c2 alone may leave the doubles
-    log_tail = split.log_init_ratio + 2 * k * math.log(lam3 / lam2) if lam3 else -math.inf
-    bound = (1.0 - lam3 ** 2) * delta + worst_fast_rate * math.exp(min(log_tail, 709.0))
-    return ClosureBound(k=k, bound=float(bound), actual=float(actual))

@@ -8,8 +8,8 @@ underflow.  Modes with lambda = 0 die at k = 1 and are masked, never logged
 as ln 0.
 
 One engine, `ledger_block`, evaluates the ledger at many steps at once as a
-(steps x modes) block; `ledger_at` and the other per-step functions are its
-one-row views, and `ledger_blocks` feeds long scans in bounded memory.
+(steps x modes) block, and `ledger_blocks` feeds long scans in bounded
+memory.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (DEFAULT_TOLERANCES, HypercubeProfile, ReversibleChain,
-                     SpectralDecomposition, Tolerances, _freeze, pi_inner)
-from .errors import DeadTrajectory, DimensionMismatch, InvalidArguments, ZeroProjection
+                     SpectralDecomposition, Tolerances, pi_inner)
+from .errors import DimensionMismatch, InvalidArguments, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
 LEDGER_BLOCK_ELEMENTS = 1 << 18  # entries per (steps x modes) block: 2 MB a float array
@@ -68,26 +68,6 @@ class SpectralProfile:
 
 
 @dataclass(frozen=True)
-class ModalLedger:
-    """Per-step record of modal energies, their distribution, and decay rate."""
-
-    k: int
-    log_modal_energies: np.ndarray  # -inf marks dead modes
-    log_energy: float
-    p: np.ndarray
-    rho: float
-    d: float
-    terminal: bool = False
-
-    def __post_init__(self):
-        _freeze(self, "log_modal_energies", "p")
-
-    @property
-    def energy(self) -> float:
-        return float(np.exp(self.log_energy))
-
-
-@dataclass(frozen=True)
 class LedgerBlock:
     """Ledgers of one profile at a run of steps, one row per step.
 
@@ -115,12 +95,6 @@ class LedgerBlock:
         """ln p per mode, 0 where the mode is dead (the 0 ln 0 = 0 convention)."""
         log_E = np.where(self.terminal, 0.0, self.log_energy)
         return np.where(np.isfinite(self.log_n), self.log_n - log_E[:, None], 0.0)
-
-    def row(self, i: int) -> ModalLedger:
-        rho = float(self.rho[i])
-        return ModalLedger(k=int(self.ks[i]), log_modal_energies=self.log_n[i],
-                           log_energy=float(self.log_energy[i]), p=self.p[i],
-                           rho=rho, d=1.0 - rho, terminal=bool(self.terminal[i]))
 
 
 def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
@@ -223,57 +197,3 @@ def ledger_blocks(profile: SpectralProfile, ks,
         if stop >= len(ks):
             return
         rows, start = min(2 * rows, longest), stop - 1 if pairs else stop
-
-
-def ledger_at(profile: SpectralProfile, k: int) -> ModalLedger:
-    """Modal ledger at step k: the one-row view of `ledger_block`.
-
-    When every mode has died (all eigenvalues zero and k >= 1) the energy is
-    exactly zero; a distinguished terminal ledger is returned rather than NaN.
-    """
-    return ledger_block(profile, [k]).row(0)
-
-
-@dataclass(frozen=True)
-class DissipationStep:
-    """One-step energy drop and its exact per-mode decomposition."""
-
-    k: int
-    delta_E: float
-    modewise_terms: np.ndarray
-    relative: float  # fraction of energy dissipated at step k
-
-    def __post_init__(self):
-        _freeze(self, "modewise_terms")
-
-
-def dissipation_step(profile: SpectralProfile, k: int) -> DissipationStep:
-    """Energy dissipated between steps k and k+1, modewise and in total."""
-    led = ledger_at(profile, k)
-    if led.terminal:
-        raise DeadTrajectory(f"energy is zero at step {k}")
-    terms = (1.0 - profile.lambdas ** 2) * np.exp(led.log_modal_energies)  # dead: exp(-inf) = 0
-    return DissipationStep(
-        k=k,
-        delta_E=float(led.energy * led.d),
-        modewise_terms=terms,
-        relative=float(led.d),
-    )
-
-
-def matrix_oracle_step(chain: ReversibleChain, g) -> np.ndarray:
-    """One dense kernel application; the brute-force cross-validation path."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (chain.n,):
-        raise DimensionMismatch(f"expected vector of length {chain.n}")
-    return chain.kernel @ g
-
-
-def transport_residual(profile: SpectralProfile, k: int) -> float:
-    """Max deviation of p(k+1) from the one-step occupation transport law."""
-    block = ledger_block(profile, [k, k + 1])
-    led, led_next = block.row(0), block.row(1)
-    if led.terminal or led_next.terminal:
-        raise DeadTrajectory(f"trajectory dead near step {k}")
-    predicted = led.p + led.p * (profile.lambdas ** 2 - led.rho) / led.rho
-    return float(np.max(np.abs(led_next.p - predicted)))

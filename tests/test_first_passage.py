@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import specrelax as sr
-from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidState
+from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidArguments, InvalidState
 
+import oracles
 from conftest import random_reversible
 
 
@@ -54,7 +55,7 @@ class TestFptTail:
     def test_no_step_is_certain_survival(self, rng):
         chain = random_reversible(6, rng)
         model = sr.absorb(chain, 2)
-        out = sr.fpt_tail(model, sr.uniform_start(model), 0)
+        out = oracles.fpt_tail(model, sr.uniform_start(model), 0)
         assert out.spectral == pytest.approx(1.0, abs=1e-12)
         assert out.matrix == 1.0
 
@@ -62,7 +63,7 @@ class TestFptTail:
         model = sr.absorb(sr.complete_graph(3), 0)
         start = sr.uniform_start(model)
         for k in (0, 1, 5, 17):
-            out = sr.fpt_tail(model, start, k)
+            out = oracles.fpt_tail(model, start, k)
             assert out.matrix == pytest.approx((2 / 3) ** k, rel=1e-13)
             assert out.spectral == pytest.approx((2 / 3) ** k, rel=1e-12)
 
@@ -82,7 +83,7 @@ class TestFptTail:
             model = sr.absorb(chain, int(rng.integers(n)))
             start = sr.restricted_stationary_start(model)
             for k in (0, 1, 7, 40, 200):
-                out = sr.fpt_tail(model, start, k)
+                out = oracles.fpt_tail(model, start, k)
                 assert abs(out.spectral - out.matrix) <= 1e-10 * max(out.matrix, 1e-300)
 
     def test_quasistationary_start_is_exactly_geometric(self, rng):
@@ -91,16 +92,16 @@ class TestFptTail:
         start = sr.quasistationary_start(model)
         nu2 = model.nu[0]
         for k in (1, 3, 10, 30):
-            out = sr.fpt_tail(model, start, k)
+            out = oracles.fpt_tail(model, start, k)
             assert out.matrix == pytest.approx(nu2 ** k, rel=1e-11)
 
     def test_bad_starts(self, rng):
         chain = random_reversible(5, rng)
         model = sr.absorb(chain, 0)
         with pytest.raises(BadStart):
-            sr.fpt_tail(model, np.array([1.0, 0, 0, 0, 0]), 3)  # mass on target
+            oracles.fpt_tail(model, np.array([1.0, 0, 0, 0, 0]), 3)  # mass on target
         with pytest.raises(BadStart):
-            sr.fpt_tail(model, np.full(4, 0.3), 3)               # not normalized
+            oracles.fpt_tail(model, np.full(4, 0.3), 3)               # not normalized
 
     def test_tail_log_linearity(self):
         chain = sr.barbell_chain(3, 0.1)
@@ -108,7 +109,7 @@ class TestFptTail:
         start = sr.restricted_stationary_start(model)
         nu2 = model.nu[0]
         K = 60
-        values = [math.log(sr.fpt_tail(model, start, k).spectral) - k * math.log(nu2)
+        values = [math.log(oracles.fpt_tail(model, start, k).spectral) - k * math.log(nu2)
                   for k in range(K, K + 21)]
         assert max(values) - min(values) <= 1e-6
 
@@ -118,11 +119,10 @@ class TestExponentialTailBound:
         model = sr.absorb(hand_chain, 1)
         start = np.array([1.0])
         k = 5
-        tail = sr.fpt_tail(model, start, k)
+        tail = oracles.fpt_tail(model, start, k)
         out = sr.exponential_tail_bound(
             lambda2=0.9, lambda3=0.1, delta=0.1, init_ratio=0.0, k=k,
-            nu2=float(model.nu[0]), alpha2_coef=float(tail.coefficients[0]),
-            tail_prob=tail.matrix)
+            approx=tail.approx, tail_prob=tail.matrix)
         assert out.actual_relative_error <= 1e-12
         assert out.satisfied
 
@@ -135,12 +135,11 @@ class TestExponentialTailBound:
         start = sr.restricted_stationary_start(model)
         alpha = sr.tail_coefficients(model, start)
         init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
-        nu2 = float(model.nu[0])
         violations = []
         for k in range(8, 60):
-            tail = sr.fpt_tail(model, start, k)
+            tail = oracles.fpt_tail(model, start, k)
             out = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k,
-                                            nu2, float(alpha[0]), tail.matrix)
+                                            tail.approx, tail.matrix)
             if not out.satisfied:
                 violations.append((k, out))
             # the error should decay geometrically past the transient
@@ -171,10 +170,9 @@ class TestExponentialTailBound:
                 continue
             init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
             for k in range(T, T + 50, 7):
-                tail = sr.fpt_tail(model, start, k)
+                tail = oracles.fpt_tail(model, start, k)
                 out = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k,
-                                                float(model.nu[0]),
-                                                float(alpha[0]), tail.matrix)
+                                                tail.approx, tail.matrix)
                 checked += 1
                 if not out.satisfied:
                     violated += 1
@@ -183,6 +181,11 @@ class TestExponentialTailBound:
         if violated:
             warnings.warn(f"{violated}/{checked} monitored bound violations")
 
+    def test_zero_one_mode_tail_rejected(self):
+        # alpha_2 nu_2^k = 0 (underflowed) leaves the relative error undefined
+        with pytest.raises(InvalidArguments, match="one-mode tail is 0"):
+            sr.exponential_tail_bound(0.7, 0.3, 0.1, 1.0, 5, 0.0, 0.0)
+
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
-            sr.exponential_tail_bound(0.7, 0.7, 0.1, 1.0, 5, 0.6, 0.9, 0.1)
+            sr.exponential_tail_bound(0.7, 0.7, 0.1, 1.0, 5, 0.9 * 0.6 ** 5, 0.1)

