@@ -3,10 +3,10 @@
 Per-step views of the ledger engine, closed-form checks of the entropy,
 power-iteration, rigidity and acceleration identities, the chain
 constructions the tests draw from, and the error types only these raise.
-Each is written over the package's block functions (`ledger_block`,
+Where the package has a block function for a value (`ledger_block`,
 `covariance_rows`, `G_rows`, `release_rows`, `kl_rows`, `_check_rho_pair`,
-`spectral_tails`), so a test that compares a per-step value with a CLI
-column compares two readings of one computation.
+`spectral_tails`), the oracle reads it from there, so a test that compares
+a per-step value with a CLI column compares two readings of one computation.
 """
 
 from __future__ import annotations
