@@ -70,11 +70,6 @@ class SpectralDecomposition:
     def __post_init__(self):
         _freeze(self, "eigenvalues", "eigenvectors")
 
-    @property
-    def relaxation_spectrum(self) -> np.ndarray:
-        """Per-mode dissipation rates 1 - lambda_i, ascending from 0."""
-        return 1.0 - self.eigenvalues
-
 
 @dataclass(frozen=True)
 class HypercubeProfile:

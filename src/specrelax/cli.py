@@ -24,8 +24,7 @@ import numpy as np
 # compiles no module that it does not use.
 from .chains import (ReversibleChain, Tolerances, chain_spectrum, hypercube_profile,
                      spectral_decomposition)
-from .errors import (ConfigError, InvalidArguments, InvalidSize, IoError, SpecRelaxError,
-                     TauCollapse)
+from .errors import ConfigError, InvalidArguments, InvalidSize, IoError, SpecRelaxError
 from .io import dump_json, load_input_file, write_csv
 from .presets import PRESET_HELP, resolve_preset
 from .trajectory import (SpectralProfile, hypercube_trajectory, ledger_block, ledger_blocks,
@@ -348,7 +347,6 @@ def _cmd_power(args: argparse.Namespace):
         raise InvalidArguments("max_iter must be >= 1")
     state = power_mod.StoppingState(epsilon=args.epsilon, tau=args.tau, k_min=args.kmin)
     dec = spectral_decomposition(chain, args.tol)   # after every argument check: O(n^3)
-    verdict = {"verdict": "stream-ended", "stopped_at": None}
     rows = []
     steps = itertools.islice(power_mod.power_steps(chain, _start(chain, args)), args.max_iter)
     # row k needs rho_{k+1}: the last step, paired with None, gets a row only
@@ -359,22 +357,20 @@ def _cmd_power(args: argparse.Namespace):
             break
         pair = None
         if nxt is not None and nxt[1] > 0.0:
-            try:
-                if k == 0:
-                    state.update(rho)     # the first rho opens the fold
-                pair = state.update(nxt[1])
-            except TauCollapse as exc:    # the stream runs on with blank Gamma/Vhat
-                pair = state.gamma, state.vhat
-                verdict = {"verdict": "tau-collapse", "stopped_at": None,
-                           "detail": " ".join(str(exc).split())}
+            if k == 0:
+                state.update(rho)         # the first rho opens the fold
+            pair = state.update(nxt[1])   # None once settled: blank Gamma/Vhat
         rows.append([k, math.exp(log_E), rho, *(pair or ("", "")), state.tau_effective,
                      math.sqrt(power_mod.eigenvector_error(chain, dec, v))])
         if state.verdict == "stopped":
             break
-    if state.verdict in ("stopped", "unresolvable"):
-        verdict = {"verdict": state.verdict, "stopped_at": state.stopped_at}
     _emit(args, ["k", "E", "rho", "Gamma", "Vhat", "tauhat", "true_error"], rows)
-    dump_json(dict(verdict, epsilon=args.epsilon, eta=state.eta(), tau=state.tau_effective))
+    verdict = {"verdict": "stream-ended" if state.verdict == "running" else state.verdict,
+               "stopped_at": state.stopped_at, "epsilon": args.epsilon, "eta": state.eta(),
+               "tau": state.tau_effective}
+    if state.detail is not None:
+        verdict["detail"] = state.detail
+    dump_json(verdict)
 
 
 def _cmd_accel(args: argparse.Namespace):
@@ -452,15 +448,16 @@ def _cmd_fpt(args: argparse.Namespace):
     a2 = float(alpha[0])
     init_ratio = (float(np.sum(np.abs(alpha[1:])) / abs(a2))
                   if abs(a2) > 0 else math.inf)
+    tiny = np.finfo(float).tiny
     rows = []
     for k in range(kmax + 1):
         rel = bound = ""
-        # a one-mode tail of 0 (alpha_2 = 0, or nu_2^k underflowed) has no relative error
-        if approx[k] != 0:
+        # below DBL_MIN a tail is quantized in steps of 4.9e-324 (and 0 once it
+        # underflows, or when alpha_2 = 0): a ratio there measures the grid
+        if tails[k] >= tiny and abs(approx[k]) >= tiny:
             rel = abs(tails[k] / approx[k] - 1.0)
             if 0.0 < lam3 < lam2 and 0 < delta < 0.5:
-                bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k,
-                                               approx[k], tails[k]).relative_error_bound
+                bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k)
         rows.append([k, tails[k], spectral[k], approx[k], rel, bound])
     _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 

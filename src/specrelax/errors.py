@@ -71,14 +71,6 @@ class OutOfRange(SpecRelaxError):
     """Scalar argument outside its admissible interval."""
 
 
-class TauCollapse(SpecRelaxError):
-    """Online separation estimate fell below the floor."""
-
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 # --- acceleration ---
 
 class InvalidInterval(SpecRelaxError):

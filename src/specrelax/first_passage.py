@@ -128,36 +128,19 @@ def tail_curve(model: AbsorbingModel, start, k_max: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TailBound:
-    k: int
-    relative_error_bound: float
-    actual_relative_error: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.actual_relative_error <= self.relative_error_bound
-
-
 def exponential_tail_bound(lambda2: float, lambda3: float, delta: float,
-                           init_ratio: float, k: int, approx: float,
-                           tail_prob: float) -> TailBound:
-    """Certified relative error of the single-mode exponential tail.
+                           init_ratio: float, k: int) -> float:
+    """Bound C (delta + r (|lambda3|/lambda2)^(2k)) on the relative error of the
+    single-mode exponential tail at step k, C = (1 - lambda3^2)/(lambda2^2 - lambda3^2).
 
-    `approx` is the one-mode tail alpha_2 nu_2^k and `tail_prob` the exact
-    survival probability, both at step k, as `spectral_tails` and
-    `tail_curve` give them; the bound uses the base-chain separation and the
-    initial fast/slow weight ratio.  The bound's constant comes from a proof
-    sketch; callers should treat violations as monitored findings.
+    The bound uses the base-chain separation and the initial fast/slow weight
+    ratio r.  Its constant comes from a proof sketch; callers should treat
+    violations as monitored findings.
     """
     lam3 = abs(lambda3)
     if not (0.0 < lam3 < lambda2 <= 1.0):
         raise Degenerate(f"need 0 < |lambda3| < lambda2, got {lambda2!r}, {lambda3!r}")
     if not (0.0 < delta < 0.5):
         raise InvalidArguments(f"delta must lie in (0, 1/2), got {delta!r}")
-    if approx == 0:
-        raise InvalidArguments("the one-mode tail is 0: its relative error is undefined")
     C = (1.0 - lam3 ** 2) / (lambda2 ** 2 - lam3 ** 2)
-    bound = C * (delta + init_ratio * (lam3 / lambda2) ** (2 * k))
-    return TailBound(k=k, relative_error_bound=float(bound),
-                     actual_relative_error=float(abs(tail_prob / approx - 1.0)))
+    return float(C * (delta + init_ratio * (lam3 / lambda2) ** (2 * k)))

@@ -35,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ReversibleChain, SpectralDecomposition, pi_inner
-from .errors import InvalidArguments, InvalidRho, TauCollapse, ZeroProjection
+from .errors import InvalidArguments, InvalidRho, ZeroProjection
 
 RHO_SLACK = 1e-12         # tolerated backward drift of the rho sequence
 BURN_IN = 5               # steps before the online tau estimate is trusted
 TAU_MIN = 1e-3            # floor on the online separation estimate
 FREEZE_RATIO = 1e-13      # freeze tau updates once vhat < ratio * rho^2
-COLLAPSE_PATIENCE = 5     # consecutive below-floor estimates before failing
+COLLAPSE_PATIENCE = 5     # consecutive below-floor estimates before collapsing
 GAMMA_FLOOR = 2.0 ** -52 + 2.0 * 2.0 ** -50   # smallest threshold Gamma can resolve
 
 
@@ -113,7 +113,10 @@ class StoppingState:
 
     It keeps the last rho, the last (Gamma, Vhat) pair and the separation
     estimate, never the history; `update` hands each completed pair to its
-    caller.
+    caller.  The fold owns the verdict: "stopped" at `stopped_at`,
+    "unresolvable" when eta is below GAMMA_FLOOR, or "tau-collapse" when the
+    online separation estimate degenerates, with the reason in `detail`.
+    Once settled, the verdict never changes.
     """
 
     epsilon: float
@@ -125,8 +128,9 @@ class StoppingState:
     vhat: float | None = None
     tau_hat: float | None = None
     tau_frozen: bool = False
-    verdict: str = "running"      # "running" | "stopped" | "unresolvable" | "failed"
+    verdict: str = "running"      # "running" | "stopped" | "unresolvable" | "tau-collapse"
     stopped_at: int | None = None
+    detail: str | None = None     # why the estimate collapsed
     below_floor_streak: int = 0
 
     def __post_init__(self):
@@ -156,7 +160,8 @@ class StoppingState:
         k, vhat_prev = self.steps - 2, self.vhat
         self.gamma, self.vhat = _check_rho_pair(rho_k, self.rho)
         self._update_tau_hat(k, rho_k, vhat_prev)
-        self._maybe_stop(k)
+        if self.verdict == "running":
+            self._maybe_stop(k)
         return self.gamma, self.vhat
 
     def _update_tau_hat(self, k: int, rho_k: float, v_prev: float | None):
@@ -194,8 +199,7 @@ class StoppingState:
     def _below_floor(self, message: str):
         self.below_floor_streak += 1
         if self.below_floor_streak >= COLLAPSE_PATIENCE:
-            self.verdict = "failed"
-            raise TauCollapse(message, state=self)
+            self.verdict, self.detail = "tau-collapse", message
 
     def _maybe_stop(self, k: int):
         threshold = self.eta()

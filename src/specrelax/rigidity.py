@@ -43,7 +43,6 @@ class SlowFastSplit:
     fast_abs_lambda: float      # max |lambda| over fast modes (0 if none)
     fast_weight: float          # R_0 (same scale)
     log_init_ratio: float       # ln(R_0 / |c_2|^2), finite where the ratio leaves the doubles
-    min_fast_lambda_sq: float
     degenerate: bool            # slow eigenvalue tied with (or below) a fast |lambda|
     tie_tol: float              # the absolute width of a tie
 
@@ -87,7 +86,7 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
     w = np.exp(profile.log_weights - np.max(profile.log_weights))
     fast_lam = np.delete(profile.lambdas, i)
     if fast_lam.size == 0:
-        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, 0.0, False, tol)
+        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, False, tol)
     fabs = float(np.max(np.abs(fast_lam)))
     return SlowFastSplit(
         slow_index=i,
@@ -97,7 +96,6 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         fast_weight=float(np.delete(w, i).sum()),
         log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
                              - profile.log_weights[i]),
-        min_fast_lambda_sq=float(np.min(fast_lam ** 2)),
         degenerate=bool(fabs >= lam_slow - tol),
         tie_tol=tol,
     )

@@ -3,8 +3,9 @@
 Everything here is an exact identity of the spectral dynamics, so tests pin
 tight tolerances: the entropy balance splits the per-step entropy change into
 a covariance transport term over the mean decay rate minus a KL contraction
-term; the covariance itself has moment, canonical, and flux-force forms that
-must agree; the energy-weighted entropy G = E * S is the monotone quantity.
+term; the covariance is computed in its canonical form (its moment and
+flux-force forms, which must agree with it, are test oracles); the
+energy-weighted entropy G = E * S is the monotone quantity.
 
 Natural logarithms throughout.  A mode with eigenvalue zero dies after one
 step; its vanished occupation contributes zero to every KL and covariance
@@ -62,24 +63,20 @@ def _require_rho(block: LedgerBlock) -> None:
 @dataclass(frozen=True)
 class CovarianceForms:
     k: int
-    cov: float                      # canonical form, the reference value
-    cov_moment: float
-    cov_fluxforce: float
+    cov: float                      # canonical form
     fluxes: np.ndarray              # J_i per fast mode (dead modes: 0)
     affinities: np.ndarray          # A_i = ln(n_i / n_slow), -inf when dead
-    term_scale: float               # sum |J_i A_i|, conditioning scale of the sum
 
     def __post_init__(self):
         _freeze(self, "fluxes", "affinities")
 
 
 def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
-    """Covariance of (lambda^2, ln 1/p) at each row, in its three exact forms.
+    """Covariance of (lambda^2, ln 1/p) at each row in its canonical form,
+    with the fluxes J and affinities A whose products it sums.
 
-    Returns (canonical, moment, flux-force, fluxes J, affinities A, sum |J A|),
-    the last the conditioning scale of the sum.  The canonical form is the
-    reference: its differences rho - lambda_i^2 avoid the cancellation of
-    large entropies that afflicts the moment form.
+    Its differences rho - lambda_i^2 avoid the cancellation of large
+    entropies that afflicts the moment form -sum p (lambda^2 - rho) ln p.
     """
     if np.any(block.terminal):
         raise DeadTrajectory(f"energy is zero at step {block.ks[block.terminal][0]}")
@@ -90,37 +87,24 @@ def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
             f"slow mode is dead at step {k}; affinities are undefined")
     lam_sq = block.lambdas ** 2
     rho = block.rho[:, None]
-
-    # moment form: -sum p (lambda^2 - rho) ln p
-    cov_moment = -np.sum(block.p * (lam_sq - rho) * block.log_p(), axis=1)
-
-    # canonical form on a scaled linear copy of the modal energies
+    # on a scaled linear copy of the modal energies
     n_scaled = np.exp(block.log_n - np.max(block.log_n, axis=1, keepdims=True))
     aff = np.where(alive, block.log_n - block.log_n[:, slow:slow + 1], -np.inf)
     use = alive.copy()
     use[:, slow] = False
     aff_use = np.where(use, aff, 0.0)
-    cov_canonical = (np.sum(n_scaled * (rho - lam_sq) * aff_use, axis=1)
-                     / np.sum(n_scaled, axis=1))
-
-    # flux-force form
+    cov = (np.sum(n_scaled * (rho - lam_sq) * aff_use, axis=1)
+           / np.sum(n_scaled, axis=1))
     J = block.p * (rho - lam_sq)
     J[:, slow] = 0.0
-    terms = J * aff_use
-    return (cov_canonical, cov_moment, np.sum(terms, axis=1), J, aff,
-            np.sum(np.abs(terms), axis=1))
+    return cov, J, aff
 
 
 def canonical_covariance(profile: SpectralProfile, k: int) -> CovarianceForms:
-    """Covariance of (lambda^2, ln 1/p) under p_k, in its three exact forms."""
-    split = split_slow_fast(profile)
-    cov, moment, fluxforce, J, aff, scale = covariance_rows(
-        ledger_block(profile, [k]), split.slow_index)
-    return CovarianceForms(
-        k=k, cov=float(cov[0]), cov_moment=float(moment[0]),
-        cov_fluxforce=float(fluxforce[0]), fluxes=J[0],
-        affinities=aff[0], term_scale=float(scale[0]),
-    )
+    """Covariance of (lambda^2, ln 1/p) under p_k, with its fluxes and affinities."""
+    cov, J, aff = covariance_rows(ledger_block(profile, [k]),
+                                  split_slow_fast(profile).slow_index)
+    return CovarianceForms(k=k, cov=float(cov[0]), fluxes=J[0], affinities=aff[0])
 
 
 def G_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

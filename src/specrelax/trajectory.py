@@ -98,12 +98,11 @@ class LedgerBlock:
 
 
 def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
-                    g0, drop_tol: float = DROP_TOL,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralProfile:
+                    g0, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralProfile:
     """Project an initial vector onto the nontrivial eigenmodes.
 
     The stationary component is removed first; modes whose squared projection
-    falls below drop_tol times the centered energy are pruned and counted in
+    falls below DROP_TOL times the centered energy are pruned and counted in
     the profile's `dropped` field.  The solve certifies each eigenvalue only
     to tol.eigen_residual, so one at or below it in size is taken as 0 (the
     mode dies at k = 1): on a rank-one kernel such as k6 every nontrivial
@@ -119,7 +118,7 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
         raise ZeroProjection("initial vector has no component off the stationary mode")
     coeffs = decomp.eigenvectors[:, 1:].T @ (chain.pi * centered)
     weights = coeffs ** 2
-    keep = weights > drop_tol * total
+    keep = weights > DROP_TOL * total
     if not np.any(keep):
         raise ZeroProjection("all modal weights below the pruning threshold")
     lam = decomp.eigenvalues[1:]

@@ -1,7 +1,8 @@
 """Reference implementations that the tests call and no command uses.
 
 Per-step views of the ledger engine, closed-form checks of the entropy,
-power-iteration, rigidity and acceleration identities, the chain
+power-iteration, rigidity and acceleration identities, the moment and
+flux-force forms of the covariance, the chain
 constructions the tests draw from, and the error types only these raise.
 Where the package has a block function for a value (`ledger_block`,
 `covariance_rows`, `G_rows`, `release_rows`, `kl_rows`, `_check_rho_pair`,
@@ -33,6 +34,7 @@ from specrelax.rigidity import rigidity_time, split_slow_fast
 from specrelax.thermo import (
     G_rows,
     _require_rho,
+    canonical_covariance,
     covariance_rows,
     entropy_rows,
     kl_rows,
@@ -303,7 +305,7 @@ def closure_bound(profile: SpectralProfile, delta: float, k: int,
     if split.fast_weight == 0:
         return ClosureBound(k=k, bound=0.0, actual=float(actual))
     lam3 = split.fast_abs_lambda
-    worst_fast_rate = 1.0 - split.min_fast_lambda_sq
+    worst_fast_rate = 1.0 - float(np.min(np.delete(profile.lambdas, split.slow_index) ** 2))
     # the tail (R0/c2)(lam3/lam2)^(2k) in logs: R0/c2 alone may leave the doubles
     log_tail = split.log_init_ratio + 2 * k * math.log(lam3 / lam2) if lam3 else -math.inf
     bound = (1.0 - lam3 ** 2) * delta + worst_fast_rate * math.exp(min(log_tail, 709.0))
@@ -351,6 +353,30 @@ def entropy_balance(profile: SpectralProfile, k: int) -> EntropyBalance:
     rho = float(block.rho[0])
     return EntropyBalance(k=k, dS=dS, cov=cov, cov_over_rho=cov / rho,
                           kl=kl, residual=abs(dS - cov / rho + kl))
+
+
+@dataclass(frozen=True)
+class CovarianceTriple:
+    cov: float                  # canonical form, as the package computes it
+    cov_moment: float
+    cov_fluxforce: float
+    term_scale: float           # sum |J_i A_i|, conditioning scale of the sum
+
+
+def covariance_forms(profile: SpectralProfile, k: int) -> CovarianceTriple:
+    """The canonical covariance at step k beside its two other exact forms.
+
+    The moment form -sum p (lambda^2 - rho) ln p cancels large entropies; the
+    flux-force form sums J_i A_i over the fast modes.  All three must agree.
+    """
+    forms = canonical_covariance(profile, k)
+    block = ledger_block(profile, [k])
+    moment = -np.sum(block.p * (block.lambdas ** 2 - block.rho[:, None]) * block.log_p(),
+                     axis=1)
+    terms = forms.fluxes * np.where(np.isfinite(forms.affinities), forms.affinities, 0.0)
+    return CovarianceTriple(cov=forms.cov, cov_moment=float(moment[0]),
+                            cov_fluxforce=float(np.sum(terms)),
+                            term_scale=float(np.sum(np.abs(terms))))
 
 
 @dataclass(frozen=True)
@@ -551,10 +577,9 @@ def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
                   k_min: int = 3) -> StoppingState:
     """Fold a rho sequence through the stopping rule.
 
-    Returns the state at the stop step; raises StreamEnded if the stream is
-    exhausted first or the rule finds eta below GAMMA_FLOOR (verdict
-    "unresolvable"), and TauCollapse if the online separation estimate
-    degenerates.  Both exceptions carry the partial state.
+    Returns the state at the stop step; raises StreamEnded, which carries
+    the partial state, if the stream is exhausted first (verdict "running")
+    or the fold settles anything else ("unresolvable", "tau-collapse").
     """
     state = StoppingState(epsilon=epsilon, tau=tau, k_min=k_min)
     for value in rho_stream:
@@ -694,6 +719,11 @@ class TailValue:
 
     def __post_init__(self):
         _freeze(self, "coefficients")
+
+    @property
+    def relative_error(self) -> float:
+        """|tail / one-mode tail - 1|, the rel_err column of `specrelax fpt`."""
+        return abs(self.matrix / self.approx - 1.0)
 
 
 def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:

@@ -232,6 +232,7 @@ def test_criterion_05_balance_and_covariance_agreement():
             bal = oracles.entropy_balance(prof, k)
             worst_bal = max(worst_bal, bal.residual)
             forms = sr.canonical_covariance(prof, k)
+            triple = oracles.covariance_forms(prof, k)
             led = oracles.ledger_at(prof, k)
             S = entropy_oracle(led.p)
             finite = forms.affinities[np.isfinite(forms.affinities)]
@@ -240,8 +241,8 @@ def test_criterion_05_balance_and_covariance_agreement():
             # is eps * (entropy + affinity span), so agreement is graded
             # against that floor once the covariance itself sits below it
             floor = 1e-13 * (1.0 + S + max_aff)
-            scale = max(forms.term_scale, abs(forms.cov), 1e-30)
-            for other in (forms.cov_moment, forms.cov_fluxforce):
+            scale = max(triple.term_scale, abs(forms.cov), 1e-30)
+            for other in (triple.cov_moment, triple.cov_fluxforce):
                 gap = abs(forms.cov - other)
                 if gap > floor:
                     worst_cov = max(worst_cov, gap / scale)
@@ -451,11 +452,9 @@ def test_criterion_14_interlacing_and_fpt():
                     lam2, lam3, 1.0, max(n - 2.0, 1.0), 0.1)))
                 for k in range(T, T + 50, 10):
                     tail = oracles.fpt_tail(model, start, k)
-                    out = sr.exponential_tail_bound(
-                        lam2, lam3, 0.1, init_ratio, k, tail.approx, tail.matrix)
-                    if not out.satisfied:
-                        monitored.append((i, k, out.actual_relative_error,
-                                          out.relative_error_bound))
+                    bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
+                    if not tail.relative_error <= bound:
+                        monitored.append((i, k, tail.relative_error, bound))
     ok = worst_interlace <= 1e-9 and worst_dual <= 1e-10
     criterion(14, "interlacing, dual tails, monitored exponential bound", ok,
               f"interlace {worst_interlace:.3e}, dual {worst_dual:.3e}, "

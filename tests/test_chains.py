@@ -98,7 +98,7 @@ class TestSpectralDecomposition:
             resid = chain.kernel @ phi - phi * lam
             norms = np.sqrt(np.einsum("x,xi,xi->i", chain.pi, resid, resid))
             assert np.max(norms) < 1e-9
-            mu = dec.relaxation_spectrum
+            mu = 1 - dec.eigenvalues
             assert np.all(np.diff(mu) > -1e-12)
             assert mu[0] == pytest.approx(0.0, abs=1e-10)
             assert np.all(mu <= 2.0 + 1e-12)
@@ -147,7 +147,7 @@ class TestDirichletForm:
 class TestZoo:
     def test_complete_graph_dissipates_in_one_step(self):
         dec = sr.spectral_decomposition(sr.complete_graph(5))
-        assert np.all(dec.relaxation_spectrum[1:] == pytest.approx(1.0, abs=1e-12))
+        assert np.all((1 - dec.eigenvalues)[1:] == pytest.approx(1.0, abs=1e-12))
 
     def test_size_guards(self):
         with pytest.raises(InvalidSize):

@@ -16,6 +16,8 @@ from specrelax.io import fmt, load_chain_file
 import oracles
 from oracles import load_profile_file, save_profile
 
+TINY = np.finfo(float).tiny
+
 # no overflow, underflow or invalid operation may reach CLI output unreported
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -470,6 +472,30 @@ class TestPowerCommand:
         assert all(r[3] == r[4] == "" for r in rows[step + 1:])
         assert {r[5] for r in rows[step:]} == {fmt(verdict["tau"])}
 
+    @pytest.mark.parametrize("argv, settled", [
+        (["barbell-metastable", "--tau", "0.5"], "stopped"),
+        (["barbell-metastable", "--epsilon", "1e-9", "--tau", "0.5",
+          "--max-iter", "3000", "--seed", "3"], "unresolvable"),
+        (["k5"], "stream-ended"),
+        (["cycle-20", "--max-iter", "60"], "tau-collapse"),
+    ])
+    def test_verdict_line_is_the_folds(self, argv, settled, tmp_path, capsys):
+        # the line reads the fold's verdict; only a collapse carries a detail,
+        # the one the fold settled on the same rho stream
+        assert run_cli(["power", *argv, "--out", str(tmp_path / "p.csv")]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verdict"] == settled
+        assert ("detail" in verdict) == (settled == "tau-collapse")
+        if settled == "tau-collapse":
+            chain = sr.cycle_graph(20)
+            state = sr.StoppingState(epsilon=0.1, tau=None)
+            g0 = np.random.default_rng(0).standard_normal(chain.n)
+            for _, rho, _ in sr.power_steps(chain, g0):
+                state.update(rho)
+                if state.verdict != "running":
+                    break
+            assert verdict["detail"] == state.detail
+
     @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "2"],
                                        ["--tau", "5"], ["--tau", "0"]])
     def test_epsilon_and_tau_outside_unit_interval(self, flags, capsys):
@@ -517,7 +543,24 @@ class TestFptCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         zero = [row for row in rows if float(row[3]) == 0.0]
         assert zero and all(row[4:] == ["", ""] for row in zero)
-        assert all(row[4] != "" and row[5] != "" for row in rows if float(row[3]) != 0.0)
+        normal = [row for row in rows if min(float(row[1]), float(row[3])) >= TINY]
+        assert all(row[4] != "" and row[5] != "" for row in normal)
+
+    def test_subnormal_tails_leave_rel_err_blank(self, tmp_path):
+        # below DBL_MIN both tails are quantized in steps of 4.9e-324: the same
+        # chain printed rel_err 0.0021, 0, 0.045, 0.14, 0.5 and 1 at k = 1203-1213
+        chain_file = tmp_path / "chain.csv"
+        chain_file.write_text("0.5,0.3,0.2\n0.6,0.3,0.1\n0.4,0.1,0.5\n")
+        out = tmp_path / "f.json"
+        assert run_cli(["fpt", str(chain_file), "--kmax", "1300", "--format", "json",
+                        "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        subnormal = [r for r in rows if min(r["tail"], r["exp_approx"]) < TINY]
+        assert [r["k"] for r in subnormal] == list(range(1155, 1301))
+        assert all(r["rel_err"] is None and r["bound"] is None for r in subnormal)
+        normal = [r for r in rows if r not in subnormal]
+        assert all(r["rel_err"] is not None and r["bound"] is not None for r in normal)
+        assert max(r["rel_err"] for r in normal if r["k"] >= 100) <= 1e-12
 
     def test_negative_kmax_rejected(self, capsys):
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specrelax as sr
-from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidArguments, InvalidState
+from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidState
 
 import oracles
 from conftest import random_reversible
@@ -120,11 +120,10 @@ class TestExponentialTailBound:
         start = np.array([1.0])
         k = 5
         tail = oracles.fpt_tail(model, start, k)
-        out = sr.exponential_tail_bound(
-            lambda2=0.9, lambda3=0.1, delta=0.1, init_ratio=0.0, k=k,
-            approx=tail.approx, tail_prob=tail.matrix)
-        assert out.actual_relative_error <= 1e-12
-        assert out.satisfied
+        bound = sr.exponential_tail_bound(
+            lambda2=0.9, lambda3=0.1, delta=0.1, init_ratio=0.0, k=k)
+        assert tail.relative_error <= 1e-12
+        assert tail.relative_error <= bound
 
     def test_metastable_barbell_monitored(self):
         chain = sr.barbell_chain(3, 0.1)
@@ -138,12 +137,11 @@ class TestExponentialTailBound:
         violations = []
         for k in range(8, 60):
             tail = oracles.fpt_tail(model, start, k)
-            out = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k,
-                                            tail.approx, tail.matrix)
-            if not out.satisfied:
-                violations.append((k, out))
+            bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
+            if not tail.relative_error <= bound:
+                violations.append((k, tail.relative_error, bound))
             # the error should decay geometrically past the transient
-            assert out.actual_relative_error <= 1.0
+            assert tail.relative_error <= 1.0
         # monitored property: report, do not fail (see module notes)
         if violations:
             warnings.warn(f"tail bound violations at steps "
@@ -171,21 +169,15 @@ class TestExponentialTailBound:
             init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
             for k in range(T, T + 50, 7):
                 tail = oracles.fpt_tail(model, start, k)
-                out = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k,
-                                                tail.approx, tail.matrix)
+                bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
                 checked += 1
-                if not out.satisfied:
+                if not tail.relative_error <= bound:
                     violated += 1
         assert checked > 50
         # findings, not failures: the bound's constant is loosely specified
         if violated:
             warnings.warn(f"{violated}/{checked} monitored bound violations")
 
-    def test_zero_one_mode_tail_rejected(self):
-        # alpha_2 nu_2^k = 0 (underflowed) leaves the relative error undefined
-        with pytest.raises(InvalidArguments, match="one-mode tail is 0"):
-            sr.exponential_tail_bound(0.7, 0.3, 0.1, 1.0, 5, 0.0, 0.0)
-
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
-            sr.exponential_tail_bound(0.7, 0.7, 0.1, 1.0, 5, 0.9 * 0.6 ** 5, 0.1)
+            sr.exponential_tail_bound(0.7, 0.7, 0.1, 1.0, 5)

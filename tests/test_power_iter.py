@@ -10,7 +10,6 @@ from specrelax.errors import (
     InvalidArguments,
     InvalidRho,
     OutOfRange,
-    TauCollapse,
     ZeroProjection,
 )
 from specrelax.power_iter import GAMMA_FLOOR
@@ -260,8 +259,40 @@ class TestAdaptiveStop:
 
     def test_tau_collapse_on_near_degenerate_pair(self):
         prof = sr.profile_from_weights([0.9, 0.9 * (1 - 1e-7)], [0.2, 0.8])
-        with pytest.raises(TauCollapse):
+        with pytest.raises(StreamEnded) as exc:
             oracles.adaptive_stop(profile_rho_stream(prof, 3000), epsilon=0.05)
+        assert exc.value.state.verdict == "tau-collapse"
+
+    @staticmethod
+    def _collapsed():
+        """The fold of a near-degenerate pair's stream up to its collapse, and
+        what the collapsing update returned."""
+        prof = sr.profile_from_weights([0.9, 0.9 * (1 - 1e-7)], [0.2, 0.8])
+        state = sr.StoppingState(epsilon=0.05, tau=None)
+        for r in profile_rho_stream(prof, 3000):
+            pair = state.update(r)
+            if state.verdict != "running":
+                return state, pair
+
+    def test_collapse_returns_its_pair(self):
+        state, pair = self._collapsed()
+        assert state.verdict == "tau-collapse" and state.stopped_at is None
+        assert state.detail
+        assert pair == (state.gamma, state.vhat) and pair[0] is not None
+
+    def test_collapse_is_final(self):
+        # after the collapse the stream turns rigid: Gamma = 0 meets any eta,
+        # at a supplied tau as well, yet no later update settles anything
+        state, _ = self._collapsed()
+        settled = (state.verdict, state.detail, state.steps, state.gamma, state.tau_hat)
+        fresh = sr.StoppingState(epsilon=0.05, tau=0.5, k_min=0)
+        for _ in range(50):
+            assert state.update(0.81) is None
+            fresh.update(0.81)
+        assert fresh.verdict == "stopped"
+        assert (state.verdict, state.detail, state.steps, state.gamma,
+                state.tau_hat) == settled
+        assert state.stopped_at is None
 
     def test_online_tau_converges(self, rng):
         # distinct dominant pair with a weak extra mode
@@ -270,10 +301,8 @@ class TestAdaptiveStop:
         horizon = int(3 * L001)
         state = sr.StoppingState(epsilon=1e-6, tau=None)
         for r in profile_rho_stream(prof, horizon + 2):
-            try:
-                state.update(r)
-            except TauCollapse:
-                pytest.fail("spurious collapse")
+            state.update(r)
+            assert state.verdict != "tau-collapse", "spurious collapse"
         target = 1.0 - 0.70 / 0.95
         assert state.tau_hat == pytest.approx(target, rel=0.05)
 

@@ -3,15 +3,20 @@
 An AST walk from `cli.main` follows every name that a reached definition
 loads: the top-level names of its own module, names imported from a sibling
 module (at module level or inside a function), and attributes of an
-imported sibling module.  A class counts as reached as a whole.  A
-top-level definition of the package that the walk misses fails the test
-unless UNREACHED lists it with its reason; a function that only tests call
+imported sibling module.  A reached class brings its body along except its
+methods and properties: a dunder (`__post_init__` among them) counts as
+reached with the class, any other member once some reached code loads an
+attribute of its name, on whatever object.  A definition of the package
+that the walk misses, top-level or a member ("Class.name"), fails the test
+unless UNREACHED lists it with its reason; code that only tests call
 belongs in `tests/oracles.py`.
 """
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import specrelax as sr
 
@@ -47,39 +52,70 @@ def _imports(node: ast.AST) -> dict:
     return bound
 
 
+def _members(defs: dict) -> dict:
+    """"Class.name" -> the node of each method and property of each class."""
+    return {f"{cls}.{node.name}": node for cls, class_node in defs.items()
+            if isinstance(class_node, ast.ClassDef) for node in class_node.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _walk(node: ast.AST, skip=()):
+    """ast.walk that does not descend into the nodes of `skip`."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        yield sub
+        todo.extend(c for c in ast.iter_child_nodes(sub) if c not in skip)
+
+
 def _unreached(src: Path = SRC) -> list[tuple[str, str]]:
     modules = {}
     for path in sorted(src.glob("*.py")):
         if path.stem not in ("__init__", "__main__"):
             tree = ast.parse(path.read_text())
-            modules[path.stem] = (_top_level(tree), _imports(tree))
+            defs = _top_level(tree)
+            modules[path.stem] = (defs, _imports(tree), _members(defs))
     reached, todo = set(), [("cli", "main")]
+    loaded = set()          # attribute names that reached code loads
+    waiting = {}            # member name -> its not yet reached (module, "Class.name")
     while todo:
         module, name = todo.pop()
         if (module, name) in reached or module not in modules:
             continue
-        defs, module_imports = modules[module]
-        if name not in defs:            # a re-export: follow it to its definition
+        defs, module_imports, members = modules[module]
+        node = defs.get(name) or members.get(name)
+        if node is None:                # a re-export: follow it to its definition
             target = module_imports.get(name)
             if target and target[0] == "name":
                 todo.append(target[1:])
             continue
         reached.add((module, name))
-        node = defs[name]
+        own = [key for key in members if key.startswith(f"{name}.")]
+        for key in own:
+            attr = key.split(".", 1)[1]
+            if (attr.startswith("__") and attr.endswith("__")) or attr in loaded:
+                todo.append((module, key))
+            else:
+                waiting.setdefault(attr, []).append((module, key))
         bound = {**module_imports, **_imports(node)}
-        for sub in ast.walk(node):
+        for sub in _walk(node, skip={members[key] for key in own}):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 if sub.id in defs:
                     todo.append((module, sub.id))
                 target = bound.get(sub.id)
                 if target and target[0] == "name":
                     todo.append(target[1:])
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                target = bound.get(sub.value.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                loaded.add(sub.attr)
+                todo.extend(waiting.pop(sub.attr, []))
+                target = (bound.get(sub.value.id)
+                          if isinstance(sub.value, ast.Name) else None)
                 if target and target[0] == "module":
                     todo.append((target[1], sub.attr))
-    return sorted((module, name) for module, (defs, _) in modules.items()
-                  for name in defs if (module, name) not in reached)
+    # the members of an unreached class go unlisted: the class stands for them
+    return sorted((module, name) for module, (defs, _, members) in modules.items()
+                  for name in [*defs, *members] if (module, name) not in reached
+                  and (name in defs or (module, name.split(".")[0]) in reached))
 
 
 def test_every_definition_is_reached_from_the_cli():
@@ -94,6 +130,20 @@ def test_walk_finds_a_planted_orphan(tmp_path):
     with open(tmp_path / "thermo.py", "a") as fh:
         fh.write("\n\ndef orphan():\n    return entropy_rows\n")
     assert _unreached(tmp_path) == [("thermo", "orphan")]
+
+
+@pytest.mark.parametrize("decorator", ["", "    @property\n"])
+def test_walk_finds_a_planted_orphan_member(tmp_path, decorator):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # a method, or a property, of a reached class under a name nothing loads
+    lines = (SRC / "chains.py").read_text().splitlines(keepends=True)
+    cls = next(node for node in ast.parse("".join(lines)).body
+               if isinstance(node, ast.ClassDef) and node.name == "SpectralDecomposition")
+    lines.insert(cls.end_lineno, f"\n{decorator}    def orphan_member(self):\n"
+                                 "        return self.eigenvalues\n")
+    (tmp_path / "chains.py").write_text("".join(lines))
+    assert _unreached(tmp_path) == [("chains", "SpectralDecomposition.orphan_member")]
 
 
 def test_every_export_resolves():

@@ -16,7 +16,8 @@ LN2 = math.log(2.0)
 
 
 def cov_scale(forms):
-    """Conditioning scale of the covariance sum, for relative comparisons."""
+    """Conditioning scale of the covariance sum, for relative comparisons;
+    `forms` is an `oracles.covariance_forms` triple."""
     return max(forms.term_scale, abs(forms.cov), 1e-30)
 
 
@@ -77,7 +78,7 @@ class TestEntropyBalance:
 class TestCanonicalCovariance:
     def test_equal_weights_exactly_zero(self):
         prof = sr.profile_from_weights([0.9, 0.4], [1.3, 1.3])
-        forms = sr.canonical_covariance(prof, 0)
+        forms = oracles.covariance_forms(prof, 0)
         assert forms.cov == 0.0
         assert forms.cov_fluxforce == 0.0
 
@@ -89,7 +90,7 @@ class TestCanonicalCovariance:
         for _ in range(40):
             prof = random_profile(rng)
             for k in range(0, 40, 3):
-                forms = sr.canonical_covariance(prof, k)
+                forms = oracles.covariance_forms(prof, k)
                 scale = cov_scale(forms)
                 assert abs(forms.cov - forms.cov_moment) <= 1e-11 * scale
                 assert abs(forms.cov - forms.cov_fluxforce) <= 1e-11 * scale
