@@ -51,30 +51,17 @@ class AccelPlan:
         return val if np.ndim(val) else float(val)
 
 
-def build_Qm(m: int, a: float | None = None, b: float | None = None,
-             lambda2: float | None = None) -> AccelPlan:
-    """Build a suppression plan.
-
-    Interval mode (give a < b < 1): minimax polynomial on [a, b] under the
-    normalization at 1; its guarantee eps_m holds on the whole interval.
-
-    Simple mode (give lambda2 only): T_m(x / lambda2) / T_m(1 / lambda2).
-    Equivalent to interval mode on [-lambda2, lambda2]; note the guarantee
-    does not extend to eigenvalues below -lambda2.
+def build_Qm(m: int, a: float, b: float) -> AccelPlan:
+    """Build the suppression plan for a < b < 1: the minimax polynomial on
+    [a, b] under the normalization at 1; its guarantee eps_m holds on the
+    whole interval.  On [-lambda2, lambda2] it is T_m(x / lambda2) /
+    T_m(1 / lambda2), the paper's simple form, whose guarantee does not
+    extend to eigenvalues below -lambda2.
     """
     if m < 0:
         raise InvalidArguments("degree must be nonnegative")
-    if lambda2 is not None:
-        if a is not None or b is not None:
-            raise InvalidArguments("give either an interval or lambda2, not both")
-        if not (0.0 < lambda2 < 1.0):
-            raise InvalidInterval(f"lambda2 must lie in (0, 1), got {lambda2!r}")
-        a, b = -lambda2, lambda2
-    else:
-        if a is None or b is None:
-            raise InvalidArguments("interval mode needs both endpoints")
-        if not (a < b < 1.0):
-            raise InvalidInterval(f"need a < b < 1, got [{a!r}, {b!r}]")
+    if not (a < b < 1.0):
+        raise InvalidInterval(f"need a < b < 1, got [{a!r}, {b!r}]")
     phi_one = (2.0 - (a + b)) / (b - a)
     norm = float(chebyshev_T(m, np.array(phi_one)))
     return AccelPlan(

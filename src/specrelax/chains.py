@@ -258,7 +258,10 @@ def spectral_decomposition(chain: ReversibleChain,
         phi[:, 0] = -phi[:, 0]
     if abs(evals[0] - 1.0) > 1e-10:
         raise EigensolveFailure(f"top eigenvalue {evals[0]!r} is not 1")
-    if np.max(np.abs(phi[:, 0] - 1.0)) > 1e-8:
+    # in u-space (u = sqrt(pi) phi), as chain_spectrum tests it: phi_1 = u / sqrt(pi)
+    # is off by roundoff / sqrt(pi_i) where pi_i is tiny, and ||sqrt(pi)||_2 = 1
+    d = np.sqrt(chain.pi)
+    if np.linalg.norm(d * phi[:, 0] - d) > 1e-8:
         raise EigensolveFailure("stationary eigenvector is not constant")
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=phi)
 

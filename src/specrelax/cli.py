@@ -25,7 +25,7 @@ import numpy as np
 from .chains import (ReversibleChain, Tolerances, chain_spectrum, hypercube_profile,
                      spectral_decomposition)
 from .errors import ConfigError, InvalidArguments, InvalidSize, IoError, SpecRelaxError
-from .io import dump_json, load_input_file, write_csv
+from .io import dump_json, load_input_file, read_csv, read_json, write_csv
 from .presets import PRESET_HELP, resolve_preset
 from .trajectory import (SpectralProfile, hypercube_trajectory, ledger_block, ledger_blocks,
                          profile_from_weights, project_initial)
@@ -143,13 +143,7 @@ def _tolerance(item: str) -> tuple[str, float]:
 
 def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
     """The JSON config's options, each checked as its flag would be."""
-    if not os.path.exists(path):
-        raise IoError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise IoError(f"malformed config file {path}: {exc}") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     actions = {a.dest: a for a in sub._actions}
@@ -223,6 +217,13 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
 
 # --- commands ---------------------------------------------------------------
 
+def _unit_profile(lam: np.ndarray) -> SpectralProfile:
+    """A chain's nontrivial eigenvalues, each mode with unit weight: the
+    profile whose split `analyze` and `fpt` read."""
+    return profile_from_weights(np.clip(lam[1:], None, 1.0 - 1e-15), np.ones(lam.size - 1),
+                                chain_lambda2=float(lam[1]))
+
+
 def _profile_summary(profile: SpectralProfile) -> dict:
     from .rigidity import _bound_for_split, split_slow_fast
 
@@ -247,10 +248,7 @@ def _cmd_analyze(args: argparse.Namespace):
             raise InvalidSize("analyze needs at least two states: a one-state chain "
                               "has no nontrivial eigenvalue")
         lam = chain_spectrum(obj, args.tol)
-        # weightless summary: every nontrivial mode carries unit weight
-        profile = profile_from_weights(np.clip(lam[1:], None, 1.0 - 1e-15),
-                                       np.ones(obj.n - 1), chain_lambda2=float(lam[1]))
-        summary = _profile_summary(profile)
+        summary = _profile_summary(_unit_profile(lam))
         if summary["lambda2"] <= args.tol.eigen_residual:
             # the check certifies each eigenvalue only to eigen_residual, so a
             # lambda2 below it is roundoff and |lambda3|/lambda2 means nothing
@@ -381,7 +379,7 @@ def _cmd_accel(args: argparse.Namespace):
     m = args.degree
     split = split_slow_fast(profile)
     if args.paper_simple is not None:
-        plan = accel_mod.build_Qm(m, lambda2=args.paper_simple)
+        plan = accel_mod.build_Qm(m, a=-args.paper_simple, b=args.paper_simple)
     elif args.interval:
         bounds = _number_list(args.interval, "interval")
         if len(bounds) != 2:
@@ -417,6 +415,7 @@ def _cmd_fpt(args: argparse.Namespace):
     from .first_passage import (absorb, exponential_tail_bound, quasistationary_start,
                                 restricted_stationary_start, spectral_tails,
                                 tail_coefficients, tail_curve, uniform_start)
+    from .rigidity import split_slow_fast
 
     chain = _require_chain(resolve_input(args), "fpt")
     kmax, delta = args.kmax, args.delta
@@ -426,25 +425,19 @@ def _cmd_fpt(args: argparse.Namespace):
               "restricted": restricted_stationary_start}
     start = None
     if args.start.startswith("file:"):
-        path = args.start[5:]
-        if not os.path.exists(path):
-            raise IoError(f"start file not found: {path}")
-        try:
-            start = np.loadtxt(path, delimiter=",", dtype=float)
-        except ValueError as exc:
-            raise IoError(f"malformed start file {path}: {exc}") from exc
+        start = read_csv(args.start[5:], "start")
     elif args.start not in starts:
         raise ConfigError(f"unknown start spec: {args.start!r}")
     # absorb checks --target before its solve; the base spectrum comes last
     model = absorb(chain, args.target, args.tol)
     if start is None:
         start = starts[args.start](model)
-    lam = chain_spectrum(chain, args.tol)
+    split = split_slow_fast(_unit_profile(chain_spectrum(chain, args.tol)))
+    # the bound needs a fast mode strictly below the slow one, as analyze splits them
+    bounded = split.fast_abs_lambda > 0 and not split.degenerate and 0 < delta < 0.5
     alpha = tail_coefficients(model, start)
     tails = tail_curve(model, start, kmax).tolist()
     spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(kmax + 1)))
-    lam2 = float(lam[1])
-    lam3 = float(np.max(np.abs(lam[2:]))) if chain.n > 2 else 0.0
     a2 = float(alpha[0])
     init_ratio = (float(np.sum(np.abs(alpha[1:])) / abs(a2))
                   if abs(a2) > 0 else math.inf)
@@ -456,8 +449,9 @@ def _cmd_fpt(args: argparse.Namespace):
         # underflows, or when alpha_2 = 0): a ratio there measures the grid
         if tails[k] >= tiny and abs(approx[k]) >= tiny:
             rel = abs(tails[k] / approx[k] - 1.0)
-            if 0.0 < lam3 < lam2 and 0 < delta < 0.5:
-                bound = exponential_tail_bound(lam2, lam3, delta, init_ratio, k)
+            if bounded:
+                bound = exponential_tail_bound(split.slow_lambda, split.fast_abs_lambda,
+                                               delta, init_ratio, k)
         rows.append([k, tails[k], spectral[k], approx[k], rel, bound])
     _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .chains import DEFAULT_TOLERANCES, ReversibleChain, Tolerances, build_chain
+from .chains import DEFAULT_TOLERANCES, Tolerances, build_chain
 from .errors import IoError
 from .trajectory import SpectralProfile
 
@@ -68,47 +68,42 @@ def _jsonable(obj):
     return obj
 
 
-def load_input_file(path: str, tol: Tolerances | None = None):
-    """The chain or profile in a file, parsed once: JSON {"kernel": ...} or
-    {"eigenvalues": ..., "log_weights": ...}, or else a dense CSV kernel."""
-    if not path.endswith(".json"):
-        return load_chain_file(path, tol)
-    data = _read_json(path, "input")
-    if isinstance(data, dict) and "kernel" in data:
-        return _chain_from(data, path, tol)
-    if isinstance(data, dict) and "eigenvalues" in data:
-        return _profile_from(data, path)
-    raise IoError(f"{path} holds neither a kernel nor a profile")
-
-
-def load_chain_file(path: str, tol: Tolerances | None = None) -> ReversibleChain:
-    if path.endswith(".json"):
-        return _chain_from(_read_json(path, "chain"), path, tol)
-    if not os.path.exists(path):
-        raise IoError(f"chain file not found: {path}")
-    try:
-        kernel = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise IoError(f"malformed chain file {path}: {exc}") from exc
-    return build_chain(kernel, tol or DEFAULT_TOLERANCES)
-
-
-def _read_json(path: str, what: str):
+def read_json(path: str, what: str):
+    """The parsed JSON of a file; IoError names it as a `what` file."""
     if not os.path.exists(path):
         raise IoError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise IoError(f"malformed JSON in {path}: {exc}") from exc
+        raise IoError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _chain_from(data, path: str, tol: Tolerances | None) -> ReversibleChain:
+def read_csv(path: str, what: str, ndmin: int = 0) -> np.ndarray:
+    """The floats of a comma-separated file; IoError names it as a `what` file."""
+    if not os.path.exists(path):
+        raise IoError(f"{what} file not found: {path}")
     try:
-        kernel = np.asarray(data["kernel"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoError(f"malformed chain file {path}: {exc}") from exc
-    return build_chain(kernel, tol or DEFAULT_TOLERANCES)
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin)
+    except ValueError as exc:
+        raise IoError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def load_input_file(path: str, tol: Tolerances = DEFAULT_TOLERANCES):
+    """The chain or profile in a file, parsed once: JSON {"kernel": ...} or
+    {"eigenvalues": ..., "log_weights": ...}, or else a dense CSV kernel."""
+    if not path.endswith(".json"):
+        return build_chain(read_csv(path, "chain", ndmin=2), tol)
+    data = read_json(path, "input")
+    if isinstance(data, dict) and "kernel" in data:
+        try:
+            kernel = np.asarray(data["kernel"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise IoError(f"malformed chain file {path}: {exc}") from exc
+        return build_chain(kernel, tol)
+    if isinstance(data, dict) and "eigenvalues" in data:
+        return _profile_from(data, path)
+    raise IoError(f"{path} holds neither a kernel nor a profile")
 
 
 def _profile_from(data, path: str) -> SpectralProfile:

@@ -28,7 +28,7 @@ from specrelax.errors import (
     SpecRelaxError,
 )
 from specrelax.first_passage import AbsorbingModel, spectral_tails, tail_coefficients, tail_curve
-from specrelax.io import _profile_from, _read_json, dump_json
+from specrelax.io import _profile_from, dump_json, read_json
 from specrelax.power_iter import StoppingState, _check_rho_pair
 from specrelax.rigidity import rigidity_time, split_slow_fast
 from specrelax.thermo import (
@@ -738,7 +738,7 @@ def fpt_tail(model: AbsorbingModel, start, k: int) -> TailValue:
 # --- io ---------------------------------------------------------------------
 
 def load_profile_file(path: str) -> SpectralProfile:
-    return _profile_from(_read_json(path, "profile"), path)
+    return _profile_from(read_json(path, "profile"), path)
 
 
 def save_profile(profile: SpectralProfile, path: str):

@@ -45,7 +45,7 @@ class TestChebyshevT:
 
 class TestBuildPlan:
     def test_simple_mode_guarantee_value(self):
-        plan = sr.build_Qm(4, lambda2=0.95)
+        plan = sr.build_Qm(4, a=-0.95, b=0.95)
         assert plan.eps_m == pytest.approx(0.510820355831155, rel=1e-12)
         assert plan.interval == (-0.95, 0.95)
         assert plan(1.0) == pytest.approx(1.0, abs=1e-14)
@@ -59,7 +59,7 @@ class TestBuildPlan:
     def test_normalization_across_modes_and_degrees(self):
         for m in (0, 1, 2, 5, 9):
             assert sr.build_Qm(m, a=-0.8, b=0.6)(1.0) == pytest.approx(1.0, abs=1e-14)
-            assert sr.build_Qm(m, lambda2=0.9)(1.0) == pytest.approx(1.0, abs=1e-14)
+            assert sr.build_Qm(m, a=-0.9, b=0.9)(1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_zero(self):
         plan = sr.build_Qm(0, a=-0.5, b=0.5)
@@ -72,7 +72,7 @@ class TestBuildPlan:
         with pytest.raises(InvalidInterval):
             sr.build_Qm(2, a=0.0, b=1.0)
         with pytest.raises(InvalidInterval):
-            sr.build_Qm(2, lambda2=1.0)
+            sr.build_Qm(2, a=-1.0, b=1.0)
 
 
 class TestMinimaxVerify:
@@ -118,7 +118,7 @@ class TestAcceleratedTrajectories:
         # |Q(0.70)| nearly attains the guarantee at the fast eigenvalue, so the
         # lambda2-normalized variant contracts slow and fast almost equally;
         # the guarantee on [-lambda2, lambda2] itself still holds
-        plan = sr.build_Qm(4, lambda2=0.95)
+        plan = sr.build_Qm(4, a=-0.95, b=0.95)
         assert abs(plan(0.70)) == pytest.approx(0.5032, abs=1e-3)
         assert abs(plan(0.70)) <= plan.eps_m
         xs = np.linspace(-0.95, 0.95, 2001)

@@ -1,19 +1,24 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax import power_iter
 from specrelax.cli import main
-from specrelax.io import fmt, load_chain_file
+from specrelax.io import fmt, load_input_file
 
 import oracles
+from conftest import random_reversible
 from oracles import load_profile_file, save_profile
 
 TINY = np.finfo(float).tiny
@@ -137,7 +142,7 @@ class TestImportClosure:
         (["simulate", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
         (["thermo", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
         (["power", "barbell-metastable", "--max-iter", "5"], ["power_iter"]),
-        (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage"]),
+        (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage", "rigidity"]),
         (["accel", "paper-s8", "--steps", "3"], ["accel", "rigidity"]),
         (["hypercube", "--n", "64"], ["rigidity", "thermo"]),
     ]
@@ -521,6 +526,20 @@ class TestAccelCommand:
         plain_cross = next(int(r[0]) for r in rows if float(r[1]) >= 0.9)
         assert accel_cross <= plain_cross
 
+    def test_paper_simple_is_the_symmetric_interval(self, capsys):
+        # --paper-simple X builds the plan on [-X, X]: a + b = 0 and b - a = 2X exactly
+        assert run_cli(["accel", "paper-s8", "--paper-simple", "0.95", "--compare-plain"]) == 0
+        simple = capsys.readouterr().out
+        assert run_cli(["accel", "paper-s8", "--interval", "-0.95,0.95", "--compare-plain"]) == 0
+        assert capsys.readouterr().out == simple
+
+    @pytest.mark.parametrize("x", ["1.5", "0", "-0.5"])
+    def test_paper_simple_out_of_range(self, x, capsys):
+        assert run_cli(["accel", "paper-s8", "--paper-simple", x]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidInterval: need a < b < 1, got [")
+
 
 class TestFptCommand:
     def test_tail_columns(self, tmp_path):
@@ -562,6 +581,19 @@ class TestFptCommand:
         assert all(r["rel_err"] is not None and r["bound"] is not None for r in normal)
         assert max(r["rel_err"] for r in normal if r["k"] >= 100) <= 1e-12
 
+    @pytest.mark.parametrize("source", ["k6", "lazy-cycle-7"])
+    def test_no_bound_where_the_slow_pair_ties(self, source, tmp_path, capsys):
+        # roundoff split the tied pairs: k6 printed a bound of 8.77e31, the
+        # lazy 7-cycle 1.19e14, where analyze reports degenerate_slow_pair
+        if source == "lazy-cycle-7":
+            source = str(tmp_path / "lazy7.csv")
+            np.savetxt(source, _lazy_cycle(7), delimiter=",", fmt="%.17g")
+        assert run_cli(["analyze", source, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degenerate_slow_pair"] is True
+        assert run_cli(["fpt", source, "--kmax", "3", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 4 and all(r["bound"] is None for r in rows)
+
     def test_negative_kmax_rejected(self, capsys):
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4
         captured = capsys.readouterr()
@@ -576,6 +608,93 @@ class TestFptCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: IoError: malformed start file {start}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestWidePi:
+    """A lazy birth-death chain whose pi runs from 1.9e-47 to 0.1.
+
+    Its eigenvectors are exact to roundoff in u = sqrt(pi) phi, but phi_1 =
+    u_1 / sqrt(pi) is off by about 1e-3 where pi is smallest: a stationary
+    test on phi_1 itself refused the chain in every command but analyze.
+    """
+
+    N = 1000
+    STEPS = 200
+
+    @pytest.fixture(scope="class")
+    def chain_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "bd.csv"
+        np.savetxt(path, _birth_death(self.N, 0.9, 0.5), delimiter=",", fmt="%.17g")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["rigidity"], ["power", "--max-iter", "20"]],
+                             ids=lambda v: v[0])
+    def test_chain_commands_accept_it(self, chain_file, argv, tmp_path, capsys):
+        assert run_cli([argv[0], chain_file, *argv[1:], "--tol", "pi_floor=0",
+                        "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_simulate_matches_the_power_stream(self, chain_file, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run_cli(["simulate", chain_file, "--steps", str(self.STEPS), "--seed", "5",
+                        "--tol", "pi_floor=0", "--out", str(out)]) == 0
+        E = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+        chain = sr.build_chain(np.loadtxt(chain_file, delimiter=","),
+                               sr.Tolerances(pi_floor=0.0))
+        g0 = np.random.default_rng(5).standard_normal(self.N)
+        log_E = [item[0] for item in itertools.islice(sr.power_steps(chain, g0),
+                                                      self.STEPS + 1)]
+        # k matrix-vector products each round E_k by about n ulps, and lambda^(2k)
+        # carries 2k times an eigenvalue error of n ulps
+        rel = 4 * self.STEPS * self.N * 2.0 ** -52
+        np.testing.assert_allclose(E, np.exp(log_E), rtol=rel)
+
+
+def _lazy_cycle(n):
+    """P = I/2 + (S + S^-1)/4, S the cyclic shift: every eigenvalue but 1 (and 0
+    for even n) is a double one."""
+    S = np.roll(np.eye(n), 1, axis=1)
+    return np.eye(n) / 2 + (S + S.T) / 4
+
+
+def _birth_death(n, ratio, move):
+    """A path whose up and down steps have probabilities in the proportion
+    `ratio` and sum `move`; pi changes by the factor `ratio` per state."""
+    P = (np.diag(np.full(n - 1, move * ratio / (1 + ratio)), 1)
+         + np.diag(np.full(n - 1, move / (1 + ratio)), -1))
+    return P + np.diag(1.0 - P.sum(axis=1))
+
+
+SPLIT_FAMILIES = st.one_of(
+    st.builds(lambda n, seed, lazy: random_reversible(
+        n, np.random.default_rng(seed), lazy=lazy).kernel,
+        st.integers(3, 40), st.integers(0, 2 ** 32 - 1), st.booleans()),
+    st.builds(_lazy_cycle, st.integers(3, 40)),
+    st.builds(lambda n: np.full((n, n), 1.0 / n), st.integers(3, 12)),
+    st.builds(_birth_death, st.integers(3, 300), st.floats(0.5, 2.0), st.floats(0.2, 1.0)),
+    st.builds(lambda m, log_bridge: sr.barbell_chain(m, 10.0 ** log_bridge).kernel,
+              st.integers(2, 8), st.floats(-9.0, 0.0)),
+)
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(SPLIT_FAMILIES)
+def test_fpt_bounds_exactly_where_analyze_separates(P):
+    """fpt prints its tail bound on every row with a rel_err exactly when
+    analyze finds the slow pair untied and a nonzero fast mode."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.csv")
+        np.savetxt(path, P, delimiter=",", fmt="%.17g")
+        a_out, f_out = os.path.join(tmp, "a.json"), os.path.join(tmp, "f.json")
+        tol = ["--tol", "pi_floor=0", "--format", "json"]
+        assert main(["analyze", path, *tol, "--out", a_out]) == 0
+        assert main(["fpt", path, "--kmax", "20", *tol, "--out", f_out]) == 0
+        with open(a_out) as fh:
+            summary = json.load(fh)
+        with open(f_out) as fh:
+            rows = json.load(fh)
+    expected = not summary["degenerate_slow_pair"] and summary["lambda3_abs"] > 0
+    assert all((r["bound"] is not None) == expected for r in rows if r["rel_err"] is not None)
 
 
 class TestHypercubeCommand:
@@ -775,7 +894,7 @@ class TestIoHelpers:
     def test_chain_loaders(self, tmp_path):
         j = tmp_path / "c.json"
         j.write_text(json.dumps({"kernel": [[0.5, 0.5], [0.5, 0.5]]}))
-        assert load_chain_file(str(j)).n == 2
+        assert load_input_file(str(j)).n == 2
         c = tmp_path / "c.csv"
         c.write_text("0.5,0.5\n0.5,0.5\n")
-        assert load_chain_file(str(c)).n == 2
+        assert load_input_file(str(c)).n == 2

@@ -10,6 +10,10 @@ attribute of its name, on whatever object.  A definition of the package
 that the walk misses, top-level or a member ("Class.name"), fails the test
 unless UNREACHED lists it with its reason; code that only tests call
 belongs in `tests/oracles.py`.
+
+Nor does a module import a name that its own code never loads: an import
+at module level must be loaded somewhere in the module, one inside a
+function somewhere in that function.
 """
 
 import ast
@@ -144,6 +148,41 @@ def test_walk_finds_a_planted_orphan_member(tmp_path, decorator):
                                  "        return self.eigenvalues\n")
     (tmp_path / "chains.py").write_text("".join(lines))
     assert _unreached(tmp_path) == [("chains", "SpectralDecomposition.orphan_member")]
+
+
+def _dead_imports(src: Path = SRC) -> list[tuple[str, str]]:
+    """(module, name) of each imported name that its scope never loads."""
+    dead = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+        for scope in scopes:
+            nested = {n for n in ast.iter_child_nodes(scope)
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            imported = [(alias.asname or alias.name).split(".")[0]
+                        for node in _walk(scope, skip=nested)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names]
+            loaded = {n.id for n in ast.walk(scope)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            dead += [(path.stem, name) for name in imported if name not in loaded]
+    return dead
+
+
+def test_every_import_is_used():
+    assert _dead_imports() == []
+
+
+def test_finds_a_planted_dead_import(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "thermo.py", "a") as fh:
+        fh.write("\n\ndef planted():\n    from .chains import pi_inner\n    return 0\n")
+    with open(tmp_path / "io.py", "a") as fh:
+        fh.write("\nfrom .chains import ReversibleChain\n")
+    assert _dead_imports(tmp_path) == [("io", "ReversibleChain"), ("thermo", "pi_inner")]
 
 
 def test_every_export_resolves():
