@@ -24,7 +24,8 @@ import numpy as np
 # compiles no module that it does not use.
 from .chains import (ReversibleChain, Tolerances, chain_spectrum, hypercube_profile,
                      spectral_decomposition)
-from .errors import ConfigError, InvalidArguments, InvalidSize, IoError, SpecRelaxError
+from .errors import (ConfigError, InvalidArguments, InvalidSize, IoError, OutOfRange,
+                     SpecRelaxError)
 from .io import dump_json, load_input_file, read_csv, read_json, write_csv
 from .presets import PRESET_HELP, resolve_preset
 from .trajectory import (SpectralProfile, hypercube_trajectory, ledger_block, ledger_blocks,
@@ -103,7 +104,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--start", default="restricted",
                     help="restricted | uniform | quasistationary | file:PATH")
     sp.add_argument("--kmax", type=int, default=50)
-    sp.add_argument("--delta", type=float, default=0.1)
 
     sp = command("hypercube", "entropy collapse across the cutoff window", needs_input=False)
     sp.add_argument("--n", type=int, required=True)
@@ -217,13 +217,6 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
 
 # --- commands ---------------------------------------------------------------
 
-def _unit_profile(lam: np.ndarray) -> SpectralProfile:
-    """A chain's nontrivial eigenvalues, each mode with unit weight: the
-    profile whose split `analyze` and `fpt` read."""
-    return profile_from_weights(np.clip(lam[1:], None, 1.0 - 1e-15), np.ones(lam.size - 1),
-                                chain_lambda2=float(lam[1]))
-
-
 def _profile_summary(profile: SpectralProfile) -> dict:
     from .rigidity import _bound_for_split, split_slow_fast
 
@@ -248,7 +241,11 @@ def _cmd_analyze(args: argparse.Namespace):
             raise InvalidSize("analyze needs at least two states: a one-state chain "
                               "has no nontrivial eigenvalue")
         lam = chain_spectrum(obj, args.tol)
-        summary = _profile_summary(_unit_profile(lam))
+        if lam[1] > 1.0 - 1e-15:
+            raise OutOfRange(f"lambda2 = {float(lam[1])!r} is within 1e-15 of 1, where "
+                             "the gap 1 - lambda2 is not resolved")
+        summary = _profile_summary(profile_from_weights(lam[1:], np.ones(lam.size - 1),
+                                                        chain_lambda2=float(lam[1])))
         if summary["lambda2"] <= args.tol.eigen_residual:
             # the check certifies each eigenvalue only to eigen_residual, so a
             # lambda2 below it is roundoff and |lambda3|/lambda2 means nothing
@@ -415,11 +412,9 @@ def _cmd_fpt(args: argparse.Namespace):
     from .first_passage import (absorb, exponential_tail_bound, quasistationary_start,
                                 restricted_stationary_start, spectral_tails,
                                 tail_coefficients, tail_curve, uniform_start)
-    from .rigidity import split_slow_fast
 
     chain = _require_chain(resolve_input(args), "fpt")
-    kmax, delta = args.kmax, args.delta
-    if kmax < 0:
+    if args.kmax < 0:
         raise InvalidArguments("k_max must be nonnegative")
     starts = {"uniform": uniform_start, "quasistationary": quasistationary_start,
               "restricted": restricted_stationary_start}
@@ -428,30 +423,22 @@ def _cmd_fpt(args: argparse.Namespace):
         start = read_csv(args.start[5:], "start")
     elif args.start not in starts:
         raise ConfigError(f"unknown start spec: {args.start!r}")
-    # absorb checks --target before its solve; the base spectrum comes last
+    # absorb checks --target before its solve
     model = absorb(chain, args.target, args.tol)
     if start is None:
         start = starts[args.start](model)
-    split = split_slow_fast(_unit_profile(chain_spectrum(chain, args.tol)))
-    # the bound needs a fast mode strictly below the slow one, as analyze splits them
-    bounded = split.fast_abs_lambda > 0 and not split.degenerate and 0 < delta < 0.5
     alpha = tail_coefficients(model, start)
-    tails = tail_curve(model, start, kmax).tolist()
-    spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(kmax + 1)))
-    a2 = float(alpha[0])
-    init_ratio = (float(np.sum(np.abs(alpha[1:])) / abs(a2))
-                  if abs(a2) > 0 else math.inf)
+    tails = tail_curve(model, start, args.kmax).tolist()
+    spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(args.kmax + 1)))
     tiny = np.finfo(float).tiny
     rows = []
-    for k in range(kmax + 1):
+    for k in range(args.kmax + 1):
         rel = bound = ""
         # below DBL_MIN a tail is quantized in steps of 4.9e-324 (and 0 once it
         # underflows, or when alpha_2 = 0): a ratio there measures the grid
         if tails[k] >= tiny and abs(approx[k]) >= tiny:
             rel = abs(tails[k] / approx[k] - 1.0)
-            if bounded:
-                bound = exponential_tail_bound(split.slow_lambda, split.fast_abs_lambda,
-                                               delta, init_ratio, k)
+            bound = exponential_tail_bound(model, alpha, k, tails[k], spectral[k], approx[k])
         rows.append([k, tails[k], spectral[k], approx[k], rel, bound])
     _emit(args, ["k", "tail", "spectral_tail", "exp_approx", "rel_err", "bound"], rows)
 

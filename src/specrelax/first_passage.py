@@ -128,19 +128,32 @@ def tail_curve(model: AbsorbingModel, start, k_max: int) -> np.ndarray:
     return out
 
 
-def exponential_tail_bound(lambda2: float, lambda3: float, delta: float,
-                           init_ratio: float, k: int) -> float:
-    """Bound C (delta + r (|lambda3|/lambda2)^(2k)) on the relative error of the
-    single-mode exponential tail at step k, C = (1 - lambda3^2)/(lambda2^2 - lambda3^2).
+def exponential_tail_bound(model: AbsorbingModel, alpha, k: int, tail: float,
+                           spectral: float, approx: float) -> float:
+    """Proved bound on |tail/approx - 1| at step k, from the absorbed block alone.
 
-    The bound uses the base-chain separation and the initial fast/slow weight
-    ratio r.  Its constant comes from a proof sketch; callers should treat
-    violations as monitored findings.
+    `tail`, `spectral` and `approx` are the k-th values of `tail_curve` and
+    `spectral_tails` for coefficients `alpha`, with |approx| >= DBL_MIN.  Let
+    r = sum_{i>=2} |alpha_i| / |alpha_1|, q = max_{i>=2} |nu_i| / |nu_1| rounded
+    up one ulp (0 for one mode or nu_1 = 0; q <= 1 up to roundoff, nu_1 being
+    the Perron root), d = |tail - spectral| / |approx|, m the number of modes,
+    c = (m + 10) 2^-52 and U = 2^-51 (m + sum_i |alpha_i|) DBL_MIN / |approx|.
+    The bound is (1 + c)(r q^k + d) + c + U.
+
+    Proof.  Exactly, spectral/approx - 1 = sum_{i>=2} alpha_i nu_i^k / (alpha_1 nu_1^k),
+    at most r q^k in size; the triangle inequality adds d.  Rounding (u = 2^-53,
+    pow good to one ulp): `approx` and the m terms of `spectral` err by 3u each,
+    and their sum by (m - 1)u of sum_i |alpha_i nu_i^k| <= |approx| (1 + r q^k)(1 + 3u):
+    (m + 8)u relative.  r q^k costs (m + 2)u (q is rounded up, so q^k is short by
+    at most pow's ulp), d and rel_err 2u each, evaluating the bound 4u: at most
+    (2m + 16)u + O(u^2) < c of r q^k or of d, and (m + 9)u < c absolute.  Below
+    DBL_MIN a term errs by up to 2^-1074 |alpha_i| + 2^-1075 instead, and r q^k
+    by r 2^-1074: U covers both, as |nu_1| <= 1.
     """
-    lam3 = abs(lambda3)
-    if not (0.0 < lam3 < lambda2 <= 1.0):
-        raise Degenerate(f"need 0 < |lambda3| < lambda2, got {lambda2!r}, {lambda3!r}")
-    if not (0.0 < delta < 0.5):
-        raise InvalidArguments(f"delta must lie in (0, 1/2), got {delta!r}")
-    C = (1.0 - lam3 ** 2) / (lambda2 ** 2 - lam3 ** 2)
-    return float(C * (delta + init_ratio * (lam3 / lambda2) ** (2 * k)))
+    nu, weights = model.nu, np.abs(alpha)
+    top = np.max(np.abs(nu[1:]), initial=0.0)
+    q = np.nextafter(top / abs(nu[0]), np.inf) if top > 0 and nu[0] != 0 else 0.0
+    r = np.sum(weights[1:]) / weights[0]
+    c = (nu.size + 10) * 2.0 ** -52
+    under = 2.0 ** -51 * (nu.size + np.sum(weights)) * np.finfo(float).tiny / abs(approx)
+    return float((1.0 + c) * (r * q ** k + abs(tail - spectral) / abs(approx)) + c + under)

@@ -424,7 +424,7 @@ def test_criterion_14_interlacing_and_fpt():
     rng = np.random.default_rng(114)
     worst_interlace = 0.0
     worst_dual = 0.0
-    monitored = []
+    violations = []
     for i in range(20):
         n = int(rng.integers(3, 14))
         chain = random_reversible(n, rng)
@@ -440,25 +440,25 @@ def test_criterion_14_interlacing_and_fpt():
                 out = oracles.fpt_tail(model, start, k)
                 worst_dual = max(worst_dual, abs(out.spectral - out.matrix)
                                  / max(out.matrix, 1e-300))
-        # monitored tail bound on one absorbing pair per chain
+        # the proved tail bound on one absorbing pair per chain
         lam2, lam3 = float(lam[1]), float(np.max(np.abs(lam[2:])))
         if lam2 - lam3 > 0.05:
             model = sr.absorb(chain, 0)
             start = sr.restricted_stationary_start(model)
             alpha = sr.tail_coefficients(model, start)
             if abs(alpha[0]) > 1e-8 and model.nu[0] > 0:
-                init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
                 T = math.ceil(max(1.0, sr.rigidity_bound_L(
                     lam2, lam3, 1.0, max(n - 2.0, 1.0), 0.1)))
                 for k in range(T, T + 50, 10):
                     tail = oracles.fpt_tail(model, start, k)
-                    bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
+                    bound = sr.exponential_tail_bound(model, tail.coefficients, k, tail.matrix,
+                                                      tail.spectral, tail.approx)
                     if not tail.relative_error <= bound:
-                        monitored.append((i, k, tail.relative_error, bound))
-    ok = worst_interlace <= 1e-9 and worst_dual <= 1e-10
-    criterion(14, "interlacing, dual tails, monitored exponential bound", ok,
+                        violations.append((i, k, tail.relative_error, bound))
+    ok = worst_interlace <= 1e-9 and worst_dual <= 1e-10 and not violations
+    criterion(14, "interlacing, dual tails, proved exponential bound", ok,
               f"interlace {worst_interlace:.3e}, dual {worst_dual:.3e}, "
-              f"monitored violations: {monitored if monitored else 'none'}")
+              f"bound violations: {violations if violations else 'none'}")
 
 
 def test_criterion_15_hypercube_collapse_as_stated():

@@ -99,6 +99,20 @@ class TestAnalyze:
         assert captured.err == ("error: InvalidSize: analyze needs at least two states: "
                                 "a one-state chain has no nontrivial eigenvalue\n")
 
+    @pytest.mark.parametrize("bridge", [1e-16, 1e-20])
+    def test_lambda2_next_to_one_is_refused(self, bridge, tmp_path, capsys):
+        # lambda2 was clipped at 1 - 1e-15 without a message: both bridges
+        # printed a gap of 9.99e-16, against about 3.3e-17 and 3.3e-21
+        chain_file = tmp_path / "barbell.csv"
+        np.savetxt(chain_file, sr.barbell_chain(3, bridge).kernel, delimiter=",", fmt="%.17g")
+        assert run_cli(["analyze", str(chain_file)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: OutOfRange: lambda2 = 0.99999999999999")
+        assert captured.err.endswith(" is within 1e-15 of 1, where the gap 1 - lambda2 "
+                                     "is not resolved\n")
+        assert captured.err.count("\n") == 1
+
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
         chain_file.write_text("0.9,0.1\n0.3,0.7\n")
@@ -129,7 +143,7 @@ class TestEigensolveCalls:
     def test_fpt_needs_eigenvectors_of_the_block_only(self, monkeypatch, capsys):
         counts = _count_eigensolves(monkeypatch)
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "5"]) == 0
-        assert counts == {"eigh": 1, "eigvalsh": 1}
+        assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
 class TestImportClosure:
@@ -142,7 +156,7 @@ class TestImportClosure:
         (["simulate", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
         (["thermo", "paper-s8", "--steps", "5"], ["power_iter", "rigidity", "thermo"]),
         (["power", "barbell-metastable", "--max-iter", "5"], ["power_iter"]),
-        (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage", "rigidity"]),
+        (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage"]),
         (["accel", "paper-s8", "--steps", "3"], ["accel", "rigidity"]),
         (["hypercube", "--n", "64"], ["rigidity", "thermo"]),
     ]
@@ -582,9 +596,10 @@ class TestFptCommand:
         assert max(r["rel_err"] for r in normal if r["k"] >= 100) <= 1e-12
 
     @pytest.mark.parametrize("source", ["k6", "lazy-cycle-7"])
-    def test_no_bound_where_the_slow_pair_ties(self, source, tmp_path, capsys):
-        # roundoff split the tied pairs: k6 printed a bound of 8.77e31, the
-        # lazy 7-cycle 1.19e14, where analyze reports degenerate_slow_pair
+    def test_bound_holds_where_the_slow_pair_ties(self, source, tmp_path, capsys):
+        # the block's bound needs no slow/fast split of the chain: a bound read
+        # off the tied base pair printed 8.77e31 for k6 and 1.19e14 for the
+        # lazy 7-cycle, where analyze reports degenerate_slow_pair
         if source == "lazy-cycle-7":
             source = str(tmp_path / "lazy7.csv")
             np.savetxt(source, _lazy_cycle(7), delimiter=",", fmt="%.17g")
@@ -592,7 +607,23 @@ class TestFptCommand:
         assert json.loads(capsys.readouterr().out)["degenerate_slow_pair"] is True
         assert run_cli(["fpt", source, "--kmax", "3", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert len(rows) == 4 and all(r["bound"] is None for r in rows)
+        assert len(rows) == 4 and all(r["rel_err"] <= r["bound"] for r in rows)
+
+    def test_bound_holds_on_the_metastable_barbell(self, capsys):
+        # a bound from the base pair, C (delta + r (|lambda3|/lambda2)^(2k)),
+        # printed 0.31272 against rel_err 0.33318 at k = 1
+        assert run_cli(["fpt", "barbell-metastable", "--kmax", "3", "--target", "2",
+                        "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(r["rel_err"] <= r["bound"] for r in rows)
+        assert rows[1]["rel_err"] == pytest.approx(0.33318, abs=5e-6)
+        assert rows[1]["bound"] == pytest.approx(0.33342, abs=5e-6)
+
+    def test_delta_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fpt", "barbell-metastable", "--delta", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta 0.1" in capsys.readouterr().err
 
     def test_negative_kmax_rejected(self, capsys):
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4
@@ -678,23 +709,19 @@ SPLIT_FAMILIES = st.one_of(
 
 
 @settings(max_examples=90, deadline=None, derandomize=True)
-@given(SPLIT_FAMILIES)
-def test_fpt_bounds_exactly_where_analyze_separates(P):
-    """fpt prints its tail bound on every row with a rel_err exactly when
-    analyze finds the slow pair untied and a nonzero fast mode."""
+@given(SPLIT_FAMILIES, st.integers(0, 2), st.sampled_from(["restricted", "uniform",
+                                                           "quasistationary"]))
+def test_fpt_bound_holds_on_every_row(P, target, start):
+    """Every fpt row with a rel_err has a bound, and rel_err <= bound."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "chain.csv")
+        path, out = os.path.join(tmp, "chain.csv"), os.path.join(tmp, "f.json")
         np.savetxt(path, P, delimiter=",", fmt="%.17g")
-        a_out, f_out = os.path.join(tmp, "a.json"), os.path.join(tmp, "f.json")
-        tol = ["--tol", "pi_floor=0", "--format", "json"]
-        assert main(["analyze", path, *tol, "--out", a_out]) == 0
-        assert main(["fpt", path, "--kmax", "20", *tol, "--out", f_out]) == 0
-        with open(a_out) as fh:
-            summary = json.load(fh)
-        with open(f_out) as fh:
+        assert main(["fpt", path, "--kmax", "20", "--target", str(target), "--start", start,
+                     "--tol", "pi_floor=0", "--format", "json", "--out", out]) == 0
+        with open(out) as fh:
             rows = json.load(fh)
-    expected = not summary["degenerate_slow_pair"] and summary["lambda3_abs"] > 0
-    assert all((r["bound"] is not None) == expected for r in rows if r["rel_err"] is not None)
+    assert all(r["bound"] is not None and r["rel_err"] <= r["bound"]
+               for r in rows if r["rel_err"] is not None)
 
 
 class TestHypercubeCommand:
@@ -747,9 +774,12 @@ class TestConfigAndErrors:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_key": 1}))
-        assert run_cli(["--config", str(cfg), "simulate", "s8-two-mode"]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        # fpt's --delta is gone, so its key is unknown as well
+        for values, argv in (({"not_a_key": 1}, ["simulate", "s8-two-mode"]),
+                             ({"command": "fpt", "delta": 0.1}, ["fpt", "barbell-metastable"])):
+            cfg.write_text(json.dumps(values))
+            assert run_cli(["--config", str(cfg), *argv]) == 2
+            assert capsys.readouterr().err.startswith("error: ConfigError: unknown config keys")
 
     def test_missing_file_is_io_error(self, capsys):
         assert run_cli(["analyze", "/nonexistent/chain.json"]) == 2 or True

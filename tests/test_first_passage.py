@@ -1,11 +1,12 @@
+import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import specrelax as sr
-from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidState
+from specrelax.cli import main
+from specrelax.errors import BadStart, EigensolveFailure, InvalidState
 
 import oracles
 from conftest import random_reversible
@@ -114,42 +115,60 @@ class TestFptTail:
         assert max(values) - min(values) <= 1e-6
 
 
+def _tail_and_bound(model, start, k):
+    tail = oracles.fpt_tail(model, start, k)
+    return tail, sr.exponential_tail_bound(model, tail.coefficients, k, tail.matrix,
+                                           tail.spectral, tail.approx)
+
+
 class TestExponentialTailBound:
     def test_single_surviving_mode_exact(self, hand_chain):
+        # one mode: r = 0 and q = 0, so only the roundoff terms remain
         model = sr.absorb(hand_chain, 1)
-        start = np.array([1.0])
-        k = 5
-        tail = oracles.fpt_tail(model, start, k)
-        bound = sr.exponential_tail_bound(
-            lambda2=0.9, lambda3=0.1, delta=0.1, init_ratio=0.0, k=k)
+        tail, bound = _tail_and_bound(model, np.array([1.0]), 5)
         assert tail.relative_error <= 1e-12
-        assert tail.relative_error <= bound
+        assert tail.relative_error <= bound <= 1e-14
+
+    def test_zero_block(self, tmp_path, capsys):
+        # state 1 of 0,1 / 1,0 absorbed leaves the block [0]: nu_1 = 0, so
+        # q = 0, and every tail past k = 0 is 0
+        model = sr.absorb(sr.build_chain(np.array([[0.0, 1.0], [1.0, 0.0]])), 1)
+        assert model.nu.tolist() == [0.0]
+        tail, bound = _tail_and_bound(model, np.array([1.0]), 0)
+        assert tail.relative_error <= bound <= 1e-14
+        path = tmp_path / "flip.csv"
+        path.write_text("0,1\n1,0\n")
+        assert main(["fpt", str(path), "--target", "1", "--kmax", "2", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["rel_err"] is None, r["bound"] is None) for r in rows] == [
+            (False, False), (True, True), (True, True)]
+        assert rows[0]["rel_err"] <= rows[0]["bound"]
+
+    def test_tied_top_pair(self):
+        # two lazy leaves of a hub: absorbing the hub leaves the block I/2, so
+        # q = 1 and the bound never decays, while rel_err stays at r
+        model = sr.absorb(sr.build_chain(np.array(
+            [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])), 0)
+        assert model.nu.tolist() == [0.5, 0.5]
+        for k in (0, 1, 10, 100):
+            tail, bound = _tail_and_bound(model, np.array([0.3, 0.7]), k)
+            alpha = np.abs(tail.coefficients)
+            r = alpha[1] / alpha[0]
+            assert tail.relative_error == pytest.approx(r, rel=1e-12)
+            assert r <= bound and tail.relative_error <= bound
 
     def test_metastable_barbell_monitored(self):
         chain = sr.barbell_chain(3, 0.1)
-        dec = sr.spectral_decomposition(chain)
-        lam2 = float(dec.eigenvalues[1])
-        lam3 = float(np.max(np.abs(dec.eigenvalues[2:])))
         model = sr.absorb(chain, 5)
         start = sr.restricted_stationary_start(model)
-        alpha = sr.tail_coefficients(model, start)
-        init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
-        violations = []
         for k in range(8, 60):
-            tail = oracles.fpt_tail(model, start, k)
-            bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
-            if not tail.relative_error <= bound:
-                violations.append((k, tail.relative_error, bound))
+            tail, bound = _tail_and_bound(model, start, k)
+            assert tail.relative_error <= bound
             # the error should decay geometrically past the transient
             assert tail.relative_error <= 1.0
-        # monitored property: report, do not fail (see module notes)
-        if violations:
-            warnings.warn(f"tail bound violations at steps "
-                          f"{[v[0] for v in violations]}")
 
     def test_monitored_sweep_random_chains(self, rng):
         checked = 0
-        violated = 0
         for _ in range(60):
             n = int(rng.integers(4, 12))
             chain = random_reversible(n, rng, lazy=True)
@@ -159,25 +178,14 @@ class TestExponentialTailBound:
             lam3 = float(np.max(np.abs(lam[2:])))
             if lam2 - lam3 < 0.02:
                 continue
-            prof_ratio = lam3 / lam2
             T = math.ceil(max(sr.rigidity_bound_L(lam2, lam3, 1.0, n - 2.0, 0.1), 1))
             model = sr.absorb(chain, 0)
             start = sr.restricted_stationary_start(model)
             alpha = sr.tail_coefficients(model, start)
             if abs(alpha[0]) < 1e-8 or model.nu[0] <= 0:
                 continue
-            init_ratio = float(np.sum(np.abs(alpha[1:])) / abs(alpha[0]))
             for k in range(T, T + 50, 7):
-                tail = oracles.fpt_tail(model, start, k)
-                bound = sr.exponential_tail_bound(lam2, lam3, 0.1, init_ratio, k)
+                tail, bound = _tail_and_bound(model, start, k)
                 checked += 1
-                if not tail.relative_error <= bound:
-                    violated += 1
+                assert tail.relative_error <= bound
         assert checked > 50
-        # findings, not failures: the bound's constant is loosely specified
-        if violated:
-            warnings.warn(f"{violated}/{checked} monitored bound violations")
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(Degenerate):
-            sr.exponential_tail_bound(0.7, 0.7, 0.1, 1.0, 5)
