@@ -20,6 +20,7 @@ from .errors import (
     InvalidArguments,
     InvalidSize,
     NotReversible,
+    OutOfRange,
     Reducible,
     RowSumError,
 )
@@ -183,17 +184,6 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     return ReversibleChain(kernel=P, pi=pi)
 
 
-def _symmetrized(kernel: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d = sqrt(weights) and the symmetric part (S + S^T)/2 of S = D^{1/2} K D^{-1/2},
-    built in place in one n x n array."""
-    d = np.sqrt(weights)
-    sym = d[:, None] * kernel
-    sym /= d
-    sym += sym.T
-    sym *= 0.5
-    return d, sym
-
-
 def _antisymmetry_bound(kernel: np.ndarray, d: np.ndarray, sym: np.ndarray) -> float:
     """b >= ||S - sym||_2: the smaller of the Frobenius norm and
     sqrt(||.||_1 ||.||_inf), from 128-row blocks so no n x n temporary is made."""
@@ -210,119 +200,116 @@ def _antisymmetry_bound(kernel: np.ndarray, d: np.ndarray, sym: np.ndarray) -> f
     return min(math.sqrt(fro2), math.sqrt(row_max * float(col_sums.max())))
 
 
-def _weighted_eigh(kernel: np.ndarray, weights: np.ndarray,
-                   tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and weight-orthonormal eigenvectors of a kernel
-    that is self-adjoint in the inner product weighted by `weights`.
+def _rank_one_update(a: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """a -= x y^T in place, in 128-row blocks so no n x n temporary is made."""
+    for s in range(0, a.shape[0], 128):
+        a[s:s + 128] -= x[s:s + 128, None] * y
 
-    Solves the symmetrized D^{1/2} K D^{-1/2} (D = diag(weights)), then checks
-    the weighted orthonormality of the eigenvectors and the weighted-norm
-    eigen-residual of K itself.  Buffers are built in place and dropped once
-    used, so beside the kernel and eigh's own buffers at most three n x n
-    arrays are live.
+
+def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
+                    vectors: bool, stationary: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues (descending) and, with `vectors`, weight-orthonormal
+    eigenvectors of a kernel self-adjoint in the `weights` inner product, each
+    pair certified as the full check would: weighted residual ||K phi -
+    lam phi||_w <= tol.eigen_residual, |Phi^T D Phi - I| <= tol.orthonormality.
+
+    LAPACK solves sym = (S + S^T)/2, S = D^{1/2} K D^{-1/2}, D = diag(weights).
+    With `stationary`, S sqrt(pi) = S^T sqrt(pi) = sqrt(pi) is known, and its
+    one test is s = ||r||_2 <= tol.eigen_residual, r = sym sqrt(pi) - sqrt(pi).
+    A Householder H with H sqrt(pi) = -e1 gives B = H sym H, of first column
+    e1 - H r; LAPACK solves B[1:, 1:] alone, lambda_1 = 1 and phi_1 = 1 are
+    exact, and the dropped row and column (Frobenius norm <= sqrt(2) s) are a
+    backward error on sym.  A nontrivial eigenvalue computed >= 1 is refused.
+
+    The gate: LAPACK's pairs are exact for sym + E, ||E||_2 about n 2^-52
+    (||sym||_2 <= 1, a nonnegative matrix's Perron root), and orthonormal to
+    about n 2^-52; an exact pair (lam, y), ||y||_2 = 1, phi = D^{-1/2} y, has
+    D^{1/2}(K phi - lam phi) = (S - sym) y - E y, and ||S - sym||_2 <= b
+    (`_antisymmetry_bound`).  So b + n 2^-52 + sqrt(2) s <= tol.eigen_residual
+    and n 2^-52 <= tol.orthonormality certify every pair.  Under it, a list of
+    eigenvalues must match tr sym within n tol.eigen_residual and ||sym||_F^2
+    within 2 n tol.eigen_residual (|lam| <= 1); eigenvectors get exact column
+    norms and one probe each, ||(U^T U - I) z||_2 and ||D^{1/2}(K Phi - Phi
+    Lambda) z||_2 against their tolerance t, z a seeded random unit vector.  A
+    probe only backstops a corrupted output: it misses an error matrix F drawn
+    independently of z with probability at most 1.6 sqrt(n) t / ||F||_2 +
+    0.2^(n/2), and one within a factor sqrt(n) of t almost surely.  Outside
+    the gate, eigh runs and the full O(n^3) check forms U^T U and every
+    residual.  Under it, only sym (its buffer then holds U, then Phi) and
+    LAPACK's output are n x n.
     """
-    d, sym = _symmetrized(kernel, weights)
+    n = kernel.shape[0]
+    d = np.sqrt(weights)
+    sym = d[:, None] * kernel
+    sym /= d
+    sym += sym.T
+    sym *= 0.5
+    s = float(np.linalg.norm(sym @ d - d)) if stationary else 0.0
+    if s > tol.eigen_residual:
+        raise EigensolveFailure(f"stationary mode residual {s!r} too large")
+    backward = n * 2.0 ** -52
+    gated = (_antisymmetry_bound(kernel, d, sym) + backward + math.sqrt(2.0) * s
+             <= tol.eigen_residual and backward <= tol.orthonormality)
+    k = int(stationary)         # the modes known before the solve
+    if stationary:              # sym becomes B = H sym H, H = I - tau v v^T
+        v = d.copy()
+        v[0] += np.linalg.norm(d)
+        tau = 2.0 / (v @ v)
+        _rank_one_update(sym, v, tau * (sym @ v))
+        _rank_one_update(sym, tau * (sym @ v), v)
     try:
-        evals, evecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+        lam, y = (np.linalg.eigh(sym[k:, k:]) if vectors or not gated
+                  else (np.linalg.eigvalsh(sym[k:, k:]), None))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigensolveFailure(str(exc)) from exc
-    del sym
-    order = np.argsort(-evals)
-    evals = evals[order]
-    # project_initial sums in this array's memory order: keep its layout
-    phi = (evecs / d[:, None])[:, order]
-    del evecs
-    w = d[:, None] * phi
-    gram = w.T @ w
-    del w
-    gram.flat[::gram.shape[0] + 1] -= 1.0
-    if max(gram.max(), -gram.min()) > tol.orthonormality:
+    if k and lam.size and lam[-1] >= 1.0:
+        raise OutOfRange(f"lambda2 = {float(lam[-1])!r} >= 1: the gap 1 - lambda2 is not resolved")
+    lam = np.concatenate((np.ones(k), lam[::-1]))
+    if y is None:
+        trace_gap = abs(lam.sum() - np.trace(sym))
+        square_gap = abs(lam @ lam - np.einsum("ij,ij->", sym, sym))
+        if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
+            raise EigensolveFailure(f"eigenvalues miss tr sym by {trace_gap!r} "
+                                    f"and ||sym||_F^2 by {square_gap!r}")
+        return lam, None
+    phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
+    phi[:k] = 0.0
+    phi[k:, k:] = y[:, ::-1]
+    del y
+    if stationary:
+        _rank_one_update(phi[:, 1:], v, tau * (v[1:] @ phi[1:, 1:]))
+        phi[:, 0] = d
+    if gated:
+        z = np.random.default_rng(0).standard_normal(n)
+        z /= np.linalg.norm(z)
+        orth = max(np.max(np.abs(np.einsum("ij,ij->j", phi, phi) - 1.0)),
+                   np.linalg.norm(phi.T @ (phi @ z) - z))
+    else:
+        orth = np.max(np.abs(phi.T @ phi - np.eye(n)))
+    if orth > tol.orthonormality:
         raise EigensolveFailure("eigenvectors fail weighted orthonormality")
-    del gram
-    resid = kernel @ phi
-    resid -= phi * evals
-    resid *= d[:, None]
-    worst = float(np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid))))
+    phi /= d[:, None]
+    if gated:
+        worst = np.linalg.norm(d * (kernel @ (phi @ z) - phi @ (lam * z)))
+    else:
+        resid = (kernel @ phi - phi * lam) * d[:, None]
+        worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
     if worst > tol.eigen_residual:
-        raise EigensolveFailure(f"eigen-residual {worst!r} too large")
-    return evals, phi
+        raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
+    return lam, phi
 
 
 def spectral_decomposition(chain: ReversibleChain,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Full eigensystem of the kernel in the stationary-weighted inner product."""
-    evals, phi = _weighted_eigh(chain.kernel, chain.pi, tol)
-    # sign-normalize so the stationary column is the positive constant vector
-    if phi[:, 0].sum() < 0:
-        phi = phi.copy()
-        phi[:, 0] = -phi[:, 0]
-    if abs(evals[0] - 1.0) > 1e-10:
-        raise EigensolveFailure(f"top eigenvalue {evals[0]!r} is not 1")
-    # in u-space (u = sqrt(pi) phi), as chain_spectrum tests it: phi_1 = u / sqrt(pi)
-    # is off by roundoff / sqrt(pi_i) where pi_i is tiny, and ||sqrt(pi)||_2 = 1
-    d = np.sqrt(chain.pi)
-    if np.linalg.norm(d * phi[:, 0] - d) > 1e-8:
-        raise EigensolveFailure("stationary eigenvector is not constant")
+    evals, phi = _certified_eigh(chain.kernel, chain.pi, tol, vectors=True, stationary=True)
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=phi)
 
 
 def chain_spectrum(chain: ReversibleChain,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Eigenvalues (descending) of the kernel, certified without eigenvectors.
-
-    One `eigvalsh` of sym = (S + S^T)/2, S = D^{1/2} K D^{-1/2}, the matrix
-    `spectral_decomposition` solves, in place of its checked `eigh`.  The
-    certificate stands in for that solve's per-pair checks:
-
-    * Symmetrization error.  With A = S - sym, let (lam, y), ||y||_2 = 1, be
-      an exact eigenpair of sym and phi = D^{-1/2} y, so ||phi||_pi = 1.  Then
-      D^{1/2}(K phi - lam phi) = S y - lam y = A y, so the weighted residual
-      ||K phi - lam phi||_pi, which `_weighted_eigh` checks, is at most
-      ||A||_2 <= b (`_antisymmetry_bound`).  LAPACK's eigenvalues are exact
-      for sym + E with ||E||_2 about n 2^-52 ||sym||_2, which moves each
-      residual by at most ||E||_2.  sym is nonnegative, so ||sym||_2 is its
-      Perron root lambda_1, held to 1 +- 1e-10 below.  So b + n 2^-52 <=
-      tol.eigen_residual certifies every eigenvalue as the full check would.
-      Otherwise, or when tol.orthonormality is below the n 2^-52 to which
-      LAPACK's eigenvectors are orthonormal, the full `spectral_decomposition`
-      runs: no kernel it accepts is refused here and none it refuses passes.
-    * Stationary mode.  lambda_1 must lie within 1e-10 of 1, and in place of
-      "phi_1 is constant" ||sym sqrt(pi) - sqrt(pi)||_2 <= tol.eigen_residual
-      (K 1 = 1 and pi K = pi give S sqrt(pi) = S^T sqrt(pi) = sqrt(pi)).
-      Being relative to ||sqrt(pi)||_2 = 1, it does not fail where pi is tiny
-      as the absolute test on phi_1 = u / sqrt(pi) does.
-    * The list itself.  The exact eigenvalues have sum lam = tr sym and
-      sum lam^2 = ||sym||_F^2.  The full check holds each computed eigenvalue
-      within about tol.eigen_residual of its own exact one (residual plus
-      orthonormality), and |lam| <= 1, so a list it passes has
-      |sum lam - tr sym| <= n tol.eigen_residual and
-      |sum lam^2 - ||sym||_F^2| <= 2 n tol.eigen_residual; a corrupted list
-      fails them.
-
-    Beside the kernel only sym and eigvalsh's copy of it are live.
-    """
-    n = chain.n
-    d, sym = _symmetrized(chain.kernel, chain.pi)
-    backward = n * 2.0 ** -52     # LAPACK's backward error on sym, ||sym||_2 = 1
-    if (_antisymmetry_bound(chain.kernel, d, sym) + backward > tol.eigen_residual
-            or backward > tol.orthonormality):
-        del sym
-        return spectral_decomposition(chain, tol).eigenvalues
-    try:
-        evals = np.linalg.eigvalsh(sym)[::-1].copy()
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh rarely fails
-        raise EigensolveFailure(str(exc)) from exc
-    if abs(evals[0] - 1.0) > 1e-10:
-        raise EigensolveFailure(f"top eigenvalue {evals[0]!r} is not 1")
-    stationary = float(np.linalg.norm(sym @ d - d))
-    if stationary > tol.eigen_residual:
-        raise EigensolveFailure(f"stationary mode residual {stationary!r} too large")
-    trace_gap = abs(evals.sum() - np.trace(sym))
-    square_gap = abs(evals @ evals - np.einsum("ij,ij->", sym, sym))
-    if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
-        raise EigensolveFailure(f"eigenvalues miss tr sym by {trace_gap!r} "
-                                f"and ||sym||_F^2 by {square_gap!r}")
-    return evals
+    """Eigenvalues (descending) of the kernel, without eigenvectors."""
+    return _certified_eigh(chain.kernel, chain.pi, tol, vectors=False, stationary=True)[0]
 
 
 def pi_inner(chain: ReversibleChain, f, g) -> float:

@@ -47,14 +47,15 @@ class _SubParser(argparse.ArgumentParser):
         super().__init__(*args, **kw)
         self._negative_number_matcher = _NUMBER_LIST
 
+    def error(self, message):
+        """A usage error is a ConfigError: one stderr line and exit 2 from `main`."""
+        raise ConfigError(message)
+
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name."""
-    p = argparse.ArgumentParser(
-        prog="specrelax",
-        description="Finite-time spectral relaxation analysis of reversible chains",
-    )
-    p._negative_number_matcher = _NUMBER_LIST
+    p = _SubParser(prog="specrelax",
+                   description="Finite-time spectral relaxation analysis of reversible chains")
     p.add_argument("--config", help="JSON file of option defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
 
@@ -145,13 +146,13 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> d
     """The JSON config's options, each checked as its flag would be."""
     data = read_json(path, "config")
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        sub.error("config file must hold a JSON object")
     actions = {a.dest: a for a in sub._actions}
     unknown = set(data) - set(actions) - {"command"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        sub.error(f"unknown config keys: {sorted(unknown)}")
     if data.get("command", command) != command:
-        raise ConfigError(f"config is for command {data['command']!r}, not {command!r}")
+        sub.error(f"config is for command {data['command']!r}, not {command!r}")
     return {key: _config_value(actions[key], value)
             for key, value in data.items() if key != "command"}
 
@@ -387,7 +388,7 @@ def _cmd_accel(args: argparse.Namespace):
         if fast.size == 0:
             raise ConfigError("profile has no fast modes to suppress")
         lo, hi = float(fast.min()), float(fast.max())
-        if lo >= hi:
+        if hi - lo <= args.tol.eigen_residual:   # a tie, to the certified accuracy
             lo, hi = -abs(hi), abs(hi)
         if hi <= lo:
             raise ConfigError("cannot infer a suppression interval; pass --interval")
@@ -427,7 +428,7 @@ def _cmd_fpt(args: argparse.Namespace):
     model = absorb(chain, args.target, args.tol)
     if start is None:
         start = starts[args.start](model)
-    alpha = tail_coefficients(model, start)
+    alpha = tail_coefficients(model, start, args.tol)
     tails = tail_curve(model, start, args.kmax).tolist()
     spectral, approx = (c.tolist() for c in spectral_tails(model, alpha, range(args.kmax + 1)))
     tiny = np.finfo(float).tiny

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DEFAULT_TOLERANCES, ReversibleChain, Tolerances, _freeze, _weighted_eigh
-from .errors import BadStart, Degenerate, InvalidArguments, InvalidState
+from .chains import DEFAULT_TOLERANCES, ReversibleChain, Tolerances, _certified_eigh, _freeze
+from .errors import BadStart, Degenerate, InvalidArguments, InvalidState, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def absorb(chain: ReversibleChain, target: int,
     keep = np.array([i for i in range(chain.n) if i != target])
     block = chain.kernel[np.ix_(keep, keep)]
     pr = chain.pi[keep]
-    nu, modes = _weighted_eigh(block, pr, tol)
+    nu, modes = _certified_eigh(block, pr, tol, vectors=True, stationary=False)
     return AbsorbingModel(base=chain, target=target, block=block, keep=keep,
                           nu=nu, modes=modes, restricted_pi=pr)
 
@@ -75,17 +75,29 @@ def uniform_start(model: AbsorbingModel) -> np.ndarray:
     return np.full(m, 1.0 / m)
 
 
-def tail_coefficients(model: AbsorbingModel, start) -> np.ndarray:
+def tail_coefficients(model: AbsorbingModel, start,
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Spectral weights of the survival expansion for a given start law.
 
     The tail probability is sum_i alpha_i nu_i^k; the coefficients sum to one
-    for any start supported off the target.
+    for any start supported off the target.  OutOfRange refuses them where
+    m 2^-52 sum_i |alpha_i| > tol.eigen_residual, m the number of modes.
+    Proof of the limit: a float sum of m terms t_i errs by up to
+    gamma_{m-1} sum_i |t_i|, gamma_j = j u / (1 - j u), u = 2^-53, and
+    gamma_{m-1} < m 2^-52.  At k = 0 the terms are the alpha_i themselves
+    (nu^0 = 1 exactly) and the exact sum is 1, so past the limit the expansion
+    is not resolved to the tolerance its eigensolve was checked to; short of
+    it, |nu_i| <= 1 keeps that rounding below tol.eigen_residual at every k.
     """
     start = _validate_start(model, start)
-    # block^k = Phi diag(nu^k) Phi^T diag(pi_restricted)
-    left = start @ model.modes                      # start in the mode basis
-    right = model.modes.T @ model.restricted_pi     # <phi_i, 1>_pi
-    return left * right
+    # block^k = Phi diag(nu^k) Phi^T diag(pi_restricted): alpha_i is the start
+    # in the mode basis times <phi_i, 1>_pi
+    alpha = (start @ model.modes) * (model.modes.T @ model.restricted_pi)
+    spread = float(np.sum(np.abs(alpha)))
+    if alpha.size * 2.0 ** -52 * spread > tol.eigen_residual:
+        raise OutOfRange(f"sum |alpha_i| = {spread!r} over {alpha.size} modes: the "
+                         "expansion's rounding exceeds tol.eigen_residual")
+    return alpha
 
 
 def _validate_start(model: AbsorbingModel, start) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax import power_iter
-from specrelax.cli import main
+from specrelax.cli import LEDGER_COLUMNS, full_ledger_rows, main
 from specrelax.io import fmt, load_input_file
 
 import oracles
@@ -144,6 +144,20 @@ class TestEigensolveCalls:
         counts = _count_eigensolves(monkeypatch)
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "5"]) == 0
         assert counts == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("argv, solve", [
+        (["analyze", "cycle-50"], "eigvalsh"),
+        (["simulate", "cycle-50", "--steps", "3"], "eigh"),
+        (["power", "cycle-50", "--max-iter", "3"], "eigh"),
+    ])
+    def test_chain_solves_leave_out_the_stationary_mode(self, argv, solve, monkeypatch,
+                                                        capsys):
+        # the known stationary mode is deflated: LAPACK gets one (n-1) x (n-1) matrix
+        shapes, real = [], getattr(np.linalg, solve)
+        monkeypatch.setattr(np.linalg, solve,
+                            lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
+        assert run_cli(argv) == 0
+        assert shapes == [(49, 49)]
 
 
 class TestImportClosure:
@@ -620,10 +634,29 @@ class TestFptCommand:
         assert rows[1]["bound"] == pytest.approx(0.33342, abs=5e-6)
 
     def test_delta_option_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["fpt", "barbell-metastable", "--delta", "0.1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --delta 0.1" in capsys.readouterr().err
+        assert run_cli(["fpt", "barbell-metastable", "--delta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigError: unrecognized arguments: --delta 0.1\n"
+
+    @pytest.mark.parametrize("start", ["uniform", "restricted", "quasistationary"])
+    def test_unresolved_expansion_is_refused(self, start, tmp_path, capsys):
+        # pi spans 2^-299: the uniform start weights states of tiny pi, so
+        # sum |alpha_i| = 4.5e42 and spectral_tail printed -1.6e26 at k = 0
+        chain_file = tmp_path / "bd300.csv"
+        np.savetxt(chain_file, _birth_death(300, 0.5, 1.0), delimiter=",", fmt="%.17g")
+        code = run_cli(["fpt", str(chain_file), "--start", start, "--kmax", "400",
+                        "--tol", "pi_floor=0", "--format", "json"])
+        captured = capsys.readouterr()
+        if start == "uniform":
+            assert code == 4 and captured.out == ""
+            assert captured.err.startswith("error: OutOfRange: sum |alpha_i| = 4.")
+            assert captured.err.count("\n") == 1
+            return
+        assert code == 0 and captured.err == ""
+        rows = json.loads(captured.out)
+        assert abs(rows[0]["spectral_tail"] - 1.0) <= 1e-9
+        assert all(r["rel_err"] <= r["bound"] for r in rows if r["rel_err"] is not None)
 
     def test_negative_kmax_rejected(self, capsys):
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "-1"]) == 4
@@ -681,6 +714,78 @@ class TestWidePi:
         np.testing.assert_allclose(E, np.exp(log_E), rtol=rel)
 
 
+class TestMetastableBarbell:
+    """barbell_chain(3, b): the slow gap 1 - lambda2 is about b / 3."""
+
+    BRIDGES = [1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-16, 1e-20]
+    STEPS = 200
+
+    @pytest.fixture(scope="class", params=BRIDGES)
+    def chain_file(self, request, tmp_path_factory):
+        path = tmp_path_factory.mktemp("barbell") / f"b{request.param:g}.csv"
+        np.savetxt(path, sr.barbell_chain(3, request.param).kernel, delimiter=",",
+                   fmt="%.17g")
+        return str(path), request.param
+
+    @pytest.mark.parametrize("command", ["simulate", "rigidity", "thermo", "accel", "power",
+                                         "fpt", "analyze"])
+    def test_every_command_runs_or_refuses_in_one_line(self, chain_file, command, capsys):
+        # the stationary test on the computed eigenvector refused simulate,
+        # rigidity, thermo, accel and power at b = 1e-9 and from 1e-14 on
+        path, bridge = chain_file
+        code = run_cli([command, path])
+        captured = capsys.readouterr()
+        if command == "analyze" and bridge < 1e-14:
+            assert code == 4 and captured.out == ""
+            assert captured.err.startswith("error: OutOfRange: lambda2 = ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert code == 0 and captured.err == ""
+
+    def test_simulate_matches_the_power_stream(self, chain_file, tmp_path):
+        path, _ = chain_file
+        out = tmp_path / "sim.csv"
+        assert run_cli(["simulate", path, "--steps", str(self.STEPS), "--seed", "5",
+                        "--out", str(out)]) == 0
+        E = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+        chain = load_input_file(path, sr.Tolerances())
+        g0 = np.random.default_rng(5).standard_normal(chain.n)
+        log_E = [item[0] for item in itertools.islice(sr.power_steps(chain, g0),
+                                                      self.STEPS + 1)]
+        np.testing.assert_allclose(E, np.exp(log_E), rtol=4 * self.STEPS * chain.n * 2.0 ** -52)
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_repeated_eigenvalues_move_only_per_mode_columns(n, tmp_path):
+    """On a cycle every eigenvalue but 1 and -1 is a double one, so the solver's
+    basis inside each pair sets the per-mode columns (alpha2, S_spec, Cov, G,
+    A).  The others depend on each eigenspace's total weight alone: they match
+    a profile with one mode per distinct eigenvalue, weighted by the Fourier
+    coefficients of the centered start."""
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", f"cycle-{n}", "--steps", "40", "--seed", "3",
+                    "--out", str(out)]) == 0
+    got = np.genfromtxt(out, delimiter=",", names=True)
+    g0 = np.random.default_rng(3).standard_normal(n)
+    f = np.fft.rfft(g0 - g0.mean())[1:]
+    j = np.arange(1, n // 2 + 1)
+    # <c, e>_pi^2 summed over a pi-orthonormal basis of each eigenspace
+    weights = np.abs(f) ** 2 * np.where(2 * j == n, 1.0, 2.0) / n ** 2
+    lam = np.cos(2 * np.pi * j / n)
+    lam[np.abs(lam) <= 1e-9] = 0.0        # as project_initial takes roundoff to 0
+    merged = sr.profile_from_weights(lam, weights)
+    want = np.array(full_ledger_rows(merged, 40), dtype=object)
+    for column in ("E", "rho", "d", "KL", "B", "Gamma", "Vhat"):
+        i = LEDGER_COLUMNS.index(column)
+        cells = [(g, w) for g, w in zip(got[column], want[:, i]) if w != ""]
+        assert len(cells) >= 40
+        # KL, B, Gamma and Vhat cancel: they are exact only to a few ulps of
+        # the terms they are differences of, which are at most 1
+        np.testing.assert_allclose(*map(np.array, zip(*cells)), rtol=1e-12,
+                                   atol=0 if column in ("E", "rho", "d") else 1e-14,
+                                   err_msg=column)
+
+
 def _lazy_cycle(n):
     """P = I/2 + (S + S^-1)/4, S the cyclic shift: every eigenvalue but 1 (and 0
     for even n) is a double one."""
@@ -712,12 +817,23 @@ SPLIT_FAMILIES = st.one_of(
 @given(SPLIT_FAMILIES, st.integers(0, 2), st.sampled_from(["restricted", "uniform",
                                                            "quasistationary"]))
 def test_fpt_bound_holds_on_every_row(P, target, start):
-    """Every fpt row with a rel_err has a bound, and rel_err <= bound."""
+    """Every fpt row with a rel_err has a bound, and rel_err <= bound; only an
+    expansion past the rounding limit m 2^-52 sum |alpha_i| > eigen_residual
+    is refused instead."""
+    model = sr.absorb(sr.build_chain(P, sr.Tolerances(pi_floor=0.0)), target)
+    law = {"uniform": sr.uniform_start, "restricted": sr.restricted_stationary_start,
+           "quasistationary": sr.quasistationary_start}[start](model)
+    alpha = (law @ model.modes) * (model.modes.T @ model.restricted_pi)
+    unresolved = model.nu.size * 2.0 ** -52 * np.sum(np.abs(alpha)) > 1e-9
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "chain.csv"), os.path.join(tmp, "f.json")
         np.savetxt(path, P, delimiter=",", fmt="%.17g")
-        assert main(["fpt", path, "--kmax", "20", "--target", str(target), "--start", start,
-                     "--tol", "pi_floor=0", "--format", "json", "--out", out]) == 0
+        code = main(["fpt", path, "--kmax", "20", "--target", str(target), "--start", start,
+                     "--tol", "pi_floor=0", "--format", "json", "--out", out])
+        if unresolved:
+            assert code == 4 and not os.path.exists(out)
+            return
+        assert code == 0
         with open(out) as fh:
             rows = json.load(fh)
     assert all(r["bound"] is not None and r["rel_err"] <= r["bound"]
@@ -863,6 +979,10 @@ class TestConfigAndErrors:
         (["simulate", "paper-s8", "--steps", "-1"], 4),
         (["thermo", "paper-s8", "--steps", "-1"], 4),
         (["accel", "paper-s8", "--steps", "-1"], 4),
+        (["fpt", "k5", "--format", "xml"], 2),
+        (["simulate", "paper-s8", "--steps", "x"], 2),
+        ([], 2),
+        (["bogus", "k5"], 2),
     ])
     def test_bad_arguments_give_one_error_line(self, argv, code, capsys):
         assert run_cli(argv) == code
