@@ -16,17 +16,16 @@ from importlib import import_module
 
 _EXPORTS = {
     "accel": ("AccelPlan", "accelerated_spectrum", "build_Qm", "chebyshev_T"),
-    "chains": ("HypercubeProfile", "ReversibleChain", "SpectralDecomposition", "Tolerances",
-               "barbell_chain", "build_chain", "chain_spectrum", "complete_graph",
-               "cycle_graph", "hypercube_profile", "pi_inner", "spectral_decomposition"),
+    "chains": ("ReversibleChain", "SpectralDecomposition", "Tolerances", "barbell_chain",
+               "build_chain", "chain_spectrum", "complete_graph", "cycle_graph", "pi_inner",
+               "spectral_decomposition"),
     "first_passage": ("AbsorbingModel", "absorb", "exponential_tail_bound",
                       "quasistationary_start", "restricted_stationary_start",
                       "spectral_tails", "tail_coefficients", "tail_curve", "uniform_start"),
     "power_iter": ("StoppingState", "eigenvector_error", "power_steps"),
-    "rigidity": ("RigidityReport", "rigidity_bound_L", "rigidity_time"),
-    "thermo": ("canonical_covariance",),
-    "trajectory": ("LedgerBlock", "SpectralProfile", "hypercube_trajectory",
-                   "ledger_block", "ledger_blocks", "profile_from_weights", "project_initial"),
+    "rigidity": ("RigidityReport", "rigidity_bound", "rigidity_time"),
+    "trajectory": ("LedgerBlock", "SpectralProfile", "hypercube_profile", "ledger_block",
+                   "ledger_blocks", "profile_from_weights", "project_initial"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

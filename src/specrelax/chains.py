@@ -72,22 +72,6 @@ class SpectralDecomposition:
         _freeze(self, "eigenvalues", "eigenvectors")
 
 
-@dataclass(frozen=True)
-class HypercubeProfile:
-    """Analytic level spectrum of the n-dimensional hypercube walk.
-
-    Level j carries eigenvalue 1 - 2j/n with log-multiplicity ln C(n, j);
-    multiplicities are kept in log form so large n never overflows.
-    """
-
-    n: int
-    lambdas: np.ndarray          # level eigenvalues, j = 0..n
-    log_multiplicities: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "lambdas", "log_multiplicities")
-
-
 def _freeze(obj, *names: str, dtype=float):
     """Replace the named fields of a frozen dataclass by read-only array copies."""
     for name in names:
@@ -354,13 +338,3 @@ def barbell_chain(clique_size: int = 3, bridge_weight: float = 0.1) -> Reversibl
     W[m - 1, m] = W[m, m - 1] = bridge_weight
     P = W / W.sum(axis=1, keepdims=True)
     return build_chain(P)
-
-
-def hypercube_profile(n: int) -> HypercubeProfile:
-    """Level eigenvalues and log-multiplicities of the n-dimensional hypercube."""
-    if n < 1:
-        raise InvalidSize("hypercube dimension must be >= 1")
-    lam = 1.0 - 2.0 * np.arange(n + 1) / n
-    log_factorial = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    logmult = log_factorial[n] - log_factorial - log_factorial[::-1]
-    return HypercubeProfile(n=n, lambdas=lam, log_multiplicities=logmult)

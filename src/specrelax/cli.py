@@ -22,13 +22,12 @@ import numpy as np
 # The modules that parsing and input resolution load anyway are imported here.
 # Each command imports the others it runs in its own body, so a call loads and
 # compiles no module that it does not use.
-from .chains import (ReversibleChain, Tolerances, chain_spectrum, hypercube_profile,
-                     spectral_decomposition)
+from .chains import ReversibleChain, Tolerances, chain_spectrum, spectral_decomposition
 from .errors import (ConfigError, InvalidArguments, InvalidSize, IoError, OutOfRange,
                      SpecRelaxError)
 from .io import dump_json, load_input_file, read_csv, read_json, write_csv
 from .presets import PRESET_HELP, resolve_preset
-from .trajectory import (SpectralProfile, hypercube_trajectory, ledger_block, ledger_blocks,
+from .trajectory import (SpectralProfile, hypercube_profile, ledger_block, ledger_blocks,
                          profile_from_weights, project_initial)
 
 LEDGER_COLUMNS = ["k", "E", "rho", "d", "alpha2", "S_spec", "Cov", "KL",
@@ -95,8 +94,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = command("accel", "polynomial acceleration comparison")
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--interval", default=None, metavar="a,b")
-    sp.add_argument("--paper-simple", type=float, default=None,
-                    metavar="LAMBDA2", dest="paper_simple")
     sp.add_argument("--compare-plain", action="store_true", dest="compare_plain")
     sp.add_argument("--steps", type=int, default=25)
 
@@ -219,7 +216,7 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]):
 # --- commands ---------------------------------------------------------------
 
 def _profile_summary(profile: SpectralProfile) -> dict:
-    from .rigidity import _bound_for_split, split_slow_fast
+    from .rigidity import rigidity_bound, split_slow_fast
 
     split = split_slow_fast(profile)
     return {
@@ -231,7 +228,7 @@ def _profile_summary(profile: SpectralProfile) -> dict:
         "degenerate_slow_pair": split.degenerate and split.fast_weight > 0,
         "init_ratio": split.init_ratio,
         "delta_star": split.delta_star,
-        "L_0.1": math.inf if split.delta_star is None else _bound_for_split(split, 0.1),
+        "L_0.1": math.inf if split.delta_star is None else rigidity_bound(split, 0.1),
     }
 
 
@@ -298,20 +295,18 @@ def _cmd_simulate(args: argparse.Namespace):
 
 
 def _cmd_thermo(args: argparse.Namespace):
-    from .thermo import canonical_covariance
+    from .rigidity import split_slow_fast
+    from .thermo import covariance_rows
 
     profile = _as_profile(resolve_input(args), args)
     rows = full_ledger_rows(profile, args.steps)
     if args.fluxes_at:
-        fluxes = {}
-        for k in _number_list(args.fluxes_at, "fluxes-at", int):
-            forms = canonical_covariance(profile, k)
-            fluxes[str(k)] = {
-                "cov": forms.cov,
-                "fluxes": list(forms.fluxes),
-                "affinities": [a if math.isfinite(a) else None
-                               for a in forms.affinities],
-            }
+        ks = _number_list(args.fluxes_at, "fluxes-at", int)
+        cov, J, aff = (c.tolist() for c in covariance_rows(
+            ledger_block(profile, ks), split_slow_fast(profile).slow_index))
+        fluxes = {str(k): {"cov": c, "fluxes": j,
+                           "affinities": [a if math.isfinite(a) else None for a in row]}
+                  for k, c, j, row in zip(ks, cov, J, aff)}
         dump_json(fluxes, args.out + ".fluxes.json" if args.out else None)
     _emit(args, LEDGER_COLUMNS, rows)
 
@@ -376,9 +371,7 @@ def _cmd_accel(args: argparse.Namespace):
     profile = _as_profile(resolve_input(args), args)
     m = args.degree
     split = split_slow_fast(profile)
-    if args.paper_simple is not None:
-        plan = accel_mod.build_Qm(m, a=-args.paper_simple, b=args.paper_simple)
-    elif args.interval:
+    if args.interval:
         bounds = _number_list(args.interval, "interval")
         if len(bounds) != 2:
             raise ConfigError(f"--interval takes two numbers a,b, got {args.interval!r}")
@@ -457,7 +450,7 @@ def _cmd_hypercube(args: argparse.Namespace):
     from .thermo import entropy_rows
 
     alphas = _number_list(args.alpha, "alpha")
-    traj = hypercube_trajectory(hypercube_profile(args.n))
+    traj = hypercube_profile(args.n)
     block = ledger_block(traj, [hypercube_window_step(args.n, a) for a in alphas])
     # logE, not E: the energy leaves the double range from n ~ 1030 on
     columns = [alphas, block.ks.tolist(), entropy_rows(block.p).tolist(),

@@ -101,41 +101,24 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
     )
 
 
-def rigidity_bound_L(lambda2: float, lambda3: float, c2_sq: float,
-                     R0: float, delta: float) -> float:
-    """Closed-form crossing estimate; +inf on a degenerate pair, 0 if already pure.
+def rigidity_bound(split: SlowFastSplit, delta: float) -> float:
+    """Closed-form crossing estimate L = ln(R0 / (c2 delta)) / (2 ln(lambda2 / |lambda3|)).
 
-    `lambda3` is interpreted as the largest fast absolute eigenvalue.
+    0 if already pure, +inf on a tied pair or a nonpositive slow eigenvalue,
+    1 when the fast sector dies at the first step.
     """
-    lam3 = abs(lambda3)
-    if not (0.0 < lam3 <= lambda2 <= 1.0):
-        raise InvalidArguments(
-            f"need 0 < |lambda3| <= lambda2 <= 1, got {lambda2!r}, {lambda3!r}")
-    if c2_sq <= 0 or R0 < 0:
-        raise InvalidArguments("weights must satisfy c2_sq > 0, R0 >= 0")
-    if not (0.0 < delta < 1.0):
-        raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
-    if R0 <= c2_sq * delta:
-        return 0.0
-    if lam3 >= lambda2 * (1.0 - DEGENERACY_TOL):
-        return math.inf
-    return math.log(R0 / (c2_sq * delta)) / (2.0 * math.log(lambda2 / lam3))
-
-
-def _bound_for_split(split: SlowFastSplit, delta: float) -> float:
     c2_delta = split.slow_weight * delta
-    if split.fast_weight == 0.0 or split.fast_weight <= c2_delta:
+    if split.fast_weight <= c2_delta:
         return 0.0
     if split.slow_lambda <= 0.0 or split.degenerate:
         return math.inf
     if split.fast_abs_lambda == 0.0:
-        return 1.0  # fast sector dies entirely at the first step
-    if c2_delta == 0.0 or split.fast_weight / c2_delta == math.inf:
-        # R0 / (c2 delta) leaves the double range: take it in logs
-        return ((split.log_init_ratio - math.log(delta))
-                / (2.0 * math.log(split.slow_lambda / split.fast_abs_lambda)))
-    return rigidity_bound_L(split.slow_lambda, split.fast_abs_lambda,
-                            split.slow_weight, split.fast_weight, delta)
+        return 1.0
+    if c2_delta > 0.0 and split.fast_weight / c2_delta < math.inf:
+        log_ratio = math.log(split.fast_weight / c2_delta)
+    else:   # R0 / (c2 delta) leaves the double range: take it in logs
+        log_ratio = split.log_init_ratio - math.log(delta)
+    return log_ratio / (2.0 * math.log(split.slow_lambda / split.fast_abs_lambda))
 
 
 @dataclass(frozen=True)
@@ -179,7 +162,7 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     if not (0.0 < delta < 1.0):
         raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
     split = split_slow_fast(profile)
-    L = _bound_for_split(split, delta)
+    L = rigidity_bound(split, delta)
     if cap is None:
         cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
     if cap < 1:

@@ -18,14 +18,11 @@ per step or per pair of neighbouring steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import _freeze
 from .errors import DeadTrajectory, NoSlowMode, OutOfRange
-from .rigidity import split_slow_fast
-from .trajectory import LedgerBlock, SpectralProfile, ledger_block
+from .trajectory import LedgerBlock
 
 LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
@@ -60,17 +57,6 @@ def _require_rho(block: LedgerBlock) -> None:
             "no resolvable energy on modes with lambda != 0")
 
 
-@dataclass(frozen=True)
-class CovarianceForms:
-    k: int
-    cov: float                      # canonical form
-    fluxes: np.ndarray              # J_i per fast mode (dead modes: 0)
-    affinities: np.ndarray          # A_i = ln(n_i / n_slow), -inf when dead
-
-    def __post_init__(self):
-        _freeze(self, "fluxes", "affinities")
-
-
 def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
     """Covariance of (lambda^2, ln 1/p) at each row in its canonical form,
     with the fluxes J and affinities A whose products it sums.
@@ -98,13 +84,6 @@ def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
     J = block.p * (rho - lam_sq)
     J[:, slow] = 0.0
     return cov, J, aff
-
-
-def canonical_covariance(profile: SpectralProfile, k: int) -> CovarianceForms:
-    """Covariance of (lambda^2, ln 1/p) under p_k, with its fluxes and affinities."""
-    cov, J, aff = covariance_rows(ledger_block(profile, [k]),
-                                  split_slow_fast(profile).slow_index)
-    return CovarianceForms(k=k, cov=float(cov[0]), fluxes=J[0], affinities=aff[0])
 
 
 def G_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

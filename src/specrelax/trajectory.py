@@ -14,14 +14,15 @@ memory.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (DEFAULT_TOLERANCES, HypercubeProfile, ReversibleChain,
-                     SpectralDecomposition, Tolerances, pi_inner)
-from .errors import DimensionMismatch, InvalidArguments, ZeroProjection
+from .chains import (DEFAULT_TOLERANCES, ReversibleChain, SpectralDecomposition, Tolerances,
+                     pi_inner)
+from .errors import DimensionMismatch, InvalidArguments, InvalidSize, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
 LEDGER_BLOCK_ELEMENTS = 1 << 18  # entries per (steps x modes) block: 2 MB a float array
@@ -140,12 +141,18 @@ def profile_from_weights(lambdas, weights, **kw) -> SpectralProfile:
                            log_weights=np.log(w), **kw)
 
 
-def hypercube_trajectory(profile: HypercubeProfile) -> SpectralProfile:
-    """Point-mass start on the hypercube: level weights equal multiplicities."""
-    return SpectralProfile(
-        lambdas=profile.lambdas[1:],
-        log_weights=profile.log_multiplicities[1:],
-    )
+def hypercube_profile(n: int) -> SpectralProfile:
+    """Point-mass start on the n-dimensional hypercube walk, by level.
+
+    Level j = 1..n has eigenvalue 1 - 2j/n and weight its multiplicity
+    C(n, j), kept as ln C(n, j) so that large n never overflows.
+    """
+    if n < 1:
+        raise InvalidSize("hypercube dimension must be >= 1")
+    j = np.arange(1, n + 1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    return SpectralProfile(lambdas=1.0 - 2.0 * j / n,
+                           log_weights=log_factorial[n] - log_factorial[j] - log_factorial[n - j])
 
 
 def ledger_block(profile: SpectralProfile, ks) -> LedgerBlock:

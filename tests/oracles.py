@@ -34,7 +34,6 @@ from specrelax.rigidity import rigidity_time, split_slow_fast
 from specrelax.thermo import (
     G_rows,
     _require_rho,
-    canonical_covariance,
     covariance_rows,
     entropy_rows,
     kl_rows,
@@ -355,6 +354,12 @@ def entropy_balance(profile: SpectralProfile, k: int) -> EntropyBalance:
                           kl=kl, residual=abs(dS - cov / rho + kl))
 
 
+def canonical_covariance(profile: SpectralProfile, k: int) -> tuple:
+    """(cov, fluxes J, affinities A) at step k, as `thermo --fluxes-at` computes them."""
+    cov, J, aff = covariance_rows(ledger_block(profile, [k]), split_slow_fast(profile).slow_index)
+    return float(cov[0]), J[0], aff[0]
+
+
 @dataclass(frozen=True)
 class CovarianceTriple:
     cov: float                  # canonical form, as the package computes it
@@ -369,12 +374,12 @@ def covariance_forms(profile: SpectralProfile, k: int) -> CovarianceTriple:
     The moment form -sum p (lambda^2 - rho) ln p cancels large entropies; the
     flux-force form sums J_i A_i over the fast modes.  All three must agree.
     """
-    forms = canonical_covariance(profile, k)
+    cov, fluxes, affinities = canonical_covariance(profile, k)
     block = ledger_block(profile, [k])
     moment = -np.sum(block.p * (block.lambdas ** 2 - block.rho[:, None]) * block.log_p(),
                      axis=1)
-    terms = forms.fluxes * np.where(np.isfinite(forms.affinities), forms.affinities, 0.0)
-    return CovarianceTriple(cov=forms.cov, cov_moment=float(moment[0]),
+    terms = fluxes * np.where(np.isfinite(affinities), affinities, 0.0)
+    return CovarianceTriple(cov=cov, cov_moment=float(moment[0]),
                             cov_fluxforce=float(np.sum(terms)),
                             term_scale=float(np.sum(np.abs(terms))))
 

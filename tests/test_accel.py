@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax.errors import InvalidInterval, OutOfRange
+from specrelax.rigidity import split_slow_fast
 
 import oracles
 from conftest import random_profile
@@ -220,11 +221,11 @@ class TestMomentum:
 
 
 class TestAcceleratedRigidityBound:
-    def test_identity_plan_reduces_to_plain_bound(self):
+    def test_identity_plan_reduces_to_plain_bound(self, s8_two_mode):
         plan = sr.build_Qm(1, a=-0.7, b=0.7)
         out = oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.1,
                                             R0=0.9, delta=0.1)
-        L = sr.rigidity_bound_L(0.95, 0.70, 0.1, 0.9, 0.1)
+        L = sr.rigidity_bound(split_slow_fast(s8_two_mode), 0.1)
         assert out.accel_steps == pytest.approx(L + 1.0, rel=1e-10)
         assert out.q_fast == pytest.approx(0.7, rel=1e-12)
         assert out.q_slow == pytest.approx(0.95, rel=1e-12)

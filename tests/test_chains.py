@@ -214,11 +214,12 @@ class TestChainFromSpectrum:
 
 
 class TestHypercubeProfile:
+    """The point-mass start by level j = 1..n: eigenvalue 1 - 2j/n, weight C(n, j)."""
+
     def test_small_levels(self):
         prof = sr.hypercube_profile(2)
-        np.testing.assert_allclose(prof.lambdas, [1.0, 0.0, -1.0], atol=1e-15)
-        np.testing.assert_allclose(np.exp(prof.log_multiplicities), [1, 2, 1],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(prof.lambdas, [0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(np.exp(prof.log_weights), [2, 1], rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 64, 4096, 8192])
     def test_log_multiplicities_are_exact_log_binomials(self, n):
@@ -227,23 +228,23 @@ class TestHypercubeProfile:
         for j in range(n):
             binomials.append(binomials[-1] * (n - j) // (j + 1))
         assert binomials[n // 2] == math.comb(n, n // 2)
-        exact = np.array([math.log(c) for c in binomials])
-        got = sr.hypercube_profile(n).log_multiplicities
+        exact = np.array([math.log(c) for c in binomials[1:]])
+        got = sr.hypercube_profile(n).log_weights
         # three lgamma terms, each within about an ulp of ln n!
         assert np.max(np.abs(got - exact)) <= 8 * np.spacing(math.lgamma(n + 1))
 
     def test_log_binomial_value(self):
         prof = sr.hypercube_profile(10)
-        assert prof.log_multiplicities[5] == pytest.approx(math.log(252), abs=1e-10)
+        assert prof.log_weights[4] == pytest.approx(math.log(252), abs=1e-10)
 
     def test_multiplicities_sum_in_log_domain(self):
         prof = sr.hypercube_profile(20)
-        total = np.logaddexp.reduce(prof.log_multiplicities)
-        assert total == pytest.approx(20 * math.log(2), abs=1e-10)
+        total = np.logaddexp.reduce(prof.log_weights)
+        assert total == pytest.approx(math.log(2 ** 20 - 1), abs=1e-10)
 
     def test_endpoints(self):
         prof = sr.hypercube_profile(11)
-        assert prof.lambdas[0] == 1.0
+        assert prof.lambdas[0] == 1.0 - 2.0 / 11
         assert prof.lambdas[-1] == -1.0
 
 

@@ -172,7 +172,7 @@ class TestImportClosure:
         (["power", "barbell-metastable", "--max-iter", "5"], ["power_iter"]),
         (["fpt", "barbell-metastable", "--kmax", "5"], ["first_passage"]),
         (["accel", "paper-s8", "--steps", "3"], ["accel", "rigidity"]),
-        (["hypercube", "--n", "64"], ["rigidity", "thermo"]),
+        (["hypercube", "--n", "64"], ["thermo"]),
     ]
 
     @staticmethod
@@ -377,6 +377,20 @@ class TestLedgerCommands:
         assert fluxes["0"]["cov"] > 0
         assert fluxes["4"]["cov"] > 0 or fluxes["4"]["cov"] < 0
 
+    def test_flux_cov_is_the_ledger_cov(self, tmp_path):
+        # one block for every requested step, repeats and order included,
+        # reduces row by row: each cov is bit for bit the CSV's Cov cell
+        out = tmp_path / "t.csv"
+        assert run_cli(["thermo", "paper-s8", "--steps", "10",
+                        "--fluxes-at", "7,0,7,3", "--out", str(out)]) == 0
+        fluxes = json.loads((tmp_path / "t.csv.fluxes.json").read_text())
+        lines = out.read_text().splitlines()
+        col = lines[0].split(",").index("Cov")
+        cov = {row.split(",")[0]: float(row.split(",")[col]) for row in lines[1:]}
+        assert sorted(fluxes) == ["0", "3", "7"]
+        for k, entry in fluxes.items():
+            assert entry["cov"] == cov[k]
+
     def test_terminal_profile_row(self, tmp_path):
         prof_file = tmp_path / "dead.json"
         prof_file.write_text(json.dumps(
@@ -554,19 +568,21 @@ class TestAccelCommand:
         plain_cross = next(int(r[0]) for r in rows if float(r[1]) >= 0.9)
         assert accel_cross <= plain_cross
 
-    def test_paper_simple_is_the_symmetric_interval(self, capsys):
-        # --paper-simple X builds the plan on [-X, X]: a + b = 0 and b - a = 2X exactly
-        assert run_cli(["accel", "paper-s8", "--paper-simple", "0.95", "--compare-plain"]) == 0
-        simple = capsys.readouterr().out
-        assert run_cli(["accel", "paper-s8", "--interval", "-0.95,0.95", "--compare-plain"]) == 0
-        assert capsys.readouterr().out == simple
-
     @pytest.mark.parametrize("x", ["1.5", "0", "-0.5"])
     def test_paper_simple_out_of_range(self, x, capsys):
-        assert run_cli(["accel", "paper-s8", "--paper-simple", x]) == 4
+        # the paper's simple plan T_m(x/lambda2)/T_m(1/lambda2) is --interval -X,X
+        neg = x[1:] if x.startswith("-") else "-" + x
+        assert run_cli(["accel", "paper-s8", "--interval", f"{neg},{x}"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: InvalidInterval: need a < b < 1, got [")
+
+    def test_paper_simple_option_is_gone(self, capsys):
+        assert run_cli(["accel", "paper-s8", "--paper-simple", "0.95"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ConfigError: unrecognized arguments: "
+                                "--paper-simple 0.95\n")
 
 
 class TestFptCommand:

@@ -178,7 +178,8 @@ class TestExponentialTailBound:
             lam3 = float(np.max(np.abs(lam[2:])))
             if lam2 - lam3 < 0.02:
                 continue
-            T = math.ceil(max(sr.rigidity_bound_L(lam2, lam3, 1.0, n - 2.0, 0.1), 1))
+            # the closed-form L with c2 = 1, R0 = n - 2 and delta = 0.1
+            T = math.ceil(max(math.log((n - 2.0) / 0.1) / (2.0 * math.log(lam2 / lam3)), 1))
             model = sr.absorb(chain, 0)
             start = sr.restricted_stationary_start(model)
             alpha = sr.tail_coefficients(model, start)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax import rigidity
-from specrelax.errors import InvalidArguments, NoSlowMode
+from specrelax.errors import NoSlowMode
 
 import oracles
 from conftest import random_profile, random_reversible
@@ -39,28 +39,28 @@ class TestSlowFraction:
 
 
 class TestRigidityBoundL:
-    def test_already_rigid(self):
-        assert sr.rigidity_bound_L(0.9, 0.5, 1.0, 0.0, 0.1) == 0.0
+    @staticmethod
+    def bound(lambdas, weights, delta):
+        prof = sr.profile_from_weights(lambdas, weights)
+        return sr.rigidity_bound(rigidity.split_slow_fast(prof), delta)
 
-    def test_benchmark_value(self):
-        L = sr.rigidity_bound_L(0.95, 0.70, 0.1, 0.9, 0.1)
+    def test_already_rigid(self):
+        assert self.bound([0.9], [1.0], 0.1) == 0.0
+        assert self.bound([0.9, 0.5], [1.0, 0.05], 0.1) == 0.0
+
+    def test_benchmark_value(self, s8_two_mode):
+        L = sr.rigidity_bound(rigidity.split_slow_fast(s8_two_mode), 0.1)
         assert L == pytest.approx(math.log(90) / (2 * math.log(19 / 14)), rel=1e-12)
         assert L == pytest.approx(7.3675, abs=1e-3)
 
     def test_degenerate_pair_infinite(self):
-        assert sr.rigidity_bound_L(0.5, 0.5, 1.0, 1.0, 0.1) == math.inf
+        assert self.bound([0.5, 0.5], [1.0, 1.0], 0.1) == math.inf
 
     def test_absolute_value_convention(self):
         # a negative fast eigenvalue enters through its magnitude
-        a = sr.rigidity_bound_L(0.9, -0.6, 1.0, 1.0, 0.2)
-        b = sr.rigidity_bound_L(0.9, 0.6, 1.0, 1.0, 0.2)
+        a = self.bound([0.9, -0.6], [1.0, 1.0], 0.2)
+        b = self.bound([0.9, 0.6], [1.0, 1.0], 0.2)
         assert a == b
-
-    def test_guards(self):
-        with pytest.raises(InvalidArguments):
-            sr.rigidity_bound_L(0.9, 0.0, 1.0, 1.0, 0.1)
-        with pytest.raises(InvalidArguments):
-            sr.rigidity_bound_L(0.5, 0.9, 1.0, 1.0, 0.1)
 
 
 class TestRigidityTime:
@@ -304,7 +304,7 @@ class TestRelativeDegeneracy:
             apart = sr.profile_from_weights([scale, scale * (1 - 1e-11)], [1.0, 1.0])
             assert rigidity.split_slow_fast(tied).degenerate
             assert not rigidity.split_slow_fast(apart).degenerate
-            assert sr.rigidity_bound_L(scale, scale * (1 - 1e-13), 1.0, 1.0, 0.1) == math.inf
+            assert sr.rigidity_bound(rigidity.split_slow_fast(tied), 0.1) == math.inf
 
     def test_chain_eigenvalues_tie_absolutely(self):
         # k6 is rank one: its computed nontrivial eigenvalues are roundoff near
