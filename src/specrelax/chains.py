@@ -23,6 +23,7 @@ from .errors import (
     OutOfRange,
     Reducible,
     RowSumError,
+    ZeroProjection,
 )
 
 
@@ -303,6 +304,17 @@ def pi_inner(chain: ReversibleChain, f, g) -> float:
     if f.shape != (chain.n,) or g.shape != (chain.n,):
         raise DimensionMismatch(f"expected vectors of length {chain.n}")
     return float(np.sum(f * g * chain.pi))
+
+
+def pi_center(chain: ReversibleChain, g0) -> tuple[np.ndarray, float]:
+    """g0 minus its pi-mean, and the energy ||.||^2_pi left; ZeroProjection when
+    that is at most (1e-14)^2 ||g0||^2_pi, the roundoff of the mean."""
+    g0 = np.asarray(g0, dtype=float)
+    centered = g0 - pi_inner(chain, g0, np.ones(chain.n))
+    energy = pi_inner(chain, centered, centered)
+    if energy <= 1e-28 * pi_inner(chain, g0, g0):
+        raise ZeroProjection("initial vector has no component off the stationary mode")
+    return centered, energy
 
 
 # --- chain zoo ---

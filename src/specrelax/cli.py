@@ -180,7 +180,7 @@ def resolve_input(args: argparse.Namespace):
     name = args.input
     if name is None:
         raise ConfigError("this command requires an input")
-    if os.path.exists(name):
+    if os.path.exists(name) or name.endswith((".csv", ".json")):
         return load_input_file(name, args.tol)
     return resolve_preset(name, seed=args.seed)
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, SpectralDecomposition, pi_inner
-from .errors import InvalidArguments, InvalidRho, ZeroProjection
+from .chains import ReversibleChain, SpectralDecomposition, pi_center, pi_inner
+from .errors import InvalidArguments, InvalidRho
 
 RHO_SLACK = 1e-12         # tolerated backward drift of the rho sequence
 BURN_IN = 5               # steps before the online tau estimate is trusted
@@ -59,13 +59,8 @@ def power_steps(chain: ReversibleChain, g0):
     renormalized would feed the stopping rule noise.  ZeroProjection is
     raised on the first pull.
     """
-    g0 = np.asarray(g0, dtype=float)
+    g, E0 = pi_center(chain, g0)
     ones = np.ones(chain.n)
-    g = g0 - pi_inner(chain, g0, ones)
-    E0 = pi_inner(chain, g, g)
-    norm0 = pi_inner(chain, g0, g0)
-    if E0 <= (1e-14) ** 2 * norm0 or E0 <= 0.0:
-        raise ZeroProjection("initial vector has no component off the stationary mode")
     v = g / math.sqrt(E0)
     log_E = math.log(E0)
     roundoff = (chain.n * 2.0 ** -52) ** 2

@@ -102,11 +102,8 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
 
 
 def rigidity_bound(split: SlowFastSplit, delta: float) -> float:
-    """Closed-form crossing estimate L = ln(R0 / (c2 delta)) / (2 ln(lambda2 / |lambda3|)).
-
-    0 if already pure, +inf on a tied pair or a nonpositive slow eigenvalue,
-    1 when the fast sector dies at the first step.
-    """
+    """Closed-form crossing estimate L = ln(R0 / (c2 delta)) / (2 ln(lambda2 / |lambda3|)):
+    0 if already pure, +inf on a tie or lambda2 <= 0, 1 if the fast modes die at k = 1."""
     c2_delta = split.slow_weight * delta
     if split.fast_weight <= c2_delta:
         return 0.0

@@ -108,13 +108,16 @@ def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
     lam = block.lambdas
     x = lam ** 2
     A = np.sum(np.exp(block.log_n) * (1.0 - x) * -block.log_p(), axis=1)
-    # ratio form of E[x ln x] - rho ln rho: one less layer of cancellation
-    # between large logs, and exactly zero for a single mode.  Where x
-    # underflows, ln x = 2 ln|lambda| replaces it; lambda = 0 adds 0 ln 0 = 0.
+    # the Jensen gap E[x ln x] - rho ln rho as sum p (x ln(x/rho) - (x - rho)),
+    # equal as sum p x = rho, with every term >= 0.  Near rho, x - rho is exact
+    # and ln(x/rho) = log1p((x - rho)/rho); where x underflows, ln x = 2 ln|lambda|.
     rho = block.rho[:, None]
+    d = x - rho
+    near = np.abs(d) <= 0.5 * rho
     normal = x >= np.finfo(float).tiny
     log_x = 2.0 * np.log(np.where(lam != 0.0, np.abs(lam), 1.0))
-    log_ratio = np.where(normal, np.log(np.where(normal, x, 1.0) / rho),
-                         log_x - np.log(rho))
-    B = np.exp(block.log_energy) * np.sum(block.p * x * log_ratio, axis=1)
+    log_ratio = np.where(near, np.log1p(np.where(near, d / rho, 0.0)),
+                         np.where(normal, np.log(np.where(normal, x, 1.0) / rho),
+                                  log_x - np.log(rho)))
+    B = np.exp(block.log_energy) * np.sum(block.p * (x * log_ratio - d), axis=1)
     return A, B

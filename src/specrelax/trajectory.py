@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (DEFAULT_TOLERANCES, ReversibleChain, SpectralDecomposition, Tolerances,
-                     pi_inner)
+                     pi_center)
 from .errors import DimensionMismatch, InvalidArguments, InvalidSize, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
@@ -109,14 +109,7 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
     mode dies at k = 1): on a rank-one kernel such as k6 every nontrivial
     eigenvalue is exactly 0 and computes as roundoff near 1e-17.
     """
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (chain.n,):
-        raise DimensionMismatch(f"expected vector of length {chain.n}")
-    mean = pi_inner(chain, g0, np.ones(chain.n))
-    centered = g0 - mean
-    total = pi_inner(chain, centered, centered)
-    if total <= (1e-14 * np.sqrt(max(pi_inner(chain, g0, g0), 0.0))) ** 2:
-        raise ZeroProjection("initial vector has no component off the stationary mode")
+    centered, total = pi_center(chain, g0)
     coeffs = decomp.eigenvectors[:, 1:].T @ (chain.pi * centered)
     weights = coeffs ** 2
     keep = weights > DROP_TOL * total
@@ -142,11 +135,8 @@ def profile_from_weights(lambdas, weights, **kw) -> SpectralProfile:
 
 
 def hypercube_profile(n: int) -> SpectralProfile:
-    """Point-mass start on the n-dimensional hypercube walk, by level.
-
-    Level j = 1..n has eigenvalue 1 - 2j/n and weight its multiplicity
-    C(n, j), kept as ln C(n, j) so that large n never overflows.
-    """
+    """Point-mass start on the n-cube walk by level: level j = 1..n has eigenvalue
+    1 - 2j/n and weight C(n, j), kept as its log so that large n never overflows."""
     if n < 1:
         raise InvalidSize("hypercube dimension must be >= 1")
     j = np.arange(1, n + 1)

@@ -914,8 +914,11 @@ class TestConfigAndErrors:
             assert capsys.readouterr().err.startswith("error: ConfigError: unknown config keys")
 
     def test_missing_file_is_io_error(self, capsys):
-        assert run_cli(["analyze", "/nonexistent/chain.json"]) == 2 or True
-        # unknown name resolves as preset lookup -> ConfigError
+        # a name with a file suffix is a file, found or not
+        for name, what in (("/nonexistent/chain.json", "input"), ("missing.csv", "chain")):
+            assert run_cli(["analyze", name]) == 3
+            assert capsys.readouterr().err == f"error: IoError: {what} file not found: {name}\n"
+        # any other unknown name is a preset lookup -> ConfigError
         code = run_cli(["analyze", "missing-preset"])
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err

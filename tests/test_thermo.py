@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import specrelax as sr
 from specrelax.errors import Degenerate, OutOfRange
+from specrelax.presets import resolve_preset
+from specrelax.thermo import release_rows
 
 import oracles
 from conftest import entropy_oracle, modal_oracle, random_profile
@@ -240,14 +243,50 @@ class TestSecondLaw:
             for k in range(0, 80, 2):
                 step = oracles.G_step(prof, k)
                 E_k = oracles.ledger_at(prof, k).energy
-                # the split's conditioning scale is the energy, not G itself:
-                # B is a cancellation of O(1) logs weighted by E
+                # the split's conditioning scale is the energy, not G itself;
+                # B sums nonnegative terms, so it is never below 0
                 assert step.A >= 0.0
-                assert step.B >= -1e-14 * E_k
+                assert step.B >= 0.0
                 assert step.G_k1 <= step.G_k + 1e-12 * max(G0, 1.0)
                 gap = step.G_k - step.G_k1
                 assert abs(gap - (step.A + step.B)) <= (
                     1e-11 * max(gap, step.G_k) + 1e-14 * E_k)
+
+    def test_release_B_against_mpmath(self):
+        # B = E (sum p x ln x - rho ln rho), x = lambda^2, is a Jensen gap: it
+        # is >= 0, and it falls far below E once one mode holds the energy.
+        # A sum of terms of both signs printed B < 0 on `simulate paper-s8
+        # --steps 1000` from k = 64 and `simulate cycle-5 --seed 3` from k = 18.
+        cases = [("paper-s8", 0), ("cycle-5", 3), ("cycle-20", 1),
+                 ("barbell-metastable", 2), ("s8-two-mode", 0)]
+        profiles = []
+        for name, seed in cases:    # as the CLI builds them
+            obj = resolve_preset(name, seed=seed)
+            if not isinstance(obj, sr.SpectralProfile):
+                start = np.random.default_rng(seed).standard_normal(obj.n)
+                obj = sr.project_initial(sr.spectral_decomposition(obj), obj, start)
+            profiles.append(obj)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            m = int(rng.integers(2, 30))
+            profiles.append(sr.SpectralProfile(lambdas=rng.uniform(-0.99, 0.99, m),
+                                               log_weights=rng.normal(0.0, 3.0, m)))
+        ks = [0, 1, 5, 20, 64, 150, 300]
+        worst = 0.0
+        with mpmath.workdps(400):
+            for prof in profiles:
+                _, B = release_rows(sr.ledger_block(prof, ks))
+                lam = [mpmath.mpf(float(v)) for v in prof.lambdas]
+                x = [v ** 2 for v in lam]
+                for k, b in zip(ks, B.tolist()):
+                    n = [mpmath.exp(float(w)) * xi ** k for w, xi in zip(prof.log_weights, x)]
+                    E = mpmath.fsum(n)
+                    rho = mpmath.fsum(ni * xi for ni, xi in zip(n, x)) / E
+                    ref = mpmath.fsum(ni * xi * mpmath.log(xi / rho)   # 0 ln 0 = 0
+                                      for ni, xi in zip(n, x) if ni * xi != 0)
+                    assert b >= 0.0 and ref > 0
+                    worst = max(worst, float(abs(b - ref) / ref))
+        assert worst <= 1e-12
 
     def test_two_phase_sign_condition(self, rng):
         # entropy rises exactly when the covariance outweighs rho * KL
