@@ -282,6 +282,16 @@ class TestOutputRouting:
         assert capsys.readouterr().out.encode() == fluxes + read(out)
         assert fluxes.count(b"\n") == 1
 
+    @pytest.mark.parametrize("argv, kinds", [
+        (["thermo", "s8-two-mode", "--steps", "1", "--fluxes-at", "0"], [dict, list]),
+        (["power", "barbell-metastable", "--max-iter", "5"], [list, dict]),
+    ])
+    def test_json_stdout_is_json_lines(self, argv, kinds, capsys):
+        # the flux object then the ledger, or the rows then the verdict: one a line
+        assert run_cli(argv + ["--format", "json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [type(json.loads(line)) for line in lines] == kinds
+
     def test_power_verdict_stays_on_stdout(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         assert run_cli(["power", "barbell-metastable", "--format", "json",
@@ -679,6 +689,26 @@ class TestFptCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: InvalidArguments: k_max must be nonnegative\n"
+
+    def test_start_file(self, tmp_path, capsys):
+        # a %.17g start of length n - 1, or n with 0 at the target, is --start restricted
+        argv = ["fpt", "barbell-metastable", "--kmax", "20", "--start"]
+        assert run_cli(argv + ["restricted"]) == 0
+        expected = capsys.readouterr()
+        path = tmp_path / "start.csv"
+        start = sr.restricted_stationary_start(sr.absorb(sr.barbell_chain(3, 0.1), 0))
+        for values in (start, np.concatenate([[0.0], start])):
+            np.savetxt(path, values, fmt="%.17g")
+            assert run_cli(argv + [f"file:{path}"]) == 0
+            assert capsys.readouterr() == expected
+        np.savetxt(path, np.full(6, 1 / 6), fmt="%.17g")
+        assert run_cli(argv + [f"file:{path}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: BadStart: ")
+        assert captured.err.count("\n") == 1
+        missing = tmp_path / "missing.csv"
+        assert run_cli(argv + [f"file:{missing}"]) == 3
+        assert capsys.readouterr() == ("", f"error: IoError: start file not found: {missing}\n")
 
     def test_malformed_start_file_is_io_error(self, tmp_path, capsys):
         start = tmp_path / "start.csv"
