@@ -58,8 +58,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--config", help="JSON file of option defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
 
-    def command(name, summary, needs_input=True):
+    def command(name, summary, run, needs_input=True):
         sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         if needs_input:
             sp.add_argument("input", nargs="?", default=None,
                             help=f"chain/profile file or preset ({PRESET_HELP})")
@@ -70,40 +71,39 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         metavar="key=value", help="tolerance override")
         return sp
 
-    command("analyze", "spectral summary of a chain or profile")
+    command("analyze", "spectral summary of a chain or profile", _cmd_analyze)
 
-    sp = command("simulate", "full per-step ledger to a horizon")
+    sp = command("simulate", "full per-step ledger to a horizon", _cmd_simulate)
     sp.add_argument("--steps", type=int, default=100)
 
-    sp = command("rigidity", "rigidity times for a list of deltas")
+    sp = command("rigidity", "rigidity times for a list of deltas", _cmd_rigidity)
     sp.add_argument("--delta", default="0.3,0.1,0.01",
                     help="comma-separated thresholds")
-    sp.add_argument("--cap", type=int, default=None)
 
-    sp = command("thermo", "ledger plus optional per-mode fluxes")
+    sp = command("thermo", "ledger plus optional per-mode fluxes", _cmd_thermo)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--fluxes-at", default=None,
                     help="comma-separated steps; emits a flux JSON next to the CSV")
 
-    sp = command("power", "power iteration with adaptive stopping")
+    sp = command("power", "power iteration with adaptive stopping", _cmd_power)
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--kmin", type=int, default=3)
     sp.add_argument("--max-iter", type=int, default=200)
 
-    sp = command("accel", "polynomial acceleration comparison")
+    sp = command("accel", "polynomial acceleration comparison", _cmd_accel)
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--interval", default=None, metavar="a,b")
     sp.add_argument("--compare-plain", action="store_true", dest="compare_plain")
     sp.add_argument("--steps", type=int, default=25)
 
-    sp = command("fpt", "first-passage tail to an absorbing state")
+    sp = command("fpt", "first-passage tail to an absorbing state", _cmd_fpt)
     sp.add_argument("--target", type=int, default=0)
     sp.add_argument("--start", default="restricted",
                     help="restricted | uniform | quasistationary | file:PATH")
     sp.add_argument("--kmax", type=int, default=50)
 
-    sp = command("hypercube", "entropy collapse across the cutoff window", needs_input=False)
+    sp = command("hypercube", "entropy collapse across the cutoff window", _cmd_hypercube,
+                 needs_input=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", default="-2,-1,0,1,2",
                     help="comma-separated window offsets")
@@ -324,7 +324,7 @@ def _cmd_rigidity(args: argparse.Namespace):
     profile = _as_profile(resolve_input(args), args)
     rows = []
     for d in _number_list(args.delta, "delta"):
-        report = rigidity_time(profile, d, cap=args.cap)
+        report = rigidity_time(profile, d)
         rows.append([d, report.bound, report.t_rigid if report.reached else "",
                      report.ratio, report.init_ratio])
     _emit(args, ["delta", "L", "T_rigid", "ratio", "init_ratio"], rows)
@@ -336,7 +336,7 @@ def _cmd_power(args: argparse.Namespace):
     chain = _require_chain(resolve_input(args), "power")
     if args.max_iter < 1:
         raise InvalidArguments("max_iter must be >= 1")
-    state = power_mod.StoppingState(epsilon=args.epsilon, tau=args.tau, k_min=args.kmin)
+    state = power_mod.StoppingState(epsilon=args.epsilon, tau=args.tau)
     dec = spectral_decomposition(chain, args.tol)   # after every argument check: O(n^3)
     rows = []
     steps = itertools.islice(power_mod.power_steps(chain, _start(chain, args)), args.max_iter)
@@ -458,28 +458,13 @@ def _cmd_hypercube(args: argparse.Namespace):
     _emit(args, ["alpha", "k", "S_spec", "logE", "alpha2"], list(map(list, zip(*columns))))
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "simulate": _cmd_simulate,
-    "rigidity": _cmd_rigidity,
-    "thermo": _cmd_thermo,
-    "power": _cmd_power,
-    "accel": _cmd_accel,
-    "fpt": _cmd_fpt,
-    "hypercube": _cmd_hypercube,
-}
-
-
-def run(args: argparse.Namespace) -> int:
-    _COMMANDS[args.command](args)
-    return 0
-
-
 def main(argv=None) -> int:
     """Run one command; an error is one stderr line and exit 2 (arguments),
     3 (files) or 4 (everything else)."""
     try:
-        return run(parse_config(argv))
+        args = parse_config(argv)
+        args.run(args)
+        return 0
     except SpecRelaxError as exc:
         message = " ".join(str(exc).split())
         sys.stderr.write(f"error: {type(exc).__name__}: {message}\n")

@@ -9,6 +9,14 @@ class DimensionMismatch(SpecRelaxError):
     """Vector or matrix shapes are incompatible."""
 
 
+class InvalidArguments(SpecRelaxError):
+    """Arguments violate an operation precondition."""
+
+
+class OutOfRange(SpecRelaxError):
+    """Scalar argument outside its admissible interval."""
+
+
 # --- chain construction / validation ---
 
 class RowSumError(SpecRelaxError):
@@ -49,26 +57,10 @@ class NoSlowMode(SpecRelaxError):
     """The maximal-eigenvalue mode carries no weight in this profile."""
 
 
-# --- rigidity ---
-
-class InvalidArguments(SpecRelaxError):
-    """Arguments violate an operation precondition."""
-
-
-# --- thermodynamics ---
-
-class Degenerate(SpecRelaxError):
-    """Slow and fast eigenvalues coincide; the quantity is undefined."""
-
-
 # --- power iteration ---
 
 class InvalidRho(SpecRelaxError):
     """Energy ratio outside the admissible range."""
-
-
-class OutOfRange(SpecRelaxError):
-    """Scalar argument outside its admissible interval."""
 
 
 # --- acceleration ---
@@ -78,6 +70,11 @@ class InvalidInterval(SpecRelaxError):
 
 
 # --- first passage ---
+
+class Degenerate(SpecRelaxError):
+    """The quantity is undefined: eigenvalues tie, or a Perron vector is not
+    sign-definite."""
+
 
 class InvalidState(SpecRelaxError):
     """Target state index out of range."""

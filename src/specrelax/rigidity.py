@@ -84,10 +84,7 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
             f"{profile.chain_lambda2!r}: the slow mode carries no weight"
         )
     w = np.exp(profile.log_weights - np.max(profile.log_weights))
-    fast_lam = np.delete(profile.lambdas, i)
-    if fast_lam.size == 0:
-        return SlowFastSplit(i, lam_slow, float(w[i]), 0.0, 0.0, -math.inf, False, tol)
-    fabs = float(np.max(np.abs(fast_lam)))
+    fabs = float(np.max(np.abs(np.delete(profile.lambdas, i)), initial=0.0))
     return SlowFastSplit(
         slow_index=i,
         slow_lambda=lam_slow,
@@ -96,7 +93,7 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         fast_weight=float(np.delete(w, i).sum()),
         log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
                              - profile.log_weights[i]),
-        degenerate=bool(fabs >= lam_slow - tol),
+        degenerate=bool(profile.n_modes > 1 and fabs >= lam_slow - tol),
         tie_tol=tol,
     )
 
@@ -120,14 +117,12 @@ def rigidity_bound(split: SlowFastSplit, delta: float) -> float:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    delta: float
     reached: bool
     t_rigid: int | None            # None when the threshold is not reached
     terminal: bool                 # rigidity by total energy death (all modes dead)
     bound: float                   # closed-form estimate, may be +inf
     ratio: float                   # |lambda3| / lambda2
     init_ratio: float              # R0 / |c2|^2
-    cap: int
     diagnostic: str = ""
 
 
@@ -151,8 +146,9 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     If the threshold fails at its first true step, f rises from there on
     after failing at every step before, so T never comes.
 
-    The answer is re-verified: alpha_2(T-1) < 1-delta <= alpha_2(T).  `cap`
-    bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
+    alpha_2(T-1) < 1-delta holds by the search: T-1 is 0, which failed the
+    first test, or a step whose test failed.  1-delta <= alpha_2(T) is read
+    once more, as f may only be rising at T.  `cap` bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
     alpha_2 at w_slow over their total weight for good; a threshold above
     that ceiling (degenerate slow cluster, dominating mode) returns at once.
     """
@@ -164,9 +160,8 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
     if cap < 1:
         raise InvalidArguments("cap must be >= 1")
-    report = partial(RigidityReport, delta=delta, reached=False, t_rigid=None,
-                     terminal=False, bound=L, ratio=split.ratio,
-                     init_ratio=split.init_ratio, cap=cap)
+    report = partial(RigidityReport, reached=False, t_rigid=None, terminal=False,
+                     bound=L, ratio=split.ratio, init_ratio=split.init_ratio)
     slow = split.slow_index
 
     def fast_share(*ks) -> np.ndarray:
@@ -203,9 +198,6 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if found(mid) else (mid, hi)
-    before, at = fast_share(hi - 1, hi)
-    if at > delta:
+    if fast_share(hi)[0] > delta:
         return report(diagnostic=f"alpha_2 peaks below 1 - delta at step {hi}")
-    if not before > delta:
-        raise RuntimeError("search invariant violated: previous step already rigid")
     return report(reached=True, t_rigid=hi)

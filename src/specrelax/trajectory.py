@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (DEFAULT_TOLERANCES, ReversibleChain, SpectralDecomposition, Tolerances,
-                     pi_center)
+                     _freeze, pi_center)
 from .errors import DimensionMismatch, InvalidArguments, InvalidSize, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
@@ -44,8 +44,8 @@ class SpectralProfile:
     chain_lambda2: float | None = None
 
     def __post_init__(self):
-        lam = np.array(self.lambdas, dtype=float, copy=True)
-        lw = np.array(self.log_weights, dtype=float, copy=True)
+        _freeze(self, "lambdas", "log_weights")
+        lam, lw = self.lambdas, self.log_weights
         if lam.ndim != 1 or lam.shape != lw.shape:
             raise DimensionMismatch("lambdas and log_weights must be equal-length vectors")
         if lam.size == 0:
@@ -54,10 +54,6 @@ class SpectralProfile:
             raise ValueError("mode eigenvalues must lie in [-1, 1) after centering")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log weights must be finite")
-        lam.setflags(write=False)
-        lw.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "log_weights", lw)
 
     @property
     def n_modes(self) -> int:
@@ -113,8 +109,6 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
     coeffs = decomp.eigenvectors[:, 1:].T @ (chain.pi * centered)
     weights = coeffs ** 2
     keep = weights > DROP_TOL * total
-    if not np.any(keep):
-        raise ZeroProjection("all modal weights below the pruning threshold")
     lam = decomp.eigenvalues[1:]
     lam = np.where(np.abs(lam) <= tol.eigen_residual, 0.0, lam)
     return SpectralProfile(

@@ -437,13 +437,6 @@ class TestPowerCommand:
             last = lines[-1].split(",")
             assert float(last[-1]) <= 0.1
 
-    def test_negative_kmin_rejected(self, capsys):
-        # --kmin -5 used to run as if it were 0
-        assert run_cli(["power", "barbell-metastable", "--kmin", "-5"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: InvalidArguments: k_min must be nonnegative, got -5\n"
-
     def test_profile_input_rejected(self, capsys):
         assert run_cli(["power", "paper-s8"]) == 2
         assert "ConfigError" in capsys.readouterr().err
@@ -942,6 +935,22 @@ class TestConfigAndErrors:
             cfg.write_text(json.dumps(values))
             assert run_cli(["--config", str(cfg), *argv]) == 2
             assert capsys.readouterr().err.startswith("error: ConfigError: unknown config keys")
+
+    def test_removed_flags_are_refused(self, tmp_path, capsys):
+        # rigidity works out its own search cap; power's earliest stop is fixed at 3
+        for argv, flag in ((["rigidity", "paper-s8"], ["--cap", "3"]),
+                           (["power", "k5"], ["--kmin", "3"])):
+            assert run_cli(argv + flag) == 2
+            assert capsys.readouterr() == (
+                "", f"error: ConfigError: unrecognized arguments: {' '.join(flag)}\n")
+        cfg = tmp_path / "cfg.json"
+        for values, argv in (({"cap": 3}, ["rigidity", "paper-s8"]),
+                             ({"kmin": 3}, ["power", "k5"]), ({"run": 1}, ["analyze", "k5"])):
+            cfg.write_text(json.dumps(values))
+            assert run_cli(["--config", str(cfg), *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ConfigError: unknown config keys")
 
     def test_missing_file_is_io_error(self, capsys):
         # a name with a file suffix is a file, found or not
