@@ -108,16 +108,29 @@ def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
     lam = block.lambdas
     x = lam ** 2
     A = np.sum(np.exp(block.log_n) * (1.0 - x) * -block.log_p(), axis=1)
-    # the Jensen gap E[x ln x] - rho ln rho as sum p (x ln(x/rho) - (x - rho)),
-    # equal as sum p x = rho, with every term >= 0.  Near rho, x - rho is exact
-    # and ln(x/rho) = log1p((x - rho)/rho); where x underflows, ln x = 2 ln|lambda|.
+    # the Jensen gap E (sum p x ln x - rho ln rho) = E sum p rho phi(u), with
+    # phi(u) = (1 + u) ln(1 + u) - u >= 0 and u = (x - rho)/rho.  x - rho comes
+    # from |lambda| - |lambda_r| for the row's heaviest mode r, as fl(lambda^2)
+    # errs by 2^-53 x; phi cancels to u^2/2, so for |u| <= 0.01 it is the series
+    # sum_{n>=2} (-u)^n / (n (n - 1)), 8 terms to 2^-53.  For |u| > 1/2 the log
+    # forms; where x underflows, ln x = 2 ln|lambda|.
     rho = block.rho[:, None]
-    d = x - rho
-    near = np.abs(d) <= 0.5 * rho
+    abs_lam = np.abs(lam)
+    ref = abs_lam[np.argmax(block.p, axis=1)][:, None]
+    a = (abs_lam - ref) * (abs_lam + ref)
+    d = a - np.sum(block.p * a, axis=1, keepdims=True)
+    u = d / rho
+    near, small = np.abs(u) <= 0.5, np.abs(u) <= 0.01
+    v = np.where(near, u, 0.0)
+    phi = (1.0 + v) * np.log1p(v) - v
+    v = u[small]
+    series = np.zeros_like(v)
+    for n in range(9, 1, -1):
+        series = 1.0 / (n * (n - 1)) - v * series
+    phi[small] = v * v * series
     normal = x >= np.finfo(float).tiny
-    log_x = 2.0 * np.log(np.where(lam != 0.0, np.abs(lam), 1.0))
-    log_ratio = np.where(near, np.log1p(np.where(near, d / rho, 0.0)),
-                         np.where(normal, np.log(np.where(normal, x, 1.0) / rho),
-                                  log_x - np.log(rho)))
-    B = np.exp(block.log_energy) * np.sum(block.p * (x * log_ratio - d), axis=1)
+    log_x = 2.0 * np.log(np.where(lam != 0.0, abs_lam, 1.0))
+    log_ratio = np.where(normal, np.log(np.where(normal, x, 1.0) / rho), log_x - np.log(rho))
+    terms = np.where(near, rho * phi, x * log_ratio - d)
+    B = np.exp(block.log_energy) * np.sum(block.p * terms, axis=1)
     return A, B

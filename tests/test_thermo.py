@@ -271,10 +271,16 @@ class TestSecondLaw:
             m = int(rng.integers(2, 30))
             profiles.append(sr.SpectralProfile(lambdas=rng.uniform(-0.99, 0.99, m),
                                                log_weights=rng.normal(0.0, 3.0, m)))
-        ks = [0, 1, 5, 20, 64, 150, 300]
+        cells = [(prof, [0, 1, 5, 20, 64, 150, 300]) for prof in profiles]
+        # equal weights on lambda = 0.9 and 0.9 (1 - eps): x - rho is far below x,
+        # and B was off by 1e-12, 3e-8 and 1e-4 relative from the rounding of
+        # lambda^2 and the cancellation of x ln(x/rho) - (x - rho) to rho u^2/2
+        for eps in (1e-4, 1e-8, 1e-12):
+            cells.append((sr.SpectralProfile(lambdas=[0.9, 0.9 * (1 - eps)],
+                                             log_weights=[0.0, 0.0]), [0, 5, 50]))
         worst = 0.0
         with mpmath.workdps(400):
-            for prof in profiles:
+            for prof, ks in cells:
                 _, B = release_rows(sr.ledger_block(prof, ks))
                 lam = [mpmath.mpf(float(v)) for v in prof.lambdas]
                 x = [v ** 2 for v in lam]
