@@ -146,9 +146,9 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     If the threshold fails at its first true step, f rises from there on
     after failing at every step before, so T never comes.
 
-    alpha_2(T-1) < 1-delta holds by the search: T-1 is 0, which failed the
-    first test, or a step whose test failed.  1-delta <= alpha_2(T) is read
-    once more, as f may only be rising at T.  `cap` bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
+    alpha_2(T-1) < 1-delta by the search (T-1 is 0 or failed its test); the
+    final read checks 1-delta <= alpha_2(T), as f may only rise at T.  `cap`
+    bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
     alpha_2 at w_slow over their total weight for good; a threshold above
     that ceiling (degenerate slow cluster, dominating mode) returns at once.
     """
