@@ -117,20 +117,19 @@ def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
     rho = block.rho[:, None]
     abs_lam = np.abs(lam)
     ref = abs_lam[np.argmax(block.p, axis=1)][:, None]
-    a = (abs_lam - ref) * (abs_lam + ref)
-    d = a - np.sum(block.p * a, axis=1, keepdims=True)
-    u = d / rho
-    near, small = np.abs(u) <= 0.5, np.abs(u) <= 0.01
-    v = np.where(near, u, 0.0)
-    phi = (1.0 + v) * np.log1p(v) - v
-    v = u[small]
-    series = np.zeros_like(v)
-    for n in range(9, 1, -1):
-        series = 1.0 / (n * (n - 1)) - v * series
-    phi[small] = v * v * series
+    d = (abs_lam - ref) * (abs_lam + ref)
+    d -= np.sum(block.p * d, axis=1, keepdims=True)
     normal = x >= np.finfo(float).tiny
     log_x = 2.0 * np.log(np.where(lam != 0.0, abs_lam, 1.0))
-    log_ratio = np.where(normal, np.log(np.where(normal, x, 1.0) / rho), log_x - np.log(rho))
-    terms = np.where(near, rho * phi, x * log_ratio - d)
+    terms = x * np.where(normal, np.log(np.where(normal, x, 1.0) / rho), log_x - np.log(rho))
+    terms -= d
+    u = np.divide(d, rho, out=d)
+    near = np.abs(u) <= 0.5
+    v = u[near]
+    phi = (1.0 + v) * np.log1p(v) - v
+    small = np.abs(v) <= 0.01
+    v = v[small]
+    phi[small] = v * v * np.polyval([(-1) ** n / (n * (n - 1)) for n in range(9, 1, -1)], v)
+    terms[near] = np.broadcast_to(rho, u.shape)[near] * phi
     B = np.exp(block.log_energy) * np.sum(block.p * terms, axis=1)
     return A, B
