@@ -47,6 +47,14 @@ def random_profile(rng: np.random.Generator, n_modes: int | None = None,
     return profile_from_weights(lambdas, weights)
 
 
+def birth_death(n, ratio, move):
+    """A path whose up and down steps have probabilities in the proportion
+    `ratio` and sum `move`; pi changes by the factor `ratio` per state."""
+    P = (np.diag(np.full(n - 1, move * ratio / (1 + ratio)), 1)
+         + np.diag(np.full(n - 1, move / (1 + ratio)), -1))
+    return P + np.diag(1.0 - P.sum(axis=1))
+
+
 def modal_oracle(lambdas, weights, k):
     """Plain-arithmetic modal energies, total, distribution, decay rate."""
     lam = np.asarray(lambdas, dtype=float)

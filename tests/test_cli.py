@@ -18,7 +18,7 @@ from specrelax.cli import LEDGER_COLUMNS, full_ledger_rows, main
 from specrelax.io import fmt, load_input_file
 
 import oracles
-from conftest import random_reversible
+from conftest import birth_death, random_reversible
 from oracles import load_profile_file, save_profile
 
 TINY = np.finfo(float).tiny
@@ -663,7 +663,7 @@ class TestFptCommand:
         # pi spans 2^-299: the uniform start weights states of tiny pi, so
         # sum |alpha_i| = 4.5e42 and spectral_tail printed -1.6e26 at k = 0
         chain_file = tmp_path / "bd300.csv"
-        np.savetxt(chain_file, _birth_death(300, 0.5, 1.0), delimiter=",", fmt="%.17g")
+        np.savetxt(chain_file, birth_death(300, 0.5, 1.0), delimiter=",", fmt="%.17g")
         code = run_cli(["fpt", str(chain_file), "--start", start, "--kmax", "400",
                         "--tol", "pi_floor=0", "--format", "json"])
         captured = capsys.readouterr()
@@ -727,7 +727,7 @@ class TestWidePi:
     @pytest.fixture(scope="class")
     def chain_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("wide") / "bd.csv"
-        np.savetxt(path, _birth_death(self.N, 0.9, 0.5), delimiter=",", fmt="%.17g")
+        np.savetxt(path, birth_death(self.N, 0.9, 0.5), delimiter=",", fmt="%.17g")
         return str(path)
 
     @pytest.mark.parametrize("argv", [["rigidity"], ["power", "--max-iter", "20"]],
@@ -832,21 +832,13 @@ def _lazy_cycle(n):
     return np.eye(n) / 2 + (S + S.T) / 4
 
 
-def _birth_death(n, ratio, move):
-    """A path whose up and down steps have probabilities in the proportion
-    `ratio` and sum `move`; pi changes by the factor `ratio` per state."""
-    P = (np.diag(np.full(n - 1, move * ratio / (1 + ratio)), 1)
-         + np.diag(np.full(n - 1, move / (1 + ratio)), -1))
-    return P + np.diag(1.0 - P.sum(axis=1))
-
-
 SPLIT_FAMILIES = st.one_of(
     st.builds(lambda n, seed, lazy: random_reversible(
         n, np.random.default_rng(seed), lazy=lazy).kernel,
         st.integers(3, 40), st.integers(0, 2 ** 32 - 1), st.booleans()),
     st.builds(_lazy_cycle, st.integers(3, 40)),
     st.builds(lambda n: np.full((n, n), 1.0 / n), st.integers(3, 12)),
-    st.builds(_birth_death, st.integers(3, 300), st.floats(0.5, 2.0), st.floats(0.2, 1.0)),
+    st.builds(birth_death, st.integers(3, 300), st.floats(0.5, 2.0), st.floats(0.2, 1.0)),
     st.builds(lambda m, log_bridge: sr.barbell_chain(m, 10.0 ** log_bridge).kernel,
               st.integers(2, 8), st.floats(-9.0, 0.0)),
 )

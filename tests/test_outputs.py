@@ -157,14 +157,9 @@ def _random_profile(m: int, rng) -> dict:
             "log_weights": np.concatenate([[lw_slow], lw_fast])[order].tolist()}
 
 
-def _birth_death(n: int, ratio: float, move: float) -> np.ndarray:
-    P = (np.diag(np.full(n - 1, move * ratio / (1 + ratio)), 1)
-         + np.diag(np.full(n - 1, move / (1 + ratio)), -1))
-    return P + np.diag(1.0 - P.sum(axis=1))
-
-
 def write_inputs(work: Path) -> None:
     """Every file the cases read, from fixed seeds."""
+    from conftest import birth_death
     from specrelax import barbell_chain
 
     def csv(name, kernel):      # repr reads back as the same doubles
@@ -193,7 +188,7 @@ def write_inputs(work: Path) -> None:
     csv("bip3.csv", [[0.05, 0.95, 0.0], [0.475, 0.05, 0.475], [0.0, 0.95, 0.05]])
     for b in BRIDGES:
         csv(f"barbell{b:g}.csv", barbell_chain(3, b).kernel)
-    csv("bd300.csv", _birth_death(300, 0.5, 1.0))
+    csv("bd300.csv", birth_death(300, 0.5, 1.0))
 
 
 # --- running --------------------------------------------------------------
