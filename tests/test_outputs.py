@@ -5,7 +5,8 @@ Each case is one `specrelax` command line run through `cli.main`; the corpus
 stdout, stderr and every file it writes (`--out` and `--out`.fluxes.json),
 one list entry per line so that a diff shows each moved line.  The cases are
 the benchmark's 33 operations at reduced sizes (chains n <= 300, horizons
-<= 300), the nine criterion-16 commands at seed 13, the refusals, and the
+<= 300), the nine criterion-16 commands at seed 13, the refusals of
+malformed inputs and options, two runs of the online tau-hat fold, and the
 counterexamples of ROADMAP items 8, 11 and 12.  Inputs are generated from
 fixed seeds into a fresh directory, and every case runs in one child
 interpreter with one BLAS thread.
@@ -123,6 +124,39 @@ def cases() -> list[tuple[str, list[str]]]:
         # options that commands work out or fix themselves
         ("rigidity paper-s8 --cap 3", ["rigidity", "paper-s8", "--cap", "3"]),
         ("power k5 --kmin -5", ["power", "k5", "--kmin", "-5"]),
+        # input refusals: malformed profiles and chains
+        ("profile of unequal lengths", ["analyze", "lengths.json"]),
+        ("profile with no modes", ["analyze", "empty.json"]),
+        ("profile with an eigenvalue of 1", ["analyze", "unit.json"]),
+        ("profile with an infinite log weight", ["analyze", "infw.json"]),
+        ("non-square kernel", ["analyze", "wide.json"]),
+        ("ragged kernel", ["analyze", "ragged.json"]),
+        # command refusals
+        ("thermo dead profile --fluxes-at 1",
+         ["thermo", "dead.json", "--steps", "3", "--fluxes-at", "1", "--out", "dead.csv"]),
+        ("simulate profile with no positive mode", ["simulate", "noslow.json"]),
+        ("accel one-mode profile", ["accel", "one.json"]),
+        ("accel dead profile", ["accel", "dead.json"]),
+        ("rigidity --delta 0", ["rigidity", "s8-two-mode", "--delta", "0"]),
+        ("rigidity --delta abc", ["rigidity", "s8-two-mode", "--delta", "abc"]),
+        ("hypercube --n 0", ["hypercube", "--n", "0"]),
+        ("--tol without a value", ["analyze", "k5", "--tol", "pi_floor"]),
+        ("--tol with a bad value", ["analyze", "k5", "--tol", "pi_floor=x"]),
+        ("--config holding a list", ["--config", "cfg-list.json", "simulate", "paper-s8"]),
+        ("--config for another command",
+         ["--config", "cfg-analyze.json", "simulate", "paper-s8"]),
+        ("simulate with no input", ["simulate"]),
+        ("fpt one-state chain", ["fpt", "one.csv"]),
+        ("fpt start file of the wrong length",
+         ["fpt", "barbell-metastable", "--start", "file:start2.csv"]),
+        # the online tau-hat fold: a zero variance, and a frozen settled estimate
+        ("power two.csv", ["power", "two.csv"]),
+        ("power barbell-metastable --epsilon 1e-3",
+         ["power", "barbell-metastable", "--epsilon", "1e-3", "--seed", "1"]),
+        # one spectral fact, two commands: the slow mode and the ratio
+        ("accel --interval with a mode mapped above the slow one",
+         ["accel", "mapped.json", "--interval", "-0.6,0.6", "--compare-plain", "--steps", "2"]),
+        ("rigidity k5", ["rigidity", "k5"]),
     ]
 
 
@@ -189,6 +223,19 @@ def write_inputs(work: Path) -> None:
     for b in BRIDGES:
         csv(f"barbell{b:g}.csv", barbell_chain(3, b).kernel)
     csv("bd300.csv", birth_death(300, 0.5, 1.0))
+    for name, lam, lw in (("lengths", [0.5, 0.2], [0.0]), ("empty", [], []),
+                          ("unit", [1.0, 0.5], [0.0, 0.0]), ("infw", [0.5, 0.2], [math.inf, 0.0]),
+                          ("dead", [0.0, 0.0], [0.0, 0.0]), ("noslow", [0.0, -0.5], [0.0, 0.0]),
+                          ("one", [0.5], [0.0]),
+                          ("mapped", [0.6, -0.99, 0.1], np.log([0.5, 0.3, 0.2]).tolist())):
+        js(f"{name}.json", {"eigenvalues": lam, "log_weights": lw})
+    js("wide.json", {"kernel": [[0.5, 0.5]]})
+    js("ragged.json", {"kernel": [[0.5, 0.5], [1.0]]})
+    js("cfg-list.json", [])
+    js("cfg-analyze.json", {"command": "analyze", "seed": 3})
+    csv("one.csv", [[1.0]])
+    csv("start2.csv", [[0.5, 0.5]])
+    csv("two.csv", [[0.9, 0.1], [0.3, 0.7]])
 
 
 # --- running --------------------------------------------------------------
