@@ -204,7 +204,8 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     A Householder H with H sqrt(pi) = -e1 gives B = H sym H, of first column
     e1 - H r; LAPACK solves B[1:, 1:] alone, lambda_1 = 1 and phi_1 = 1 are
     exact, and the dropped row and column (Frobenius norm <= sqrt(2) s) are a
-    backward error on sym.  A nontrivial eigenvalue computed >= 1 is refused.
+    backward error on sym.  A nontrivial eigenvalue computed >= 1 is refused,
+    and one within tol.eigen_residual of 0 is returned as 0, its roundoff.
 
     The gate: LAPACK's pairs are exact for sym + E, ||E||_2 about n 2^-52
     (||sym||_2 <= 1, a nonnegative matrix's Perron root), and orthonormal to
@@ -250,37 +251,40 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     if k and lam.size and lam[-1] >= 1.0:
         raise OutOfRange(f"lambda2 = {float(lam[-1])!r} >= 1: the gap 1 - lambda2 is not resolved")
     lam = np.concatenate((np.ones(k), lam[::-1]))
+    phi = None
     if y is None:
         trace_gap = abs(lam.sum() - np.trace(sym))
         square_gap = abs(lam @ lam - np.einsum("ij,ij->", sym, sym))
         if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
             raise EigensolveFailure(f"eigenvalues miss tr sym by {trace_gap!r} "
                                     f"and ||sym||_F^2 by {square_gap!r}")
-        return lam, None
-    phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
-    phi[:k] = 0.0
-    phi[k:, k:] = y[:, ::-1]
-    del y
-    if stationary:
-        _rank_one_update(phi[:, 1:], v, tau * (v[1:] @ phi[1:, 1:]))
-        phi[:, 0] = d
-    if gated:
-        z = np.random.default_rng(0).standard_normal(n)
-        z /= np.linalg.norm(z)
-        orth = max(np.max(np.abs(np.einsum("ij,ij->j", phi, phi) - 1.0)),
-                   np.linalg.norm(phi.T @ (phi @ z) - z))
     else:
-        orth = np.max(np.abs(phi.T @ phi - np.eye(n)))
-    if orth > tol.orthonormality:
-        raise EigensolveFailure("eigenvectors fail weighted orthonormality")
-    phi /= d[:, None]
-    if gated:
-        worst = np.linalg.norm(d * (kernel @ (phi @ z) - phi @ (lam * z)))
-    else:
-        resid = (kernel @ phi - phi * lam) * d[:, None]
-        worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
-    if worst > tol.eigen_residual:
-        raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
+        phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
+        phi[:k] = 0.0
+        phi[k:, k:] = y[:, ::-1]
+        del y
+        if stationary:
+            _rank_one_update(phi[:, 1:], v, tau * (v[1:] @ phi[1:, 1:]))
+            phi[:, 0] = d
+        if gated:
+            z = np.random.default_rng(0).standard_normal(n)
+            z /= np.linalg.norm(z)
+            orth = max(np.max(np.abs(np.einsum("ij,ij->j", phi, phi) - 1.0)),
+                       np.linalg.norm(phi.T @ (phi @ z) - z))
+        else:
+            orth = np.max(np.abs(phi.T @ phi - np.eye(n)))
+        if orth > tol.orthonormality:
+            raise EigensolveFailure("eigenvectors fail weighted orthonormality")
+        phi /= d[:, None]
+        if gated:
+            worst = np.linalg.norm(d * (kernel @ (phi @ z) - phi @ (lam * z)))
+        else:
+            resid = (kernel @ phi - phi * lam) * d[:, None]
+            worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
+        if worst > tol.eigen_residual:
+            raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
+    if stationary:      # after every check: a certified |lambda| this small is 0
+        lam[np.abs(lam) <= tol.eigen_residual] = 0.0
     return lam, phi
 
 

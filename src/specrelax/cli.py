@@ -194,8 +194,7 @@ def _as_profile(obj, args: argparse.Namespace) -> SpectralProfile:
     """Chains become profiles through a seeded random centered start."""
     if isinstance(obj, SpectralProfile):
         return obj
-    return project_initial(spectral_decomposition(obj, args.tol), obj, _start(obj, args),
-                           tol=args.tol)
+    return project_initial(spectral_decomposition(obj, args.tol), obj, _start(obj, args))
 
 
 def _require_chain(obj, command: str) -> ReversibleChain:
@@ -244,10 +243,6 @@ def _cmd_analyze(args: argparse.Namespace):
                              "the gap 1 - lambda2 is not resolved")
         summary = _profile_summary(profile_from_weights(lam[1:], np.ones(lam.size - 1),
                                                         chain_lambda2=float(lam[1])))
-        if summary["lambda2"] <= args.tol.eigen_residual:
-            # the check certifies each eigenvalue only to eigen_residual, so a
-            # lambda2 below it is roundoff and |lambda3|/lambda2 means nothing
-            summary["ratio"] = None
         summary["n_states"] = obj.n
         summary["spectrum"] = list(lam)
     else:
@@ -267,14 +262,14 @@ def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
     from .power_iter import gamma_vhat
     from .rigidity import split_slow_fast
 
+    slow = split_slow_fast(profile).slow_index
     if not np.any(profile.lambdas):
         # every mode dies at k = 1: the step identities need a live step k + 1
         block = ledger_block(profile, [0])
         E, S, G = (float(c[0]) for c in thermo_mod.G_rows(block))
         row = [0, E, float(block.rho[0]), 1.0 - float(block.rho[0]),
-               float(block.p[0, profile.slow_index()]), S, "", "", G]
+               float(block.p[0, slow]), S, "", "", G]
         return [row + [""] * 4] + [[1, 0.0] + [""] * 11][:steps]
-    slow = split_slow_fast(profile).slow_index
     rows = []
     for block in ledger_blocks(profile, range(steps + 2), pairs=True):
         # each row k pairs with k + 1; the block's last row opens the next block
@@ -325,8 +320,7 @@ def _cmd_rigidity(args: argparse.Namespace):
     rows = []
     for d in _number_list(args.delta, "delta"):
         report = rigidity_time(profile, d)
-        rows.append([d, report.bound, report.t_rigid if report.reached else "",
-                     report.ratio, report.init_ratio])
+        rows.append([d, report.bound, report.t_rigid, report.ratio, report.init_ratio])
     _emit(args, ["delta", "L", "T_rigid", "ratio", "init_ratio"], rows)
 
 
@@ -388,16 +382,16 @@ def _cmd_accel(args: argparse.Namespace):
         plan = accel_mod.build_Qm(m, a=lo, b=hi)
     mapped = accel_mod.accelerated_spectrum(profile, plan)
     steps = range(args.steps + 1)
-    plain = (_slow_shares(profile, [K * m for K in steps])
+    # both columns follow the profile's slow mode: one outside the interval may map above it
+    plain = (_slow_shares(profile, [K * m for K in steps], split.slow_index)
              if args.compare_plain else [""] * len(steps))
-    rows = [[K * m, a_plain, a_acc]
-            for K, a_plain, a_acc in zip(steps, plain, _slow_shares(mapped, steps))]
+    rows = [[K * m, a_plain, a_acc] for K, a_plain, a_acc
+            in zip(steps, plain, _slow_shares(mapped, steps, split.slow_index))]
     _emit(args, ["step_equivalent", "alpha2_plain", "alpha2_accel"], rows)
 
 
-def _slow_shares(profile: SpectralProfile, ks) -> list:
-    """Slow-mode energy fraction at each step of ks; blank once every mode is dead."""
-    slow = profile.slow_index()
+def _slow_shares(profile: SpectralProfile, ks, slow: int) -> list:
+    """Mode `slow`'s energy fraction at each step of ks; blank once every mode is dead."""
     return ["" if dead else a for block in ledger_blocks(profile, ks)
             for a, dead in zip(block.p[:, slow].tolist(), block.terminal)]
 

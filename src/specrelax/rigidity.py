@@ -47,11 +47,10 @@ class SlowFastSplit:
     tie_tol: float              # the absolute width of a tie
 
     @property
-    def ratio(self) -> float:
-        """fast/slow eigenvalue ratio; 0 for a single-mode profile."""
-        if self.fast_abs_lambda == 0.0:
-            return 0.0
-        return self.fast_abs_lambda / self.slow_lambda if self.slow_lambda > 0 else math.inf
+    def ratio(self) -> float | None:
+        """fast/slow eigenvalue ratio; 0 for a single-mode profile, None where
+        lambda_slow <= 0 (a chain's roundoff eigenvalues are 0 by then)."""
+        return self.fast_abs_lambda / self.slow_lambda if self.slow_lambda > 0 else None
 
     @property
     def init_ratio(self) -> float:
@@ -117,11 +116,10 @@ def rigidity_bound(split: SlowFastSplit, delta: float) -> float:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    reached: bool
     t_rigid: int | None            # None when the threshold is not reached
     terminal: bool                 # rigidity by total energy death (all modes dead)
     bound: float                   # closed-form estimate, may be +inf
-    ratio: float                   # |lambda3| / lambda2
+    ratio: float | None            # |lambda3| / lambda2, None where lambda2 <= 0
     init_ratio: float              # R0 / |c2|^2
     diagnostic: str = ""
 
@@ -160,7 +158,7 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
     if cap < 1:
         raise InvalidArguments("cap must be >= 1")
-    report = partial(RigidityReport, reached=False, t_rigid=None, terminal=False,
+    report = partial(RigidityReport, t_rigid=None, terminal=False,
                      bound=L, ratio=split.ratio, init_ratio=split.init_ratio)
     slow = split.slow_index
 
@@ -168,10 +166,10 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         return np.delete(ledger_block(profile, ks).p, slow, axis=1).sum(axis=1)
 
     if fast_share(0)[0] <= delta:
-        return report(reached=True, t_rigid=0)
+        return report(t_rigid=0)
 
     if np.count_nonzero(profile.lambdas) == 0:
-        return report(reached=True, t_rigid=1, terminal=True,
+        return report(t_rigid=1, terminal=True,
                       diagnostic="all modes dead after one step: terminal rigidity")
 
     # no mode with |lambda| >= |lambda_slow| ever loses energy to the slow one
@@ -200,4 +198,4 @@ def rigidity_time(profile: SpectralProfile, delta: float,
         lo, hi = (lo, mid) if found(mid) else (mid, hi)
     if fast_share(hi)[0] > delta:
         return report(diagnostic=f"alpha_2 peaks below 1 - delta at step {hi}")
-    return report(reached=True, t_rigid=hi)
+    return report(t_rigid=hi)

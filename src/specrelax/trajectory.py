@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (DEFAULT_TOLERANCES, ReversibleChain, SpectralDecomposition, Tolerances,
-                     _freeze, pi_center)
+from .chains import ReversibleChain, SpectralDecomposition, _freeze, pi_center
 from .errors import DimensionMismatch, InvalidArguments, InvalidSize, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
@@ -94,23 +93,18 @@ class LedgerBlock:
         return np.where(np.isfinite(self.log_n), self.log_n - log_E[:, None], 0.0)
 
 
-def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain,
-                    g0, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralProfile:
+def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain, g0) -> SpectralProfile:
     """Project an initial vector onto the nontrivial eigenmodes.
 
     The stationary component is removed first; modes whose squared projection
     falls below DROP_TOL times the centered energy are pruned and counted in
-    the profile's `dropped` field.  The solve certifies each eigenvalue only
-    to tol.eigen_residual, so one at or below it in size is taken as 0 (the
-    mode dies at k = 1): on a rank-one kernel such as k6 every nontrivial
-    eigenvalue is exactly 0 and computes as roundoff near 1e-17.
+    the profile's `dropped` field.
     """
     centered, total = pi_center(chain, g0)
     coeffs = decomp.eigenvectors[:, 1:].T @ (chain.pi * centered)
     weights = coeffs ** 2
     keep = weights > DROP_TOL * total
     lam = decomp.eigenvalues[1:]
-    lam = np.where(np.abs(lam) <= tol.eigen_residual, 0.0, lam)
     return SpectralProfile(
         lambdas=lam[keep],
         log_weights=np.log(weights[keep]),

@@ -296,7 +296,7 @@ def closure_bound(profile: SpectralProfile, delta: float, k: int,
     if split.fast_weight > 0 and (split.degenerate or split.slow_lambda <= 0.0):
         raise InvalidArguments("closure bound requires strict slow/fast separation")
     report = rigidity_time(profile, delta, cap=cap)
-    if not report.reached or k < report.t_rigid:
+    if report.t_rigid is None or k < report.t_rigid:
         raise PreconditionUnmet(f"step {k} is below the rigidity time for delta={delta!r}")
     led = _live_ledger(profile, k)
     lam2 = split.slow_lambda
@@ -422,7 +422,7 @@ def general_threshold(profile: SpectralProfile, cap: int | None = None) -> Gener
     if split.delta_star is None:
         raise Degenerate("threshold requires strict slow/fast separation")
     report = rigidity_time(profile, split.delta_star, cap=cap)
-    if not report.reached:
+    if report.t_rigid is None:
         raise NonConvergent("rigidity threshold not reached within cap")
     return GeneralThreshold(delta_star=split.delta_star, t_threshold=report.t_rigid)
 

@@ -166,7 +166,7 @@ class TestAcceleratedTrajectories:
             mapped = sr.accelerated_spectrum(prof, plan)
             led_acc = oracles.ledger_at(mapped, 1)
             led_plain = oracles.ledger_at(prof, m)
-            a_acc = np.exp(led_acc.log_modal_energies[mapped.slow_index()]
+            a_acc = np.exp(led_acc.log_modal_energies[slow]
                            - led_acc.log_energy)
             a_plain = np.exp(led_plain.log_modal_energies[slow]
                              - led_plain.log_energy)
@@ -236,7 +236,7 @@ class TestAcceleratedRigidityBound:
                                             R0=0.9, delta=0.1)
         mapped = sr.accelerated_spectrum(s8_two_mode, plan)
         report = sr.rigidity_time(mapped, 0.1)
-        assert report.reached
+        assert report.t_rigid is not None
         assert report.t_rigid <= math.ceil(out.accel_steps)
 
     def test_higher_degree_improves_per_step_rate(self):

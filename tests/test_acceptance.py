@@ -74,8 +74,7 @@ def _profile_battery(rng):
 
 
 def _normalized(profile):
-    from scipy.special import logsumexp
-    shift = logsumexp(profile.log_weights)
+    shift = np.logaddexp.reduce(profile.log_weights)
     return sr.SpectralProfile(lambdas=profile.lambdas,
                               log_weights=profile.log_weights - shift)
 

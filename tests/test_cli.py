@@ -61,7 +61,7 @@ class TestAnalyze:
         header, row = capsys.readouterr().out.splitlines()
         row = dict(zip(header.split(","), row.split(",")))
         assert row["ratio"] == ""
-        assert abs(float(row["lambda2"])) < 1e-9
+        assert float(row["lambda2"]) == 0.0
         for preset, has_ratio in (("k6", False), ("cycle-50", True)):
             assert run_cli(["analyze", preset, "--format", "json"]) == 0
             data = json.loads(capsys.readouterr().out)
@@ -329,6 +329,8 @@ class TestRigidityCommand:
         assert run_cli(["rigidity", preset]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [r[2] for r in rows] == ["1", "1", "1"]
+        # lambda2 = 0, so |lambda3|/lambda2 is undefined: blank, as in analyze
+        assert [r[3] for r in rows] == ["", "", ""]
 
 
 class TestLedgerCommands:
@@ -571,6 +573,17 @@ class TestAccelCommand:
         plain_cross = next(int(r[0]) for r in rows if float(r[1]) >= 0.9)
         assert accel_cross <= plain_cross
 
+    def test_both_columns_follow_the_profile_slow_mode(self, tmp_path, capsys):
+        # -0.99 lies outside [-0.6, 0.6] and maps above the slow mode 0.6
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"eigenvalues": [0.6, -0.99, 0.1],
+                                    "log_weights": np.log([0.5, 0.3, 0.2]).tolist()}))
+        assert run_cli(["accel", str(prof), "--interval", "-0.6,0.6", "--compare-plain",
+                        "--steps", "2"]) == 0
+        step0 = capsys.readouterr().out.splitlines()[1].split(",")
+        assert step0[1] == step0[2]
+        assert float(step0[1]) == pytest.approx(0.5, rel=1e-15)
+
     @pytest.mark.parametrize("x", ["1.5", "0", "-0.5"])
     def test_paper_simple_out_of_range(self, x, capsys):
         # the paper's simple plan T_m(x/lambda2)/T_m(1/lambda2) is --interval -X,X
@@ -811,7 +824,7 @@ def test_repeated_eigenvalues_move_only_per_mode_columns(n, tmp_path):
     # <c, e>_pi^2 summed over a pi-orthonormal basis of each eigenspace
     weights = np.abs(f) ** 2 * np.where(2 * j == n, 1.0, 2.0) / n ** 2
     lam = np.cos(2 * np.pi * j / n)
-    lam[np.abs(lam) <= 1e-9] = 0.0        # as project_initial takes roundoff to 0
+    lam[np.abs(lam) <= 1e-9] = 0.0        # as the chain solve returns roundoff as 0
     merged = sr.profile_from_weights(lam, weights)
     want = np.array(full_ledger_rows(merged, 40), dtype=object)
     for column in ("E", "rho", "d", "KL", "B", "Gamma", "Vhat"):
@@ -953,6 +966,21 @@ class TestConfigAndErrors:
         code = run_cli(["analyze", "missing-preset"])
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_python_m_runs_main(self, tmp_path, capsys):
+        src = Path(sr.__file__).resolve().parents[1]
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "specrelax", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(src)))
+
+        assert run_cli(["analyze", "k5"]) == 0
+        proc = module("analyze", "k5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+        proc = module("analyze", "missing.csv")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: IoError: chain file not found: missing.csv\n"
 
     def test_malformed_chain_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

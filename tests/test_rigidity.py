@@ -66,7 +66,7 @@ class TestRigidityBoundL:
 class TestRigidityTime:
     def test_benchmark_crossing(self, s8_two_mode):
         report = sr.rigidity_time(s8_two_mode, 0.1)
-        assert report.reached and report.t_rigid == 8
+        assert report.t_rigid == 8
         assert report.bound == pytest.approx(7.367518, abs=1e-3)
         alpha = sr.ledger_block(s8_two_mode, range(9)).p[:, s8_two_mode.slow_index()]
         assert alpha[7] < 0.9 <= alpha[8]
@@ -77,19 +77,19 @@ class TestRigidityTime:
         lam = math.cos(2 * math.pi / 5)
         prof = sr.profile_from_weights([lam, lam], [1.0, 1.0])
         report = sr.rigidity_time(prof, 0.1)
-        assert not report.reached
+        assert report.t_rigid is None
         assert report.bound == math.inf
         assert "degenerate" in report.diagnostic
 
     def test_complete_graph_terminal(self):
         prof = sr.profile_from_weights([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         report = sr.rigidity_time(prof, 0.25)
-        assert report.reached and report.terminal and report.t_rigid == 1
+        assert report.terminal and report.t_rigid == 1
 
     def test_dominating_negative_mode_diagnosed(self):
         prof = sr.profile_from_weights([0.3, -0.8], [1.0, 1.0])
         report = sr.rigidity_time(prof, 0.1)
-        assert not report.reached
+        assert report.t_rigid is None
         assert "-0.8" in report.diagnostic or "0.8" in report.diagnostic
 
     def test_born_rigid(self):
@@ -165,7 +165,7 @@ class TestRigiditySearch:
         report = sr.rigidity_time(prof, delta, cap=cap)
         expected = scan_oracle(prof, delta, cap)
         assert report.t_rigid == expected
-        assert report.reached == (expected is not None)
+        assert (report.t_rigid is not None) == (expected is not None)
 
     @staticmethod
     def interval_profile(u2_scale):
@@ -186,7 +186,7 @@ class TestRigiditySearch:
         prof = self.interval_profile(2.0)
         report = sr.rigidity_time(prof, 0.3)
         assert scan_oracle(prof, 0.3, 1000) is None
-        assert not report.reached and "peaks below" in report.diagnostic
+        assert report.t_rigid is None and "peaks below" in report.diagnostic
 
     def test_tiny_separated_pair_is_reached(self):
         # |lambda| below DEGENERACY_TOL is no tie: lambda3/lambda2 = 0.5 crosses at 7
@@ -258,7 +258,7 @@ class TestSandwich:
             prof = random_profile(rng)
             for delta in (0.3, 0.1, 0.01):
                 report = sr.rigidity_time(prof, delta, cap=500_000)
-                assert report.reached
+                assert report.t_rigid is not None
                 assert report.t_rigid <= math.floor(report.bound) + 1
 
     def test_pointwise_residual_bound(self, rng):
@@ -375,7 +375,7 @@ class TestClosureBound:
         for _ in range(50):
             prof = random_profile(rng)
             report = sr.rigidity_time(prof, 0.1, cap=500_000)
-            if not report.reached:
+            if report.t_rigid is None:
                 continue
             for k in (report.t_rigid, report.t_rigid + 5, report.t_rigid + 20):
                 result = oracles.closure_bound(prof, 0.1, k)
