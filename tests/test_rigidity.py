@@ -165,7 +165,6 @@ class TestRigiditySearch:
         report = sr.rigidity_time(prof, delta, cap=cap)
         expected = scan_oracle(prof, delta, cap)
         assert report.t_rigid == expected
-        assert (report.t_rigid is not None) == (expected is not None)
 
     @staticmethod
     def interval_profile(u2_scale):
