@@ -39,8 +39,8 @@ class AccelPlan:
 
     degree: int
     interval: tuple[float, float]
-    eps_m: float                   # guaranteed max |Q| on the interval
-    norm_value: float              # T_m at the mapped normalization point
+    norm_value: float              # T_m at the mapped normalization point: max |Q| on
+                                   # the interval is 1/|norm_value|
 
     def map_to_unit(self, x):
         a, b = self.interval
@@ -53,8 +53,8 @@ class AccelPlan:
 
 def build_Qm(m: int, a: float, b: float) -> AccelPlan:
     """Build the suppression plan for a < b < 1: the minimax polynomial on
-    [a, b] under the normalization at 1; its guarantee eps_m holds on the
-    whole interval.  On [-lambda2, lambda2] it is T_m(x / lambda2) /
+    [a, b] under the normalization at 1; its guarantee max |Q| = 1/|norm_value|
+    holds on the whole interval.  On [-lambda2, lambda2] it is T_m(x / lambda2) /
     T_m(1 / lambda2), the paper's simple form, whose guarantee does not
     extend to eigenvalues below -lambda2.
     """
@@ -64,12 +64,7 @@ def build_Qm(m: int, a: float, b: float) -> AccelPlan:
         raise InvalidInterval(f"need a < b < 1, got [{a!r}, {b!r}]")
     phi_one = (2.0 - (a + b)) / (b - a)
     norm = float(chebyshev_T(m, np.array(phi_one)))
-    return AccelPlan(
-        degree=m,
-        interval=(float(a), float(b)),
-        eps_m=1.0 / abs(norm),
-        norm_value=norm,
-    )
+    return AccelPlan(degree=m, interval=(float(a), float(b)), norm_value=norm)
 
 
 def accelerated_spectrum(profile: SpectralProfile, plan: AccelPlan) -> SpectralProfile:

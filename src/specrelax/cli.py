@@ -224,7 +224,7 @@ def _profile_summary(profile: SpectralProfile) -> dict:
         "lambda3_abs": split.fast_abs_lambda,
         "gap": 1.0 - split.slow_lambda,
         "ratio": split.ratio,
-        "degenerate_slow_pair": split.degenerate and split.fast_weight > 0,
+        "degenerate_slow_pair": split.degenerate,
         "init_ratio": split.init_ratio,
         "delta_star": split.delta_star,
         "L_0.1": math.inf if split.delta_star is None else rigidity_bound(split, 0.1),

@@ -108,9 +108,8 @@ def load_input_file(path: str, tol: Tolerances = DEFAULT_TOLERANCES):
 
 def _profile_from(data, path: str) -> SpectralProfile:
     try:
-        return SpectralProfile(
-            lambdas=np.asarray(data["eigenvalues"], dtype=float),
-            log_weights=np.asarray(data["log_weights"], dtype=float),
-        )
+        lambdas = np.asarray(data["eigenvalues"], dtype=float)
+        log_weights = np.asarray(data["log_weights"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed profile file {path}: {exc}") from exc
+    return SpectralProfile(lambdas=lambdas, log_weights=log_weights)

@@ -30,7 +30,7 @@ refuses to stop (verdict "unresolvable").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,7 @@ BURN_IN = 5               # steps before the online tau estimate is trusted
 TAU_MIN = 1e-3            # floor on the online separation estimate
 FREEZE_RATIO = 1e-13      # freeze tau updates once vhat < ratio * rho^2
 COLLAPSE_PATIENCE = 5     # consecutive below-floor estimates before collapsing
+K_MIN = 3                 # earliest step the rule may stop at
 GAMMA_FLOOR = 2.0 ** -52 + 2.0 * 2.0 ** -50   # smallest threshold Gamma can resolve
 
 
@@ -116,25 +117,24 @@ class StoppingState:
 
     epsilon: float
     tau: float | None             # supplied bound, or None for online estimation
-    k_min: int = 3                # earliest step the rule may stop at
-    steps: int = 0                # rho values folded in
-    rho: float | None = None      # the last rho
-    gamma: float | None = None    # Gamma and Vhat of the last complete pair
-    vhat: float | None = None
-    tau_hat: float | None = None
-    tau_frozen: bool = False
-    verdict: str = "running"      # "running" | "stopped" | "unresolvable" | "tau-collapse"
-    stopped_at: int | None = None
-    detail: str | None = None     # why the estimate collapsed
-    below_floor_streak: int = 0
+    # the fold's state, which only `update` sets
+    steps: int = field(init=False, default=0)              # rho values folded in
+    rho: float | None = field(init=False, default=None)    # the last rho
+    gamma: float | None = field(init=False, default=None)  # Gamma and Vhat of the
+    vhat: float | None = field(init=False, default=None)   # last complete pair
+    tau_hat: float | None = field(init=False, default=None)
+    tau_frozen: bool = field(init=False, default=False)
+    # "running", until it settles as "stopped", "unresolvable" or "tau-collapse"
+    verdict: str = field(init=False, default="running")
+    stopped_at: int | None = field(init=False, default=None)
+    detail: str | None = field(init=False, default=None)   # why the estimate collapsed
+    below_floor_streak: int = field(init=False, default=0)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidArguments(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         if self.tau is not None and not (0.0 < self.tau <= 1.0):
             raise InvalidArguments(f"tau must lie in (0, 1], got {self.tau!r}")
-        if self.k_min < 0:
-            raise InvalidArguments(f"k_min must be nonnegative, got {self.k_min!r}")
 
     def eta(self) -> float | None:
         t = self.tau_effective
@@ -198,7 +198,7 @@ class StoppingState:
 
     def _maybe_stop(self, k: int):
         threshold = self.eta()
-        if k < self.k_min or threshold is None or self.gamma > threshold:
+        if k < K_MIN or threshold is None or self.gamma > threshold:
             return
         if threshold < GAMMA_FLOOR:      # Gamma <= eta would certify roundoff
             self.verdict = "unresolvable"

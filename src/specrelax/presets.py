@@ -32,7 +32,7 @@ def synthetic_s8_profile(seed: int = 0) -> SpectralProfile:
         [S8_SLOW[1], S8_FAST[1]],
         np.full(S8_TAIL_COUNT, S8_TAIL_WEIGHT / S8_TAIL_COUNT),
     ])
-    return profile_from_weights(lambdas, weights, chain_lambda2=S8_SLOW[0])
+    return profile_from_weights(lambdas, weights)
 
 
 def s8_two_mode_profile() -> SpectralProfile:

@@ -43,7 +43,7 @@ class SlowFastSplit:
     fast_abs_lambda: float      # max |lambda| over fast modes (0 if none)
     fast_weight: float          # R_0 (same scale)
     log_init_ratio: float       # ln(R_0 / |c_2|^2), finite where the ratio leaves the doubles
-    degenerate: bool            # slow eigenvalue tied with (or below) a fast |lambda|
+    degenerate: bool            # a weighted fast mode ties (or passes) the slow |lambda|
     tie_tol: float              # the absolute width of a tie
 
     @property
@@ -60,7 +60,7 @@ class SlowFastSplit:
     def delta_star(self) -> float | None:
         """Rigidity level 1 - max(1/2, ratio^2) past which the covariance is
         negative and the entropy falls; None without strict separation."""
-        if self.slow_lambda <= 0 or (self.degenerate and self.fast_weight > 0):
+        if self.slow_lambda <= 0 or self.degenerate:
             return None
         return 1.0 - max(0.5, self.ratio ** 2)
 
@@ -84,15 +84,16 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         )
     w = np.exp(profile.log_weights - np.max(profile.log_weights))
     fabs = float(np.max(np.abs(np.delete(profile.lambdas, i)), initial=0.0))
+    fast_weight = float(np.delete(w, i).sum())
     return SlowFastSplit(
         slow_index=i,
         slow_lambda=lam_slow,
         slow_weight=float(w[i]),
         fast_abs_lambda=fabs,
-        fast_weight=float(np.delete(w, i).sum()),
+        fast_weight=fast_weight,
         log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
                              - profile.log_weights[i]),
-        degenerate=bool(profile.n_modes > 1 and fabs >= lam_slow - tol),
+        degenerate=bool(fast_weight > 0 and fabs >= lam_slow - tol),
         tie_tol=tol,
     )
 
@@ -117,15 +118,13 @@ def rigidity_bound(split: SlowFastSplit, delta: float) -> float:
 @dataclass(frozen=True)
 class RigidityReport:
     t_rigid: int | None            # None when the threshold is not reached
-    terminal: bool                 # rigidity by total energy death (all modes dead)
     bound: float                   # closed-form estimate, may be +inf
     ratio: float | None            # |lambda3| / lambda2, None where lambda2 <= 0
     init_ratio: float              # R0 / |c2|^2
     diagnostic: str = ""
 
 
-def rigidity_time(profile: SpectralProfile, delta: float,
-                  cap: int | None = None) -> RigidityReport:
+def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
     """First step T at which the slow mode holds at least 1-delta of the energy.
 
     alpha_2(k) = 1/(1 + f(k)), f(k) = sum_{i != slow} (w_i/w_slow)
@@ -145,38 +144,40 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     after failing at every step before, so T never comes.
 
     alpha_2(T-1) < 1-delta by the search (T-1 is 0 or failed its test); the
-    final read checks 1-delta <= alpha_2(T), as f may only rise at T.  `cap`
-    bounds only the search.  Modes with |lambda_i| >= |lambda_slow| hold
-    alpha_2 at w_slow over their total weight for good; a threshold above
-    that ceiling (degenerate slow cluster, dominating mode) returns at once.
+    final read checks 1-delta <= alpha_2(T), as f may only rise at T.  The
+    search stops at max(DEFAULT_CAP, 10 ceil(L)) steps.  Modes with
+    |lambda_i| >= |lambda_slow| hold alpha_2 at w_slow over their total weight
+    for good; a threshold above that ceiling (degenerate slow cluster,
+    dominating mode) returns at once.
     """
     if not (0.0 < delta < 1.0):
         raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
     split = split_slow_fast(profile)
     L = rigidity_bound(split, delta)
-    if cap is None:
-        cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
-    if cap < 1:
-        raise InvalidArguments("cap must be >= 1")
-    report = partial(RigidityReport, t_rigid=None, terminal=False,
-                     bound=L, ratio=split.ratio, init_ratio=split.init_ratio)
+    cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
+    report = partial(RigidityReport, t_rigid=None, bound=L, ratio=split.ratio,
+                     init_ratio=split.init_ratio)
     slow = split.slow_index
 
-    def fast_share(*ks) -> np.ndarray:
-        return np.delete(ledger_block(profile, ks).p, slow, axis=1).sum(axis=1)
+    def fast_share(block) -> np.ndarray:
+        return np.delete(block.p, slow, axis=1).sum(axis=1)
 
-    if fast_share(0)[0] <= delta:
+    if fast_share(ledger_block(profile, [0]))[0] <= delta:
         return report(t_rigid=0)
 
     if np.count_nonzero(profile.lambdas) == 0:
-        return report(t_rigid=1, terminal=True,
-                      diagnostic="all modes dead after one step: terminal rigidity")
+        return report(t_rigid=1, diagnostic="all modes dead after one step: terminal rigidity")
 
     # no mode with |lambda| >= |lambda_slow| ever loses energy to the slow one
     lasting = np.abs(profile.lambdas) >= abs(split.slow_lambda)
     log_lasting = np.logaddexp.reduce(profile.log_weights[lasting])
     ceiling = math.exp(profile.log_weights[slow] - log_lasting)
-    if ceiling < 1.0 - delta:
+    # exp turns the absolute error of its argument, a few ulps of the largest log
+    # weight per term summed, into the ceiling's relative error; a ceiling that
+    # meets 1 - delta within it is left to the search
+    scale = np.max(np.abs(profile.log_weights[lasting]), initial=abs(log_lasting))
+    rounding = 4.0 * np.count_nonzero(lasting) * (1.0 + scale) * 2.0 ** -52
+    if ceiling < (1.0 - delta) * (1.0 - rounding):
         who = ("degenerate slow cluster"
                if split.fast_abs_lambda - split.slow_lambda <= split.tie_tol
                else f"dominating mode with |lambda| = {split.fast_abs_lambda!r}")
@@ -185,8 +186,10 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     rising = split.fast_abs_lambda > abs(split.slow_lambda)   # some r_i > 1
 
     def found(k: int) -> bool:       # threshold met at k, or (rising only) f rising at k
-        share = fast_share(*range(k, k + 1 + rising))
-        return share[0] <= delta or share[-1] > share[0]
+        block = ledger_block(profile, range(k, k + 1 + rising))
+        # f rises where ln alpha_2 falls; the shares themselves may both round to 1
+        log_slow = block.log_n[:, slow] - block.log_energy
+        return fast_share(block)[0] <= delta or log_slow[-1] < log_slow[0]
 
     lo, hi = 0, 1                    # T > 0 here: gallop, then bisect
     while not found(hi):
@@ -196,6 +199,6 @@ def rigidity_time(profile: SpectralProfile, delta: float,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if found(mid) else (mid, hi)
-    if fast_share(hi)[0] > delta:
+    if fast_share(ledger_block(profile, [hi]))[0] > delta:
         return report(diagnostic=f"alpha_2 peaks below 1 - delta at step {hi}")
     return report(t_rigid=hi)

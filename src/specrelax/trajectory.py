@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ReversibleChain, SpectralDecomposition, _freeze, pi_center
-from .errors import DimensionMismatch, InvalidArguments, InvalidSize, ZeroProjection
+from .errors import DimensionMismatch, InvalidArguments, InvalidSize, OutOfRange, ZeroProjection
 
 DROP_TOL = 1e-14  # relative weight below which a mode is pruned at projection
 LEDGER_BLOCK_ELEMENTS = 1 << 18  # entries per (steps x modes) block: 2 MB a float array
@@ -39,7 +39,6 @@ class SpectralProfile:
 
     lambdas: np.ndarray
     log_weights: np.ndarray
-    dropped: int = 0
     chain_lambda2: float | None = None
 
     def __post_init__(self):
@@ -50,9 +49,9 @@ class SpectralProfile:
         if lam.size == 0:
             raise ZeroProjection("profile must contain at least one mode")
         if np.any(np.abs(lam) > 1.0 + 1e-12) or np.any(lam >= 1.0):
-            raise ValueError("mode eigenvalues must lie in [-1, 1) after centering")
+            raise OutOfRange("mode eigenvalues must lie in [-1, 1) after centering")
         if not np.all(np.isfinite(lw)):
-            raise ValueError("log weights must be finite")
+            raise OutOfRange("log weights must be finite")
 
     @property
     def n_modes(self) -> int:
@@ -97,8 +96,7 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain, g0) -
     """Project an initial vector onto the nontrivial eigenmodes.
 
     The stationary component is removed first; modes whose squared projection
-    falls below DROP_TOL times the centered energy are pruned and counted in
-    the profile's `dropped` field.
+    falls below DROP_TOL times the centered energy are pruned.
     """
     centered, total = pi_center(chain, g0)
     coeffs = decomp.eigenvectors[:, 1:].T @ (chain.pi * centered)
@@ -108,7 +106,6 @@ def project_initial(decomp: SpectralDecomposition, chain: ReversibleChain, g0) -
     return SpectralProfile(
         lambdas=lam[keep],
         log_weights=np.log(weights[keep]),
-        dropped=int(np.count_nonzero(~keep)),
         chain_lambda2=float(lam[0]),
     )
 
@@ -117,7 +114,7 @@ def profile_from_weights(lambdas, weights, **kw) -> SpectralProfile:
     """Convenience constructor from linear weights."""
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive; drop zero modes instead")
+        raise InvalidArguments("weights must be strictly positive; drop zero modes instead")
     return SpectralProfile(lambdas=np.asarray(lambdas, dtype=float),
                            log_weights=np.log(w), **kw)
 

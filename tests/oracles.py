@@ -289,13 +289,12 @@ class ClosureBound:
     actual: float
 
 
-def closure_bound(profile: SpectralProfile, delta: float, k: int,
-                  cap: int | None = None) -> ClosureBound:
+def closure_bound(profile: SpectralProfile, delta: float, k: int) -> ClosureBound:
     """Bound on |d_k - (1 - lambda2^2)| valid past the rigidity time."""
     split = split_slow_fast(profile)
-    if split.fast_weight > 0 and (split.degenerate or split.slow_lambda <= 0.0):
+    if split.degenerate:
         raise InvalidArguments("closure bound requires strict slow/fast separation")
-    report = rigidity_time(profile, delta, cap=cap)
+    report = rigidity_time(profile, delta)
     if report.t_rigid is None or k < report.t_rigid:
         raise PreconditionUnmet(f"step {k} is below the rigidity time for delta={delta!r}")
     led = _live_ledger(profile, k)
@@ -414,14 +413,14 @@ class GeneralThreshold:
     t_threshold: int
 
 
-def general_threshold(profile: SpectralProfile, cap: int | None = None) -> GeneralThreshold:
+def general_threshold(profile: SpectralProfile) -> GeneralThreshold:
     """Rigidity level past which the covariance is negative and entropy falls."""
     split = split_slow_fast(profile)
     if split.fast_weight == 0.0:
         return GeneralThreshold(delta_star=0.5, t_threshold=0)
     if split.delta_star is None:
         raise Degenerate("threshold requires strict slow/fast separation")
-    report = rigidity_time(profile, split.delta_star, cap=cap)
+    report = rigidity_time(profile, split.delta_star)
     if report.t_rigid is None:
         raise NonConvergent("rigidity threshold not reached within cap")
     return GeneralThreshold(delta_star=split.delta_star, t_threshold=report.t_rigid)
@@ -445,7 +444,7 @@ def clausius_check(profile: SpectralProfile, entropy_floor: float = 1e-12,
     the remaining entropy.
     """
     split = split_slow_fast(profile)
-    if split.fast_weight > 0 and (split.degenerate or split.slow_lambda <= 0.0):
+    if split.degenerate:
         raise NonConvergent("degenerate slow cluster: spectral entropy does not vanish")
     S0 = None
     kl_sum = cov_sum = 0.0
@@ -578,15 +577,14 @@ def alpha_bounds_from_variance(vhat: float, lambda2: float, lambda3: float) -> A
     return AlphaBounds(lower=vhat / lambda2 ** 4, upper=2.0 * vhat / gap_sq)
 
 
-def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
-                  k_min: int = 3) -> StoppingState:
+def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None) -> StoppingState:
     """Fold a rho sequence through the stopping rule.
 
     Returns the state at the stop step; raises StreamEnded, which carries
     the partial state, if the stream is exhausted first (verdict "running")
     or the fold settles anything else ("unresolvable", "tau-collapse").
     """
-    state = StoppingState(epsilon=epsilon, tau=tau, k_min=k_min)
+    state = StoppingState(epsilon=epsilon, tau=tau)
     for value in rho_stream:
         state.update(value)
         if state.verdict == "stopped":
@@ -599,6 +597,11 @@ def adaptive_stop(rho_stream, epsilon: float, tau: float | None = None,
 
 
 # --- acceleration -----------------------------------------------------------
+
+def eps_m(plan: AccelPlan) -> float:
+    """The plan's guarantee: max |Q| on its interval, 1 / |T_m| at the mapped 1."""
+    return 1.0 / abs(plan.norm_value)
+
 
 @dataclass(frozen=True)
 class MinimaxReport:
@@ -621,7 +624,7 @@ def minimax_verify(plan: AccelPlan, grid_size: int = GRID_POINTS,
     q = np.abs(plan(xs))
     padded = np.concatenate([[-np.inf], q, [-np.inf]])
     count = int(np.count_nonzero((q >= padded[:-2]) & (q >= padded[2:])
-                                 & (q >= plan.eps_m * (1.0 - 1e-6))))
+                                 & (q >= eps_m(plan) * (1.0 - 1e-6))))
     rng = np.random.default_rng(seed)
     margin = math.inf
     tested = 0
@@ -635,10 +638,10 @@ def minimax_verify(plan: AccelPlan, grid_size: int = GRID_POINTS,
         if abs(val_one) < 1e-8:
             continue
         rival_max = float(np.abs((c / val_one) @ basis).max())
-        margin = min(margin, rival_max / plan.eps_m)
+        margin = min(margin, rival_max / eps_m(plan))
         tested += 1
     return MinimaxReport(
-        grid_max=float(q.max()), eps_m=plan.eps_m, equioscillation_count=count,
+        grid_max=float(q.max()), eps_m=eps_m(plan), equioscillation_count=count,
         optimality_margin=margin if tested else math.nan, rivals_tested=tested,
     )
 

@@ -11,12 +11,13 @@ counterexamples of ROADMAP items 8, 11 and 12.  Inputs are generated from
 fixed seeds into a fresh directory, and every case runs in one child
 interpreter with one BLAS thread.
 
-Where numpy's version, its BLAS and the machine equal those recorded with
-the corpus, every text must match exactly.  Elsewhere exit codes, stderr,
-line counts and every non-numeric cell (headers, blanks, keys) must match
-exactly, and each numeric cell within ULP_BUDGET units in the last place;
-no case is skipped.  A change that means to move output records the corpus
-again, and the diff of the file shows what moved:
+Where numpy's version, its BLAS build, the BLAS kernel picked at run time
+and the machine equal those recorded with the corpus, every text must match
+exactly.  Elsewhere exit codes, stderr, line counts and every non-numeric
+cell (headers, blanks, keys) must match exactly, and each numeric cell
+within ULP_BUDGET units in the last place; no case is skipped.  A change
+that means to move output records the corpus again, and the diff of the
+file shows what moved:
 
     python tests/test_outputs.py --record
 """
@@ -24,6 +25,7 @@ again, and the diff of the file shows what moved:
 from __future__ import annotations
 
 import copy
+import ctypes
 import json
 import math
 import os
@@ -248,7 +250,22 @@ def environment() -> dict:
                                                         "openblas configuration"))
     except (TypeError, KeyError):       # numpy before 1.26 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas, "kernel": blas_kernel(),
+            "machine": platform.machine()}
+
+
+def blas_kernel() -> str:
+    """The kernel that the wheel's OpenBLAS picked for this CPU (or was told to
+    pick by OPENBLAS_CORETYPE), or "unknown" where that library is not found."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _lines(text: str) -> list[str]:

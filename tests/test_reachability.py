@@ -14,6 +14,14 @@ belongs in `tests/oracles.py`.
 Nor does a module import a name that its own code never loads: an import
 at module level must be loaded somewhere in the module, one inside a
 function somewhere in that function.
+
+Nor does the package keep a setting or a field that nothing uses: every
+annotated field of a package dataclass is loaded, by name, somewhere in the
+package, and every parameter or init field with a default is passed, by
+keyword or by position, at some package call of that name (a call through a
+`partial` counts, with the arguments the partial binds).  A setting that
+only tests pass is a constant; a field that only tests read belongs in
+`tests/oracles.py`.
 """
 
 import ast
@@ -29,6 +37,25 @@ SRC = Path(sr.__file__).resolve().parent
 # (module, name) -> why the definition stays in the package although no
 # command reaches it
 UNREACHED: dict[tuple[str, str], str] = {}
+
+# (module, "Class.field") -> why a field that no package code loads stays
+UNREAD: dict[tuple[str, str], str] = {
+    ("rigidity", "RigidityReport.diagnostic"):
+        "tests tell the search's exits apart by it; no command prints it yet",
+}
+
+# (module, "function.parameter" or "Class.field") -> why a default that no
+# package call overrides stays a setting
+UNPASSED: dict[tuple[str, str], str] = {
+    ("cli", "main.argv"): "the tests and `python -m specrelax` call the entry point",
+    **{("chains", f"Tolerances.{name}"): "`--tol` sets it through `replace`"
+       for name in ("row_sum", "detailed_balance", "pi_floor", "eigen_residual",
+                    "orthonormality")},
+}
+
+
+def _modules(src: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
 
 
 def _top_level(tree: ast.Module) -> dict:
@@ -74,11 +101,10 @@ def _walk(node: ast.AST, skip=()):
 
 def _unreached(src: Path = SRC) -> list[tuple[str, str]]:
     modules = {}
-    for path in sorted(src.glob("*.py")):
-        if path.stem not in ("__init__", "__main__"):
-            tree = ast.parse(path.read_text())
+    for stem, tree in _modules(src).items():
+        if stem not in ("__init__", "__main__"):
             defs = _top_level(tree)
-            modules[path.stem] = (defs, _imports(tree), _members(defs))
+            modules[stem] = (defs, _imports(tree), _members(defs))
     reached, todo = set(), [("cli", "main")]
     loaded = set()          # attribute names that reached code loads
     waiting = {}            # member name -> its not yet reached (module, "Class.name")
@@ -153,8 +179,7 @@ def test_walk_finds_a_planted_orphan_member(tmp_path, decorator):
 def _dead_imports(src: Path = SRC) -> list[tuple[str, str]]:
     """(module, name) of each imported name that its scope never loads."""
     dead = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for stem, tree in _modules(src).items():
         scopes = [tree, *(n for n in ast.walk(tree)
                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]
         for scope in scopes:
@@ -167,7 +192,7 @@ def _dead_imports(src: Path = SRC) -> list[tuple[str, str]]:
                         for alias in node.names]
             loaded = {n.id for n in ast.walk(scope)
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            dead += [(path.stem, name) for name in imported if name not in loaded]
+            dead += [(stem, name) for name in imported if name not in loaded]
     return dead
 
 
@@ -183,6 +208,130 @@ def test_finds_a_planted_dead_import(tmp_path):
     with open(tmp_path / "io.py", "a") as fh:
         fh.write("\nfrom .chains import ReversibleChain\n")
     assert _dead_imports(tmp_path) == [("io", "ReversibleChain"), ("thermo", "pi_inner")]
+
+
+def _call_name(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field node) of each annotated field of each dataclass."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                _call_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in cls.decorator_list):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node
+
+
+def _unread_fields(src: Path = SRC) -> list[tuple[str, str]]:
+    """(module, "Class.field") of each dataclass field that no package code loads."""
+    modules = _modules(src)
+    loaded = {n.attr for tree in modules.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((module, f"{cls}.{node.target.id}") for module, tree in modules.items()
+                  for cls, node in _dataclass_fields(tree) if node.target.id not in loaded)
+
+
+def _settings(tree: ast.Module):
+    """(call name, qualified name, position or None, parameter) of each
+    parameter and init field with a default; position None is keyword-only."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, f"{node.name}.{positional[i]}", i, positional[i]
+            for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, f"{node.name}.{a.arg}", None, a.arg
+    position: dict[str, int] = {}       # class -> index of its last init field
+    for cls, node in _dataclass_fields(tree):
+        value = node.value
+        is_field = isinstance(value, ast.Call) and _call_name(value.func) == "field"
+        keywords = {k.arg: k.value for k in value.keywords} if is_field else {}
+        if getattr(keywords.get("init"), "value", True) is False:
+            continue
+        i = position[cls] = position.get(cls, -1) + 1
+        if ({"default", "default_factory"} & keywords.keys() if is_field
+                else value is not None):
+            yield cls, f"{cls}.{node.target.id}", i, node.target.id
+
+
+def _passed(modules: dict[str, ast.Module]) -> set[tuple[str, int | str]]:
+    """(call name, position or keyword) of every argument that a package call
+    passes; a partial binds its arguments, and a name bound to it passes the
+    rest after them.  A starred argument passes nothing by name."""
+    calls = []
+    aliases = {}                        # name bound to a partial -> (callee, offset)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and _call_name(node.value.func) == "partial"):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        aliases[target.id] = (_call_name(node.value.args[0]),
+                                              len(node.value.args) - 1)
+            if isinstance(node, ast.Call):
+                calls.append(node)
+    passed = set()
+    for call in calls:
+        name, offset, args = _call_name(call.func), 0, call.args
+        if name == "partial":
+            name, args = _call_name(args[0]), args[1:]
+        elif name in aliases:
+            name, offset = aliases[name]
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                break
+            passed.add((name, offset + i))
+        passed |= {(name, k.arg) for k in call.keywords if k.arg is not None}
+    return passed
+
+
+def _unpassed_settings(src: Path = SRC) -> list[tuple[str, str]]:
+    """(module, qualified name) of each default that no package call overrides."""
+    modules = _modules(src)
+    passed = _passed(modules)
+    return sorted({(module, qualified) for module, tree in modules.items()
+                   for name, qualified, position, param in _settings(tree)
+                   if (name, param) not in passed and (name, position) not in passed})
+
+
+def test_every_field_is_read():
+    unread = _unread_fields()
+    assert [f for f in unread if f not in UNREAD] == []
+    assert [f for f in UNREAD if f not in unread] == []    # no stale entry
+
+
+def test_every_setting_is_set():
+    unpassed = _unpassed_settings()
+    assert [s for s in unpassed if s not in UNPASSED] == []
+    assert [s for s in UNPASSED if s not in unpassed] == []    # no stale entry
+
+
+def test_finds_a_planted_unread_field(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "thermo.py", "a") as fh:
+        fh.write("\n\n@dataclass(frozen=True)\nclass Planted:\n    planted_read: int\n"
+                 "    orphan_field: int = 0\n\n\ndef planted(p):\n    return p.planted_read\n")
+    assert _unread_fields(tmp_path) == sorted([*UNREAD, ("thermo", "Planted.orphan_field")])
+
+
+def test_finds_a_planted_unpassed_setting(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "thermo.py", "a") as fh:
+        # defaults passed by position, through a partial, and by no call at all
+        fh.write("\n\ndef planted(x, by_position=1, by_partial=2, orphan_setting=3):\n"
+                 "    bound = partial(planted, x, 0)\n"
+                 "    return planted(x, 4) + bound(5)\n")
+    assert _unpassed_settings(tmp_path) == sorted(
+        [*UNPASSED, ("thermo", "planted.orphan_setting")])
 
 
 def test_every_export_resolves():

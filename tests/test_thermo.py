@@ -169,7 +169,7 @@ class TestGeneralThreshold:
         # light version of the acceptance sweep
         for _ in range(10):
             prof = random_profile(rng)
-            result = oracles.general_threshold(prof, cap=500_000)
+            result = oracles.general_threshold(prof)
             t = result.t_threshold
             prev = None
             for k in range(t, t + 60):
