@@ -7,11 +7,6 @@ Conventions, chosen once and used consistently:
   *absolute* eigenvalue among the remaining modes -- the bounds need
   lambda_i^2 <= lambda3^2 for all fast i, which fails for large negative
   modes under the signed reading.
-
-When a negative eigenvalue dominates the slow one in absolute value the
-trajectory never purifies onto the slow mode; if that mode's weight alone
-keeps the slow fraction below 1 - delta, `rigidity_time` names it in its
-diagnostic instead of searching to the cap.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ class SlowFastSplit:
     fast_weight: float          # R_0 (same scale)
     log_init_ratio: float       # ln(R_0 / |c_2|^2), finite where the ratio leaves the doubles
     degenerate: bool            # a weighted fast mode ties (or passes) the slow |lambda|
-    tie_tol: float              # the absolute width of a tie
 
     @property
     def ratio(self) -> float | None:
@@ -94,7 +88,6 @@ def split_slow_fast(profile: SpectralProfile) -> SlowFastSplit:
         log_init_ratio=float(np.logaddexp.reduce(np.delete(profile.log_weights, i))
                              - profile.log_weights[i]),
         degenerate=bool(fast_weight > 0 and fabs >= lam_slow - tol),
-        tie_tol=tol,
     )
 
 
@@ -145,10 +138,7 @@ def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
 
     alpha_2(T-1) < 1-delta by the search (T-1 is 0 or failed its test); the
     final read checks 1-delta <= alpha_2(T), as f may only rise at T.  The
-    search stops at max(DEFAULT_CAP, 10 ceil(L)) steps.  Modes with
-    |lambda_i| >= |lambda_slow| hold alpha_2 at w_slow over their total weight
-    for good; a threshold above that ceiling (degenerate slow cluster,
-    dominating mode) returns at once.
+    search stops at max(DEFAULT_CAP, 10 ceil(L)) steps.
     """
     if not (0.0 < delta < 1.0):
         raise InvalidArguments(f"delta must lie in (0, 1), got {delta!r}")
@@ -165,31 +155,15 @@ def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
     if fast_share(ledger_block(profile, [0]))[0] <= delta:
         return report(t_rigid=0)
 
-    if np.count_nonzero(profile.lambdas) == 0:
-        return report(t_rigid=1, diagnostic="all modes dead after one step: terminal rigidity")
-
-    # no mode with |lambda| >= |lambda_slow| ever loses energy to the slow one
-    lasting = np.abs(profile.lambdas) >= abs(split.slow_lambda)
-    log_lasting = np.logaddexp.reduce(profile.log_weights[lasting])
-    ceiling = math.exp(profile.log_weights[slow] - log_lasting)
-    # exp turns the absolute error of its argument, a few ulps of the largest log
-    # weight per term summed, into the ceiling's relative error; a ceiling that
-    # meets 1 - delta within it is left to the search
-    scale = np.max(np.abs(profile.log_weights[lasting]), initial=abs(log_lasting))
-    rounding = 4.0 * np.count_nonzero(lasting) * (1.0 + scale) * 2.0 ** -52
-    if ceiling < (1.0 - delta) * (1.0 - rounding):
-        who = ("degenerate slow cluster"
-               if split.fast_abs_lambda - split.slow_lambda <= split.tie_tol
-               else f"dominating mode with |lambda| = {split.fast_abs_lambda!r}")
-        return report(diagnostic=f"alpha_2 <= {ceiling!r} < 1 - delta at every step ({who})")
-
     rising = split.fast_abs_lambda > abs(split.slow_lambda)   # some r_i > 1
 
     def found(k: int) -> bool:       # threshold met at k, or (rising only) f rising at k
         block = ledger_block(profile, range(k, k + 1 + rising))
+        if fast_share(block)[0] <= delta:   # a terminal row (every mode dead) ends here
+            return True
         # f rises where ln alpha_2 falls; the shares themselves may both round to 1
         log_slow = block.log_n[:, slow] - block.log_energy
-        return fast_share(block)[0] <= delta or log_slow[-1] < log_slow[0]
+        return log_slow[-1] < log_slow[0]
 
     lo, hi = 0, 1                    # T > 0 here: gallop, then bisect
     while not found(hi):

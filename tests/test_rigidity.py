@@ -80,7 +80,7 @@ class TestRigidityTime:
         report = sr.rigidity_time(prof, 0.1)
         assert report.t_rigid is None
         assert report.bound == math.inf
-        assert "degenerate" in report.diagnostic
+        assert rigidity.split_slow_fast(prof).degenerate
 
     def test_ceiling_met_to_the_last_ulp_is_reached(self):
         # the lambda = 0 mode dies at k = 1, where the tied pair holds exactly
@@ -93,13 +93,13 @@ class TestRigidityTime:
     def test_complete_graph_terminal(self):
         prof = sr.profile_from_weights([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         report = sr.rigidity_time(prof, 0.25)
-        assert report.t_rigid == 1 and "terminal rigidity" in report.diagnostic
+        assert report.t_rigid == 1
 
     def test_dominating_negative_mode_diagnosed(self):
         prof = sr.profile_from_weights([0.3, -0.8], [1.0, 1.0])
         report = sr.rigidity_time(prof, 0.1)
         assert report.t_rigid is None
-        assert "-0.8" in report.diagnostic or "0.8" in report.diagnostic
+        assert report.ratio > 1 and "peaks below" in report.diagnostic
 
     def test_born_rigid(self):
         prof = sr.profile_from_weights([0.9, 0.2], [1.0, 1e-9])
