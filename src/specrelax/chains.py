@@ -37,6 +37,12 @@ class Tolerances:
     eigen_residual: float = 1e-9
     orthonormality: float = 1e-10
 
+    def __post_init__(self):
+        for key in self.__dataclass_fields__:
+            value = getattr(self, key)
+            if not value >= 0:          # nan is refused too: it would pass every check
+                raise InvalidArguments(f"tolerance {key} must be >= 0, got {value!r}")
+
     def override(self, **kw) -> "Tolerances":
         unknown = set(kw) - set(self.__dataclass_fields__)
         if unknown:
@@ -154,7 +160,7 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     bad = np.flatnonzero(~(np.abs(rows - 1.0) <= tol.row_sum))   # nan is bad too
     if bad.size:
         raise RowSumError(
-            f"row {bad[0]} sums to {rows[bad[0]]!r}, off by more than {tol.row_sum}"
+            f"row {bad[0]} sums to {float(rows[bad[0]])!r}, off by more than {tol.row_sum}"
         )
 
     pi = _stationary_law(P)
@@ -256,8 +262,8 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
         trace_gap = abs(lam.sum() - np.trace(sym))
         square_gap = abs(lam @ lam - np.einsum("ij,ij->", sym, sym))
         if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
-            raise EigensolveFailure(f"eigenvalues miss tr sym by {trace_gap!r} "
-                                    f"and ||sym||_F^2 by {square_gap!r}")
+            raise EigensolveFailure(f"eigenvalues miss tr sym by {float(trace_gap)!r} "
+                                    f"and ||sym||_F^2 by {float(square_gap)!r}")
     else:
         phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
         phi[:k] = 0.0

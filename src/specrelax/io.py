@@ -84,7 +84,12 @@ def read_csv(path: str, what: str, ndmin: int = 0) -> np.ndarray:
     if not os.path.exists(path):
         raise IoError(f"{what} file not found: {path}")
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin)
+        with open(path) as fh:
+            # loadtxt only warns on a file of blank and '#' lines, and returns no numbers
+            if not any(line.partition("#")[0].strip() for line in fh):
+                raise ValueError("no numbers")
+            fh.seek(0)
+            return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=ndmin)
     except ValueError as exc:
         raise IoError(f"malformed {what} file {path}: {exc}") from exc
 

@@ -159,7 +159,7 @@ def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
 
     def found(k: int) -> bool:       # threshold met at k, or (rising only) f rising at k
         block = ledger_block(profile, range(k, k + 1 + rising))
-        if fast_share(block)[0] <= delta:   # a terminal row (every mode dead) ends here
+        if fast_share(block)[0] <= delta:   # first: a terminal row has no ln alpha_2
             return True
         # f rises where ln alpha_2 falls; the shares themselves may both round to 1
         log_slow = block.log_n[:, slow] - block.log_energy

@@ -14,8 +14,10 @@ import specrelax as sr
 from specrelax.errors import (
     DegeneratePi,
     EigensolveFailure,
+    InvalidArguments,
     InvalidSize,
     NotReversible,
+    OutOfRange,
     Reducible,
     RowSumError,
 )
@@ -49,6 +51,13 @@ class TestBuildChain:
     def test_bad_row_sum(self):
         with pytest.raises(RowSumError):
             sr.build_chain([[0.5, 0.4], [0.5, 0.5]])
+
+    def test_tolerance_below_zero_or_nan_is_refused(self):
+        # nan makes every "x > tol" test false and so switches the check off
+        for value in (math.nan, -1e-12):
+            with pytest.raises(InvalidArguments, match="tolerance pi_floor must be >= 0"):
+                sr.Tolerances(pi_floor=value)
+        assert [sr.Tolerances(pi_floor=v).pi_floor for v in (0.0, math.inf)] == [0.0, math.inf]
 
     def test_negative_entry(self):
         with pytest.raises(RowSumError):
@@ -438,8 +447,31 @@ class TestChainSpectrum:
             return evals
 
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-        with pytest.raises(EigensolveFailure, match="tr sym"):
+        with pytest.raises(EigensolveFailure, match="tr sym") as caught:
             sr.chain_spectrum(chain)
+        assert "np.float64" not in str(caught.value)
+
+    def test_lambda2_solved_at_one_is_refused(self, monkeypatch):
+        # some BLAS kernels round a bridge of 1e-16 to a computed lambda2 of 1;
+        # the solve of B[1:, 1:] then returns 1 as its top eigenvalue
+        chain = sr.barbell_chain(4, 0.05)
+        real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
+
+        def eigvalsh(a):
+            evals = real_eigvalsh(a)
+            evals[-1] = 1.0
+            return evals
+
+        def eigh(a):
+            evals, evecs = real_eigh(a)
+            evals[-1] = 1.0
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for solve in (sr.chain_spectrum, sr.spectral_decomposition):
+            with pytest.raises(OutOfRange, match=r"^lambda2 = 1\.0 >= 1: the gap"):
+                solve(chain)
 
     def test_tight_residual_takes_the_full_check(self, monkeypatch):
         chain = sr.barbell_chain(4, 0.05)

@@ -984,12 +984,37 @@ class TestConfigAndErrors:
 
     def test_malformed_chain_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for text in ("{not json", "5", '"kernel"', '{"eigenvalues": [0.5]}'):
-            bad.write_text(text)
-            assert run_cli(["analyze", str(bad)]) == 3
+        cases = [(bad, text) for text in ("{not json", "5", '"kernel"', '{"eigenvalues": [0.5]}')]
+        # a CSV with no numbers does not parse: empty, or blank lines only
+        cases += [(tmp_path / "bad.csv", text) for text in ("", "\n  \n\n")]
+        for path, text in cases:
+            path.write_text(text)
+            assert run_cli(["analyze", str(path)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: IoError:")
             assert "\n" not in err.strip()
+
+    def test_row_sum_error_line(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.5,0.4\n0.5,0.5\n")
+        assert run_cli(["analyze", str(rows)]) == 4
+        assert capsys.readouterr().err == ("error: RowSumError: row 0 sums to 0.9, "
+                                           "off by more than 1e-12\n")
+
+    def test_lambda2_solved_at_one_gives_one_error_line(self, monkeypatch, capsys):
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            evals = real_eigvalsh(a)
+            evals[-1] = 1.0
+            return evals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert run_cli(["analyze", "k5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: OutOfRange: lambda2 = 1.0 >= 1: "
+                                "the gap 1 - lambda2 is not resolved\n")
 
     def test_tolerances_reach_chain_profiles(self, capsys):
         # the decomposition behind simulate honours --tol as analyze does
@@ -1050,6 +1075,19 @@ class TestConfigAndErrors:
         assert captured.err == ("error: InvalidArguments: unknown tolerance keys: "
                                 "['bogus']\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "k5", "--tol", "eigen_residual=nan"],
+        ["analyze", "k5", "--tol", "row_sum=-1"],
+        ["analyze", "cycle-5", "--tol", "detailed_balance=nan"],
+    ])
+    def test_tolerance_below_zero_or_nan_is_refused(self, argv, capsys):
+        assert run_cli(argv) == 4
+        captured = capsys.readouterr()
+        key, _, value = argv[-1].partition("=")
+        assert captured.out == ""
+        assert captured.err == (f"error: InvalidArguments: tolerance {key} must be >= 0, "
+                                f"got {float(value)!r}\n")
+
     @pytest.mark.parametrize("argv, code", [
         (["thermo", "paper-s8", "--steps", "3", "--fluxes-at", "-1"], 4),
         (["accel", "paper-s8", "--interval", "1"], 2),
@@ -1057,6 +1095,7 @@ class TestConfigAndErrors:
         (["simulate", "paper-s8", "--steps", "-1"], 4),
         (["thermo", "paper-s8", "--steps", "-1"], 4),
         (["accel", "paper-s8", "--steps", "-1"], 4),
+        (["accel", "paper-s8", "--degree", "-1"], 4),
         (["fpt", "k5", "--format", "xml"], 2),
         (["simulate", "paper-s8", "--steps", "x"], 2),
         ([], 2),

@@ -151,6 +151,8 @@ def cases() -> list[tuple[str, list[str]]]:
         ("fpt one-state chain", ["fpt", "one.csv"]),
         ("fpt start file of the wrong length",
          ["fpt", "barbell-metastable", "--start", "file:start2.csv"]),
+        ("empty chain file", ["analyze", "empty.csv"]),
+        ("empty start file", ["fpt", "two.csv", "--start", "file:empty.csv"]),
         # the online tau-hat fold: a zero variance, and a frozen settled estimate
         ("power two.csv", ["power", "two.csv"]),
         ("power barbell-metastable --epsilon 1e-3",
@@ -238,6 +240,7 @@ def write_inputs(work: Path) -> None:
     csv("one.csv", [[1.0]])
     csv("start2.csv", [[0.5, 0.5]])
     csv("two.csv", [[0.9, 0.1], [0.3, 0.7]])
+    csv("empty.csv", [])
 
 
 # --- running --------------------------------------------------------------
