@@ -1095,11 +1095,11 @@ class TestConfigAndErrors:
         (["simulate", "paper-s8", "--steps", "-1"], 4),
         (["thermo", "paper-s8", "--steps", "-1"], 4),
         (["accel", "paper-s8", "--steps", "-1"], 4),
-        (["accel", "paper-s8", "--degree", "-1"], 4),
         (["fpt", "k5", "--format", "xml"], 2),
         (["simulate", "paper-s8", "--steps", "x"], 2),
         ([], 2),
         (["bogus", "k5"], 2),
+        (["accel", "paper-s8", "--degree", "-1"], 4),
     ])
     def test_bad_arguments_give_one_error_line(self, argv, code, capsys):
         assert run_cli(argv) == code

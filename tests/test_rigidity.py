@@ -84,8 +84,9 @@ class TestRigidityTime:
 
     def test_ceiling_met_to_the_last_ulp_is_reached(self):
         # the lambda = 0 mode dies at k = 1, where the tied pair holds exactly
-        # 1 - delta = 1/2; the ceiling exp(lw_slow - logaddexp(lasting)) rounds
-        # to 0.49999999999999994, which alone used to return "never"
+        # 1 - delta = 1/2 in the ledger; the tied pair's share computed apart,
+        # exp(lw_slow - logaddexp(lw_tied)), rounds to 0.49999999999999994 and
+        # must not decide it
         prof = sr.SpectralProfile(lambdas=[0.1, 0.1, 0.0], log_weights=[1.0, 1.0, 0.0])
         assert sr.ledger_block(prof, [1]).p.tolist() == [[0.5, 0.5, 0.0]]
         assert sr.rigidity_time(prof, 0.5).t_rigid == 1
