@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArguments, InvalidInterval
+from .errors import InvalidArguments, InvalidInterval, OutOfRange
 from .trajectory import SpectralProfile
 
 
@@ -56,13 +56,19 @@ def build_Qm(m: int, a: float, b: float) -> AccelPlan:
     [a, b] under the normalization at 1; its guarantee max |Q| = 1/|norm_value|
     holds on the whole interval.  On [-lambda2, lambda2] it is T_m(x / lambda2) /
     T_m(1 / lambda2), the paper's simple form, whose guarantee does not
-    extend to eigenvalues below -lambda2.
+    extend to eigenvalues below -lambda2.  A plan whose normalization leaves
+    the doubles is refused before the recurrence runs.
     """
     if m < 0:
         raise InvalidArguments("degree must be nonnegative")
     if not (a < b < 1.0):
         raise InvalidInterval(f"need a < b < 1, got [{a!r}, {b!r}]")
     phi_one = (2.0 - (a + b)) / (b - a)
+    # T_m(phi_one) = cosh(m acosh(phi_one)) = c, and no term of its recurrence
+    # passes 2c <= e^(m acosh(phi_one)) + 1, below DBL_MAX = e^709.78 with 8 % to spare
+    if m * np.arccosh(phi_one) > 709.7:
+        raise OutOfRange(f"degree {m} on [{a!r}, {b!r}]: the normalization "
+                         f"T_m({phi_one!r}) leaves the double range")
     norm = float(chebyshev_T(m, np.array(phi_one)))
     return AccelPlan(degree=m, interval=(float(a), float(b)), norm_value=norm)
 
@@ -74,8 +80,10 @@ def accelerated_spectrum(profile: SpectralProfile, plan: AccelPlan) -> SpectralP
     ledger step corresponding to one full degree-m application.  Modes the
     polynomial sends to zero die after one accelerated step.
     """
-    mapped = np.asarray(plan(profile.lambdas), dtype=float)
-    if np.any(np.abs(mapped) >= 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # T_m of a mode mapped far below the interval may overflow, to inf or nan
+        mapped = np.asarray(plan(profile.lambdas), dtype=float)
+    if not np.all(np.abs(mapped) < 1.0):
         raise InvalidInterval(
             "plan maps an eigenvalue outside (-1, 1): the interval does not "
             "cover this profile's fast spectrum")

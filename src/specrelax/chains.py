@@ -210,8 +210,10 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     A Householder H with H sqrt(pi) = -e1 gives B = H sym H, of first column
     e1 - H r; LAPACK solves B[1:, 1:] alone, lambda_1 = 1 and phi_1 = 1 are
     exact, and the dropped row and column (Frobenius norm <= sqrt(2) s) are a
-    backward error on sym.  A nontrivial eigenvalue computed >= 1 is refused,
-    and one within tol.eigen_residual of 0 is returned as 0, its roundoff.
+    backward error on sym.  A nontrivial eigenvalue computed within 1e-15 of
+    1 is refused, since 1 - lambda2 keeps no correct digit there and the BLAS
+    kernel decides which side of 1 it rounds to; the message prints no digit
+    of it.  One within tol.eigen_residual of 0 is returned as 0, its roundoff.
 
     The gate: LAPACK's pairs are exact for sym + E, ||E||_2 about n 2^-52
     (||sym||_2 <= 1, a nonnegative matrix's Perron root), and orthonormal to
@@ -254,8 +256,8 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
                   else (np.linalg.eigvalsh(sym[k:, k:]), None))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigensolveFailure(str(exc)) from exc
-    if k and lam.size and lam[-1] >= 1.0:
-        raise OutOfRange(f"lambda2 = {float(lam[-1])!r} >= 1: the gap 1 - lambda2 is not resolved")
+    if k and lam.size and lam[-1] > 1.0 - 1e-15:
+        raise OutOfRange("lambda2 is within 1e-15 of 1, where the gap 1 - lambda2 is not resolved")
     lam = np.concatenate((np.ones(k), lam[::-1]))
     phi = None
     if y is None:

@@ -227,7 +227,7 @@ def _profile_summary(profile: SpectralProfile) -> dict:
         "degenerate_slow_pair": split.degenerate,
         "init_ratio": split.init_ratio,
         "delta_star": split.delta_star,
-        "L_0.1": math.inf if split.delta_star is None else rigidity_bound(split, 0.1),
+        "L_0.1": rigidity_bound(split, 0.1),
     }
 
 
@@ -238,9 +238,6 @@ def _cmd_analyze(args: argparse.Namespace):
             raise InvalidSize("analyze needs at least two states: a one-state chain "
                               "has no nontrivial eigenvalue")
         lam = chain_spectrum(obj, args.tol)
-        if lam[1] > 1.0 - 1e-15:
-            raise OutOfRange(f"lambda2 = {float(lam[1])!r} is within 1e-15 of 1, where "
-                             "the gap 1 - lambda2 is not resolved")
         summary = _profile_summary(profile_from_weights(lam[1:], np.ones(lam.size - 1),
                                                         chain_lambda2=float(lam[1])))
         summary["n_states"] = obj.n
@@ -436,8 +433,12 @@ def hypercube_window_step(n: int, alpha: float) -> int:
 
     The window is defined for alpha >= -ln(n)/4 (-1.04 at n = 64, -2 needs
     n >= e^8 ~ 2981); earlier offsets fall before step 0 and clamp to k = 0.
+    OutOfRange refuses an offset whose step is not finite or is beyond int64.
     """
-    return max(0, round((n / 4.0) * math.log(n) + alpha * n))
+    step = (n / 4.0) * math.log(n) + alpha * n
+    if not (math.isfinite(step) and step < 2.0 ** 63):
+        raise OutOfRange(f"window offset {alpha!r} at n = {n} gives no step in int64")
+    return max(0, round(step))
 
 
 def _cmd_hypercube(args: argparse.Namespace):

@@ -75,7 +75,9 @@ def read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:              # a directory, say
+        raise IoError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except ValueError as exc:           # not JSON, or not UTF-8
         raise IoError(f"malformed {what} file {path}: {exc}") from exc
 
 
@@ -90,6 +92,8 @@ def read_csv(path: str, what: str, ndmin: int = 0) -> np.ndarray:
                 raise ValueError("no numbers")
             fh.seek(0)
             return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=ndmin)
+    except OSError as exc:
+        raise IoError(f"cannot read {what} file {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise IoError(f"malformed {what} file {path}: {exc}") from exc
 

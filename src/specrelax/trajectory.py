@@ -48,7 +48,7 @@ class SpectralProfile:
             raise DimensionMismatch("lambdas and log_weights must be equal-length vectors")
         if lam.size == 0:
             raise ZeroProjection("profile must contain at least one mode")
-        if np.any(np.abs(lam) > 1.0 + 1e-12) or np.any(lam >= 1.0):
+        if not np.all((lam >= -1.0 - 1e-12) & (lam < 1.0)):     # nan is refused too
             raise OutOfRange("mode eigenvalues must lie in [-1, 1) after centering")
         if not np.all(np.isfinite(lw)):
             raise OutOfRange("log weights must be finite")

@@ -470,7 +470,8 @@ class TestChainSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         for solve in (sr.chain_spectrum, sr.spectral_decomposition):
-            with pytest.raises(OutOfRange, match=r"^lambda2 = 1\.0 >= 1: the gap"):
+            with pytest.raises(OutOfRange, match=r"^lambda2 is within 1e-15 of 1, where the "
+                                                 r"gap 1 - lambda2 is not resolved$"):
                 solve(chain)
 
     def test_tight_residual_takes_the_full_check(self, monkeypatch):

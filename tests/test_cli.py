@@ -22,6 +22,9 @@ from conftest import birth_death, random_reversible
 from oracles import load_profile_file, save_profile
 
 TINY = np.finfo(float).tiny
+# the one refusal of a stationary chain solve whose lambda2 is next to 1
+UNRESOLVED_GAP = ("error: OutOfRange: lambda2 is within 1e-15 of 1, where the gap "
+                  "1 - lambda2 is not resolved\n")
 
 # no overflow, underflow or invalid operation may reach CLI output unreported
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -107,11 +110,7 @@ class TestAnalyze:
         np.savetxt(chain_file, sr.barbell_chain(3, bridge).kernel, delimiter=",", fmt="%.17g")
         assert run_cli(["analyze", str(chain_file)]) == 4
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: OutOfRange: lambda2 = 0.99999999999999")
-        assert captured.err.endswith(" is within 1e-15 of 1, where the gap 1 - lambda2 "
-                                     "is not resolved\n")
-        assert captured.err.count("\n") == 1
+        assert (captured.out, captured.err) == ("", UNRESOLVED_GAP)
 
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
@@ -210,6 +209,24 @@ class TestProfileDomain:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(6.643856189774725, rel=1e-12)
         assert row[2] == "7"
+
+    @pytest.mark.parametrize("source", [
+        "k2",                                       # one mode, lambda2 = 0
+        {"eigenvalues": [0.5, -0.5], "log_weights": [0.0, math.log(0.01)]},   # a tie
+        {"eigenvalues": [0.9, 0.5], "log_weights": [0.0, 0.0]},
+    ], ids=["k2", "tie", "separated"])
+    def test_analyze_prints_the_bound_that_rigidity_prints(self, source, tmp_path, capsys):
+        # one bound for both: L = 0 where the fast weight is at most 0.1 of the
+        # slow one, also where delta_star is None (k2 and the tie)
+        if isinstance(source, dict):
+            path = tmp_path / "prof.json"
+            path.write_text(json.dumps(source))
+            source = str(path)
+        assert run_cli(["analyze", source, "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["L_0.1"]
+        assert run_cli(["rigidity", source, "--delta", "0.1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert printed == float(row[1])
 
     @pytest.mark.parametrize("command", ["simulate", "thermo"])
     def test_energy_beyond_the_doubles_is_refused(self, command, tmp_path, capsys):
@@ -783,22 +800,45 @@ class TestMetastableBarbell:
                                          "fpt", "analyze"])
     def test_every_command_runs_or_refuses_in_one_line(self, chain_file, command, capsys):
         # the stationary test on the computed eigenvector refused simulate,
-        # rigidity, thermo, accel and power at b = 1e-9 and from 1e-14 on
+        # rigidity, thermo, accel and power at b = 1e-9 and from 1e-14 on; below
+        # 1e-14 every stationary solve refuses, and fpt solves no stationary chain
         path, bridge = chain_file
         code = run_cli([command, path])
         captured = capsys.readouterr()
-        if command == "analyze" and bridge < 1e-14:
-            assert code == 4 and captured.out == ""
-            assert captured.err.startswith("error: OutOfRange: lambda2 = ")
-            assert captured.err.count("\n") == 1
+        if command != "fpt" and bridge < 1e-14:
+            assert (code, captured.out, captured.err) == (4, "", UNRESOLVED_GAP)
         else:
             assert code == 0 and captured.err == ""
 
-    def test_simulate_matches_the_power_stream(self, chain_file, tmp_path):
-        path, _ = chain_file
+    def test_refusal_does_not_depend_on_the_blas_kernel(self, tmp_path):
+        # OPENBLAS_CORETYPE, set in the child alone, picks the OpenBLAS kernel: under
+        # Prescott lambda2 of this chain computes above 1, under Haswell below it
+        path = tmp_path / "b1e-16.csv"
+        np.savetxt(path, sr.barbell_chain(3, 1e-16).kernel, delimiter=",", fmt="%.17g")
+        code = ("import contextlib, io, json, sys\n"
+                "from specrelax.cli import main\n"
+                "runs = []\n"
+                "for command in ('analyze', 'simulate'):\n"
+                "    err = io.StringIO()\n"
+                "    with contextlib.redirect_stderr(err):\n"
+                "        runs.append([main([command, sys.argv[1]]), err.getvalue()])\n"
+                "print(json.dumps(runs))")
+        src = str(Path(sr.__file__).resolve().parents[1])
+        for kernel in ("Haswell", "Prescott"):
+            out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                                 text=True, check=True,
+                                 env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
+            assert json.loads(out.stdout) == [[4, UNRESOLVED_GAP]] * 2, kernel
+
+    def test_simulate_matches_the_power_stream(self, chain_file, tmp_path, capsys):
+        path, bridge = chain_file
         out = tmp_path / "sim.csv"
-        assert run_cli(["simulate", path, "--steps", str(self.STEPS), "--seed", "5",
-                        "--out", str(out)]) == 0
+        code = run_cli(["simulate", path, "--steps", str(self.STEPS), "--seed", "5",
+                        "--out", str(out)])
+        if bridge < 1e-14:      # no digit of 1 - lambda2 to take a stream from
+            assert (code, capsys.readouterr().err, out.exists()) == (4, UNRESOLVED_GAP, False)
+            return
+        assert code == 0
         E = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
         chain = load_input_file(path, sr.Tolerances())
         g0 = np.random.default_rng(5).standard_normal(chain.n)
@@ -987,8 +1027,16 @@ class TestConfigAndErrors:
         cases = [(bad, text) for text in ("{not json", "5", '"kernel"', '{"eigenvalues": [0.5]}')]
         # a CSV with no numbers does not parse: empty, or blank lines only
         cases += [(tmp_path / "bad.csv", text) for text in ("", "\n  \n\n")]
+        # UTF-16 with its byte-order mark (bytes ff fe), which is not UTF-8, and directories
+        cases += [(tmp_path / "bin.json", "\ufeff{}".encode("utf-16-le"))]
+        cases += [(tmp_path / name, None) for name in ("d.csv", "d.json")]
         for path, text in cases:
-            path.write_text(text)
+            if text is None:
+                path.mkdir()
+            elif isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
             assert run_cli(["analyze", str(path)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: IoError:")
@@ -1012,9 +1060,7 @@ class TestConfigAndErrors:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert run_cli(["analyze", "k5"]) == 4
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: OutOfRange: lambda2 = 1.0 >= 1: "
-                                "the gap 1 - lambda2 is not resolved\n")
+        assert (captured.out, captured.err) == ("", UNRESOLVED_GAP)
 
     def test_tolerances_reach_chain_profiles(self, capsys):
         # the decomposition behind simulate honours --tol as analyze does
@@ -1100,6 +1146,13 @@ class TestConfigAndErrors:
         ([], 2),
         (["bogus", "k5"], 2),
         (["accel", "paper-s8", "--degree", "-1"], 4),
+        # T_m overflows: at the normalization point, and at a mode far below the interval
+        (["accel", "paper-s8", "--degree", "2000", "--steps", "2", "--compare-plain"], 4),
+        (["accel", "paper-s8", "--degree", "250", "--interval", "0.6,0.7"], 4),
+        (["hypercube", "--n", "64", "--alpha", "nan"], 4),
+        (["hypercube", "--n", "64", "--alpha", "inf"], 4),
+        (["hypercube", "--n", "64", "--alpha", "1e300"], 4),
+        (["hypercube", "--n", "64", "--alpha=-1e308"], 4),    # alpha n is -inf
     ])
     def test_bad_arguments_give_one_error_line(self, argv, code, capsys):
         assert run_cli(argv) == code

@@ -131,6 +131,7 @@ def cases() -> list[tuple[str, list[str]]]:
         ("profile with no modes", ["analyze", "empty.json"]),
         ("profile with an eigenvalue of 1", ["analyze", "unit.json"]),
         ("profile with an infinite log weight", ["analyze", "infw.json"]),
+        ("profile with a NaN eigenvalue", ["analyze", "nan.json"]),
         ("non-square kernel", ["analyze", "wide.json"]),
         ("ragged kernel", ["analyze", "ragged.json"]),
         # command refusals
@@ -229,6 +230,7 @@ def write_inputs(work: Path) -> None:
     csv("bd300.csv", birth_death(300, 0.5, 1.0))
     for name, lam, lw in (("lengths", [0.5, 0.2], [0.0]), ("empty", [], []),
                           ("unit", [1.0, 0.5], [0.0, 0.0]), ("infw", [0.5, 0.2], [math.inf, 0.0]),
+                          ("nan", [math.nan, 0.5], [0.0, 0.0]),
                           ("dead", [0.0, 0.0], [0.0, 0.0]), ("noslow", [0.0, -0.5], [0.0, 0.0]),
                           ("one", [0.5], [0.0]),
                           ("mapped", [0.6, -0.99, 0.1], np.log([0.5, 0.3, 0.2]).tolist())):
