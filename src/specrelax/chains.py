@@ -213,7 +213,9 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     backward error on sym.  A nontrivial eigenvalue computed within 1e-15 of
     1 is refused, since 1 - lambda2 keeps no correct digit there and the BLAS
     kernel decides which side of 1 it rounds to; the message prints no digit
-    of it.  One within tol.eigen_residual of 0 is returned as 0, its roundoff.
+    of it.  One within its certified error of 0 is returned as 0, its
+    roundoff: within the gate's width b + n 2^-52 + sqrt(2) s under the gate,
+    below, and within tol.eigen_residual outside it.
 
     The gate: LAPACK's pairs are exact for sym + E, ||E||_2 about n 2^-52
     (||sym||_2 <= 1, a nonnegative matrix's Perron root), and orthonormal to
@@ -242,8 +244,8 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     if s > tol.eigen_residual:
         raise EigensolveFailure(f"stationary mode residual {s!r} too large")
     backward = n * 2.0 ** -52
-    gated = (_antisymmetry_bound(kernel, d, sym) + backward + math.sqrt(2.0) * s
-             <= tol.eigen_residual and backward <= tol.orthonormality)
+    width = _antisymmetry_bound(kernel, d, sym) + backward + math.sqrt(2.0) * s
+    gated = width <= tol.eigen_residual and backward <= tol.orthonormality
     k = int(stationary)         # the modes known before the solve
     if stationary:              # sym becomes B = H sym H, H = I - tau v v^T
         v = d.copy()
@@ -291,8 +293,8 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
             worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
         if worst > tol.eigen_residual:
             raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
-    if stationary:      # after every check: a certified |lambda| this small is 0
-        lam[np.abs(lam) <= tol.eigen_residual] = 0.0
+    if stationary:      # after every check: a |lambda| within its certified error is 0
+        lam[np.abs(lam) <= (width if gated else tol.eigen_residual)] = 0.0
     return lam, phi
 
 

@@ -69,6 +69,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--tol", action="append", default=[],
                         metavar="key=value", help="tolerance override")
+        # SUPPRESS: a default here would overwrite a --config given before the command
+        sp.add_argument("--config", default=argparse.SUPPRESS,
+                        help="JSON file of option defaults; flags override")
         return sp
 
     command("analyze", "spectral summary of a chain or profile", _cmd_analyze)
@@ -144,7 +147,7 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> d
     data = read_json(path, "config")
     if not isinstance(data, dict):
         sub.error("config file must hold a JSON object")
-    actions = {a.dest: a for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions if a.dest != "config"}
     unknown = set(data) - set(actions) - {"command"}
     if unknown:
         sub.error(f"unknown config keys: {sorted(unknown)}")

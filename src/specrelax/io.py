@@ -8,16 +8,26 @@ round-trips exactly.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from .chains import DEFAULT_TOLERANCES, Tolerances, build_chain
 from .errors import IoError
 from .trajectory import SpectralProfile
+
+# A kernel file of at least this size is parsed once per content (the kernel
+# cache, below).  Under it the parse costs about what a lookup does: the hash,
+# hashlib's first import and np.load.  1 MiB is a kernel of n = 220 in repr.
+CACHE_MIN_BYTES = 1 << 20
+# past this, the least recently used entries are deleted
+CACHE_BUDGET_BYTES = 512 << 20
 
 
 def fmt(x) -> str:
@@ -68,51 +78,81 @@ def _jsonable(obj):
     return obj
 
 
-def read_json(path: str, what: str):
-    """The parsed JSON of a file; IoError names it as a `what` file."""
+def read_json(path: str, what: str, raw: bytes | None = None):
+    """The parsed JSON of a file, or of `raw`, its bytes read before; IoError
+    names it as a `what` file."""
+    with _reading(path, what), _text(path, raw) as fh:
+        return json.load(fh)
+
+
+def read_csv(path: str, what: str, ndmin: int = 0, raw: bytes | None = None) -> np.ndarray:
+    """The floats of a comma-separated file, or of `raw`, its bytes read
+    before; IoError names it as a `what` file."""
+    with _reading(path, what), _text(path, raw) as fh:
+        # loadtxt only warns on a file of blank and '#' lines, and returns no numbers
+        if not any(line.partition("#")[0].strip() for line in fh):
+            raise ValueError("no numbers")
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=ndmin)
+
+
+@contextlib.contextmanager
+def _reading(path: str, what: str):
+    """Turns a missing file, and an OSError or ValueError while reading it,
+    into one IoError line that names it as a `what` file."""
     if not os.path.exists(path):
         raise IoError(f"{what} file not found: {path}")
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        yield
     except OSError as exc:              # a directory, say
         raise IoError(f"cannot read {what} file {path}: {exc.strerror}") from exc
-    except ValueError as exc:           # not JSON, or not UTF-8
+    except ValueError as exc:           # not JSON, not numbers, or not UTF-8
         raise IoError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def read_csv(path: str, what: str, ndmin: int = 0) -> np.ndarray:
-    """The floats of a comma-separated file; IoError names it as a `what` file."""
-    if not os.path.exists(path):
-        raise IoError(f"{what} file not found: {path}")
-    try:
-        with open(path) as fh:
-            # loadtxt only warns on a file of blank and '#' lines, and returns no numbers
-            if not any(line.partition("#")[0].strip() for line in fh):
-                raise ValueError("no numbers")
-            fh.seek(0)
-            return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=ndmin)
-    except OSError as exc:
-        raise IoError(f"cannot read {what} file {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise IoError(f"malformed {what} file {path}: {exc}") from exc
+def _text(path: str, raw: bytes | None):
+    """The file's text as `open(path)` decodes it, from `raw` when given."""
+    return open(path) if raw is None else io.TextIOWrapper(io.BytesIO(raw))
 
 
 def load_input_file(path: str, tol: Tolerances = DEFAULT_TOLERANCES):
-    """The chain or profile in a file, parsed once: JSON {"kernel": ...} or
+    """The chain or profile in a file: JSON {"kernel": ...} or
     {"eigenvalues": ..., "log_weights": ...}, or else a dense CSV kernel."""
-    if not path.endswith(".json"):
-        return build_chain(read_csv(path, "chain", ndmin=2), tol)
-    data = read_json(path, "input")
-    if isinstance(data, dict) and "kernel" in data:
+    parsed = _parse_input(path)
+    return parsed if isinstance(parsed, SpectralProfile) else build_chain(parsed, tol)
+
+
+def _parse_input(path: str):
+    """The kernel array or the profile in a file.  A file of at least
+    CACHE_MIN_BYTES is read once, and its kernel parsed once per content: the
+    array is stored in the kernel cache before any check runs on it, and a
+    file with the same bytes is loaded from there."""
+    kind, what = ("json", "input") if path.endswith(".json") else ("csv", "chain")
+    raw = entry = None
+    if _size(path) >= CACHE_MIN_BYTES and (directory := _cache_dir()):
+        import hashlib      # here, so that a command on a small input never loads it
+
+        with _reading(path, what), open(path, "rb") as fh:
+            raw = fh.read()
+        entry = os.path.join(directory, f"{hashlib.sha256(raw).hexdigest()}-{kind}.npy")
+        kernel = _cache_load(entry)
+        if kernel is not None:
+            return kernel
+    if kind == "csv":
+        kernel = read_csv(path, what, ndmin=2, raw=raw)
+    else:
+        data = read_json(path, what, raw)
+        if not isinstance(data, dict) or ("kernel" not in data and "eigenvalues" not in data):
+            raise IoError(f"{path} holds neither a kernel nor a profile")
+        if "kernel" not in data:
+            return _profile_from(data, path)
         try:
             kernel = np.asarray(data["kernel"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise IoError(f"malformed chain file {path}: {exc}") from exc
-        return build_chain(kernel, tol)
-    if isinstance(data, dict) and "eigenvalues" in data:
-        return _profile_from(data, path)
-    raise IoError(f"{path} holds neither a kernel nor a profile")
+    if entry is not None:
+        _cache_store(entry, kernel)
+    return kernel
 
 
 def _profile_from(data, path: str) -> SpectralProfile:
@@ -122,3 +162,78 @@ def _profile_from(data, path: str) -> SpectralProfile:
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed profile file {path}: {exc}") from exc
     return SpectralProfile(lambdas=lambdas, log_weights=log_weights)
+
+
+# --- the kernel cache ---------------------------------------------------------
+#
+# An entry is the float64 array a kernel file parses to, saved as
+# <sha256 of the file's bytes>-<csv|json>.npy, which round-trips it bit for
+# bit.  It is keyed on content alone: a copy that keeps the mtime, or a file
+# rewritten in place, is never served another file's kernel.  Every fault of
+# the cache is a miss, so a command prints what it would print without it.
+
+def _cache_dir() -> str | None:
+    """$XDG_CACHE_HOME/specrelax, or ~/.cache/specrelax where that variable is
+    unset, empty or relative; None where no home directory is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "specrelax") if os.path.isabs(base) else None
+
+
+def _size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0        # a missing file's error comes from the parse
+
+
+def _cache_load(entry: str) -> np.ndarray | None:
+    """The float64 array an entry holds, marked as just used; None for a
+    missing, empty, truncated, pickled or other-typed entry."""
+    try:
+        with open(entry, "rb") as fh:
+            kernel = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if kernel.dtype != np.float64:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return kernel
+
+
+def _cache_store(entry: str, kernel: np.ndarray):
+    """Write the entry whole under a temporary name and rename it, then evict;
+    an OSError (no home, a full disk, a file where the directory should be)
+    leaves the cache unchanged and the command unaffected."""
+    directory = os.path.dirname(entry)
+    try:
+        os.makedirs(directory, 0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.lib.format.write_array(fh, kernel, allow_pickle=False)
+            os.replace(tmp, entry)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        _evict(directory, entry)
+    except OSError:
+        pass
+
+
+def _evict(directory: str, keep: str):
+    """Delete the least recently used files until the directory holds at most
+    CACHE_BUDGET_BYTES, sparing `keep`."""
+    with os.scandir(directory) as it:
+        files = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.path)
+                       for e in it if e.is_file(follow_symlinks=False))
+    total = sum(size for _, size, _ in files)
+    for _, size, path in files:
+        if total <= CACHE_BUDGET_BYTES:
+            break
+        if path != keep:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            total -= size

@@ -92,6 +92,15 @@ def spectral_coefficients(chain, decomp, g0):
     return decomp.eigenvectors[:, 1:].T @ (chain.pi * g0)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_kernel_cache(tmp_path_factory):
+    """Every test, and every interpreter a test starts, caches parsed kernel
+    files in a session directory rather than in ~/.cache/specrelax."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

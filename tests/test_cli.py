@@ -112,6 +112,19 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", UNRESOLVED_GAP)
 
+    @pytest.mark.parametrize("eps", [5e-10, 5e-11])
+    def test_small_real_lambda2_is_not_roundoff(self, eps, tmp_path, capsys):
+        # every |lambda| <= tol.eigen_residual = 1e-9 was set to 0, and lambda2
+        # printed 0, though the solve proves it to about 1e-15
+        a = (1 + eps) / 2
+        chain_file = tmp_path / "two.csv"
+        np.savetxt(chain_file, [[a, 1 - a], [1 - a, a]], delimiter=",", fmt="%.17g")
+        assert run_cli(["analyze", str(chain_file), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # the spectrum of [[a, b], [b, a]] is (a + b, a - b), and a - b is exact
+        assert abs(data["lambda2"] - (a - (1 - a))) <= 1e-15
+        assert data["spectrum"][1] == data["lambda2"]
+
     def test_csv_chain_file(self, tmp_path):
         chain_file = tmp_path / "chain.csv"
         chain_file.write_text("0.9,0.1\n0.3,0.7\n")
@@ -976,10 +989,25 @@ class TestConfigAndErrors:
         cfg = tmp_path / "cfg.json"
         # fpt's --delta is gone, so its key is unknown as well
         for values, argv in (({"not_a_key": 1}, ["simulate", "s8-two-mode"]),
-                             ({"command": "fpt", "delta": 0.1}, ["fpt", "barbell-metastable"])):
+                             ({"command": "fpt", "delta": 0.1}, ["fpt", "barbell-metastable"]),
+                             ({"config": "cfg.json"}, ["analyze", "k5"])):
             cfg.write_text(json.dumps(values))
             assert run_cli(["--config", str(cfg), *argv]) == 2
             assert capsys.readouterr().err.startswith("error: ConfigError: unknown config keys")
+
+    @pytest.mark.parametrize("values", [{}, {"steps": 3}])
+    def test_config_goes_before_or_after_the_command(self, values, tmp_path, capsys):
+        # after the command, --config was refused as an unrecognized argument
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        printed = []
+        for argv in (["--config", str(cfg), "simulate", "s8-two-mode"],
+                     ["simulate", "s8-two-mode", "--config", str(cfg)]):
+            assert run_cli(argv) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert printed[0].err == ""
+        assert len(printed[0].out.splitlines()) == values.get("steps", 100) + 2
 
     def test_removed_flags_are_refused(self, tmp_path, capsys):
         # rigidity works out its own search cap; power's earliest stop is fixed at 3

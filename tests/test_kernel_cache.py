@@ -1,0 +1,220 @@
+"""The kernel cache: a chain file of at least io.CACHE_MIN_BYTES is parsed once
+per content, and no state of the cache changes what a command prints.
+
+The reference for every command is the same call with the cache switched off
+by raising CACHE_MIN_BYTES, which is the parse path of a small file.
+"""
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specrelax import io as kio
+from specrelax.cli import main
+
+from conftest import random_reversible
+
+COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["rigidity"],
+            ["thermo", "--steps", "20"], ["accel", "--steps", "5"],
+            ["power", "--max-iter", "20"], ["fpt", "--kmax", "10"]]
+
+
+def _write_float32(entry: Path, kernel: np.ndarray):
+    with open(entry, "wb") as fh:
+        np.save(fh, kernel.astype(np.float32))
+
+
+def _write_pickled(entry: Path, kernel: np.ndarray):
+    with open(entry, "wb") as fh:
+        np.save(fh, np.array([kernel], dtype=object), allow_pickle=True)
+
+
+# each is a miss, and the run that finds it writes the entry again
+DAMAGED = {
+    "missing": lambda entry, kernel: entry.unlink(),
+    "empty": lambda entry, kernel: entry.write_bytes(b""),
+    "truncated": lambda entry, kernel: entry.write_bytes(entry.read_bytes()[:-8]),
+    "pickled": _write_pickled,
+    "float32": _write_float32,
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_files(tmp_path_factory):
+    """A dense n = 250 chain as a CSV and as a JSON kernel file, each >= 1 MiB."""
+    directory = tmp_path_factory.mktemp("kernels")
+    kernel = random_reversible(250, np.random.default_rng(31)).kernel
+    files = {"csv": directory / "k.csv", "json": directory / "k.json"}
+    np.savetxt(files["csv"], kernel, delimiter=",", fmt="%.17g")
+    files["json"].write_text(json.dumps({"kernel": kernel.tolist()}))
+    assert min(f.stat().st_size for f in files.values()) >= kio.CACHE_MIN_BYTES
+    return files
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch) -> Path:
+    home = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+def run(argv, capsys) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def uncached(argv, capsys, monkeypatch) -> tuple:
+    with monkeypatch.context() as m:
+        m.setattr(kio, "CACHE_MIN_BYTES", math.inf)
+        return run(argv, capsys)
+
+
+def entry_of(path: Path, home: Path, kind: str) -> Path:
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return home / "specrelax" / f"{digest}-{kind}.npy"
+
+
+def cache_files(home: Path) -> list:
+    directory = home / "specrelax"
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_every_cache_state_prints_the_uncached_bytes(command, kind, kernel_files, cache_home,
+                                                     monkeypatch, capsys):
+    path = kernel_files[kind]
+    argv = [command[0], str(path), *command[1:]]
+    want = uncached(argv, capsys, monkeypatch)
+    assert want[0] == 0 and want[2] == ""
+    assert cache_files(cache_home) == []
+
+    assert run(argv, capsys) == want                      # cold: parsed and stored
+    entry = entry_of(path, cache_home, kind)
+    assert cache_files(cache_home) == [entry.name]
+    stored = entry.read_bytes()
+    kernel = np.load(entry)
+    with monkeypatch.context() as m:                      # warm: loaded, not parsed
+        m.setattr(kio, "read_csv", None)
+        m.setattr(kio, "read_json", None)
+        assert run(argv, capsys) == want
+
+    for name, damage in DAMAGED.items():
+        damage(entry, kernel)
+        assert run(argv, capsys) == want, name
+        assert entry.read_bytes() == stored, name
+
+    blocker = cache_home / "a-file"                       # no directory can be made there
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert run(argv, capsys) == want
+
+
+def test_stored_array_is_the_parse(kernel_files, cache_home):
+    for kind, path in kernel_files.items():
+        chain = kio.load_input_file(str(path))
+        stored = np.load(entry_of(path, cache_home, kind), allow_pickle=False)
+        assert stored.dtype == np.float64
+        assert np.array_equal(stored, chain.kernel)
+
+
+def test_small_files_bypass_the_cache(tmp_path, cache_home, capsys):
+    path = tmp_path / "small.csv"
+    np.savetxt(path, random_reversible(20, np.random.default_rng(3)).kernel,
+               delimiter=",", fmt="%.17g")
+    assert run(["analyze", str(path)], capsys)[0] == 0
+    assert not cache_home.exists()
+
+
+def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, cache_home,
+                                                                   monkeypatch, capsys):
+    # %.17e is fixed width for entries in (0, 1): two kernels of one order
+    # give files of one size
+    path = tmp_path / "k.csv"
+    first, second = (random_reversible(230, np.random.default_rng(s)).kernel for s in (1, 2))
+    np.savetxt(path, first, delimiter=",", fmt="%.17e")
+    before = path.stat()
+    assert before.st_size >= kio.CACHE_MIN_BYTES
+    old = run(["analyze", str(path)], capsys)
+    np.savetxt(path, second, delimiter=",", fmt="%.17e")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    new = run(["analyze", str(path)], capsys)
+    assert new == uncached(["analyze", str(path)], capsys, monkeypatch)
+    assert new != old
+    assert len(cache_files(cache_home)) == 2
+
+
+@pytest.mark.parametrize("fault", ["text", "not-utf8"])
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_a_malformed_large_file_is_one_line_each_time_and_never_stored(
+        kind, fault, kernel_files, tmp_path, cache_home, monkeypatch, capsys):
+    raw = bytearray(kernel_files[kind].read_bytes())
+    if fault == "text":
+        raw = raw[:-3] + b"x\n" if kind == "csv" else raw[:-1]
+    else:               # decoded from the bytes read once, the position is open()'s
+        raw[len(raw) // 2] = 0xFF
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(bytes(raw))
+    argv = ["analyze", str(path)]
+    want = uncached(argv, capsys, monkeypatch)
+    assert want[:2] == (3, "")
+    assert want[2].startswith(f"error: IoError: malformed {'chain' if kind == 'csv' else 'input'}"
+                              f" file {path}: ") and want[2].count("\n") == 1
+    assert ("can't decode byte 0xff" in want[2]) == (fault == "not-utf8")
+    assert run(argv, capsys) == want
+    assert run(argv, capsys) == want
+    assert cache_files(cache_home) == []
+
+
+def test_eviction_keeps_the_budget_and_the_newest_entry(tmp_path, cache_home, monkeypatch):
+    paths = []
+    for seed in range(3):
+        paths.append(tmp_path / f"k{seed}.csv")
+        np.savetxt(paths[-1], random_reversible(230, np.random.default_rng(seed)).kernel,
+                   delimiter=",", fmt="%.17g")
+    a, b, c = (entry_of(p, cache_home, "csv") for p in paths)
+    size = 230 * 230 * 8 + 128                  # the .npy header pads to 128 bytes
+    monkeypatch.setattr(kio, "CACHE_BUDGET_BYTES", 2 * size + size // 2)
+    for p in paths[:2]:
+        kio.load_input_file(str(p))
+    assert cache_files(cache_home) == sorted([a.name, b.name])
+    assert a.stat().st_size == size
+    os.utime(a, (1e9, 1e9))
+    os.utime(b, (1.1e9, 1.1e9))
+    kio.load_input_file(str(paths[0]))          # a hit marks a as the most recently used
+    kio.load_input_file(str(paths[2]))
+    assert cache_files(cache_home) == sorted([a.name, c.name])
+
+    monkeypatch.setattr(kio, "CACHE_BUDGET_BYTES", size // 2)
+    kio.load_input_file(str(paths[1]))          # over budget alone, and kept
+    assert cache_files(cache_home) == [b.name]
+
+
+def test_two_cold_runs_at_once(kernel_files, cache_home):
+    env = dict(os.environ, PYTHONPATH=str(Path(kio.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "specrelax", "analyze", str(kernel_files["csv"])]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             for _ in range(2)]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] == outputs[1] and outputs[0][1] == b""
+    assert cache_files(cache_home) == [entry_of(kernel_files["csv"], cache_home, "csv").name]
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    src = Path(kio.__file__).resolve().parents[1]
+    code = ("import sys; from specrelax.cli import main; main(['analyze', 'k5']); "
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out.splitlines()[-1] == "[]"
