@@ -52,6 +52,11 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# A kernel of at least this many states has its eigenproblem solved once per
+# content (the solve entries of `cache`).  Under it LAPACK costs about what a
+# lookup does: hashlib's first import, the OpenBLAS query, the hash and np.load.
+CACHE_MIN_STATES = 200
+
 
 @dataclass(frozen=True)
 class ReversibleChain:
@@ -232,8 +237,28 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     0.2^(n/2), and one within a factor sqrt(n) of t almost surely.  Outside
     the gate, eigh runs and the full O(n^3) check forms U^T U and every
     residual.  Under it, only sym (its buffer then holds U, then Phi) and
-    LAPACK's output are n x n.
+    LAPACK's output are n x n.  LAPACK's output must list its eigenvalues in
+    ascending order, and a nan anywhere in it fails a check.
+
+    The solve cache: for n >= CACHE_MIN_STATES, LAPACK's raw output (before
+    any check) is kept as a solve entry of `cache`, keyed (`cache.solve_entry`)
+    on the bytes of the matrix LAPACK is handed, the routine, and the numpy
+    and OpenBLAS build that decide LAPACK's bits.  A hit takes the place of
+    the call, and every check above runs on it as on a fresh output, the snap
+    to 0 too, so a command prints the same bytes cold, warm and with no cache.
+    A fresh output is streamed to a temporary file as LAPACK returns it, and
+    renamed in only once every check has passed; a hit that fails a check is
+    deleted and the matrix solved afresh.
     """
+    return (_solve_and_check(kernel, weights, tol, vectors, stationary, reuse=True)
+            or _solve_and_check(kernel, weights, tol, vectors, stationary, reuse=False))
+
+
+def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
+                     vectors: bool, stationary: bool, reuse: bool) -> tuple | None:
+    """`_certified_eigh` once: LAPACK's output is read from its solve entry
+    when `reuse` and the entry holds, and otherwise solved and stored.  None
+    when a hit fails a check: its entry is then deleted."""
     n = kernel.shape[0]
     d = np.sqrt(weights)
     sym = d[:, None] * kernel
@@ -253,49 +278,86 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
         tau = 2.0 / (v @ v)
         _rank_one_update(sym, v, tau * (sym @ v))
         _rank_one_update(sym, tau * (sym @ v), v)
+    full = vectors or not gated     # eigh; else eigvalsh, for the eigenvalues alone
+    entry = None
+    if n >= CACHE_MIN_STATES:
+        from . import cache
+
+        entry = cache.solve_entry(sym[k:, k:], "eigh" if full else "eigvalsh")
+    lam, y, hit, tmp = _lapack(sym[k:, k:], full, entry, reuse)
     try:
-        lam, y = (np.linalg.eigh(sym[k:, k:]) if vectors or not gated
-                  else (np.linalg.eigvalsh(sym[k:, k:]), None))
+        if k and lam.size and lam[-1] > 1.0 - 1e-15:
+            raise OutOfRange("lambda2 is within 1e-15 of 1, where the gap 1 - lambda2 is not resolved")
+        lam = np.concatenate((np.ones(k), lam[::-1]))
+        phi = None
+        if y is None:
+            trace_gap = abs(lam.sum() - np.trace(sym))
+            square_gap = abs(lam @ lam - np.einsum("ij,ij->", sym, sym))
+            if not (trace_gap <= n * tol.eigen_residual
+                    and square_gap <= 2 * n * tol.eigen_residual):
+                raise EigensolveFailure(f"eigenvalues miss tr sym by {float(trace_gap)!r} "
+                                        f"and ||sym||_F^2 by {float(square_gap)!r}")
+        else:
+            phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
+            phi[:k] = 0.0
+            phi[k:, k:] = y[:, ::-1]
+            del y
+            if stationary:
+                _rank_one_update(phi[:, 1:], v, tau * (v[1:] @ phi[1:, 1:]))
+                phi[:, 0] = d
+            if gated:
+                z = np.random.default_rng(0).standard_normal(n)
+                z /= np.linalg.norm(z)
+                orth = max(np.max(np.abs(np.einsum("ij,ij->j", phi, phi) - 1.0)),
+                           np.linalg.norm(phi.T @ (phi @ z) - z))
+            else:
+                orth = np.max(np.abs(phi.T @ phi - np.eye(n)))
+            if not orth <= tol.orthonormality:
+                raise EigensolveFailure("eigenvectors fail weighted orthonormality")
+            phi /= d[:, None]
+            if gated:
+                worst = np.linalg.norm(d * (kernel @ (phi @ z) - phi @ (lam * z)))
+            else:
+                resid = (kernel @ phi - phi * lam) * d[:, None]
+                worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
+            if not worst <= tol.eigen_residual:
+                raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
+        if not np.all(lam[:-1] >= lam[1:]):
+            raise EigensolveFailure("LAPACK's eigenvalues are not in ascending order")
+        if stationary:      # after every check: a |lambda| within its certified error is 0
+            lam[np.abs(lam) <= (width if gated else tol.eigen_residual)] = 0.0
+        if tmp:         # stored only once every check has passed
+            cache.commit(tmp, entry)
+            tmp = None
+    except (EigensolveFailure, OutOfRange):
+        if not hit:
+            raise
+        cache.discard(entry)
+        return None
+    finally:
+        if tmp:
+            cache.discard(tmp)
+    return lam, phi
+
+
+def _lapack(a: np.ndarray, vectors: bool, entry: str | None, reuse: bool) -> tuple:
+    """(eigenvalues ascending, eigenvectors or None, hit, tmp): `eigh` of `a`,
+    or `eigvalsh` without `vectors`.  hit: they were read from the solve
+    `entry`, which `reuse` allows when it holds arrays of their shapes.  tmp:
+    the temporary file beside `entry` that a fresh output was written to."""
+    shapes = [a.shape[:1], a.shape][:1 + vectors]
+    if entry:
+        from . import cache
+
+        out = cache.load(entry, len(shapes)) if reuse else None
+        if out and [x.shape for x in out] == shapes:
+            return out[0], out[1] if vectors else None, True, None
+    try:
+        out = tuple(np.linalg.eigh(a)) if vectors else (np.linalg.eigvalsh(a),)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigensolveFailure(str(exc)) from exc
-    if k and lam.size and lam[-1] > 1.0 - 1e-15:
-        raise OutOfRange("lambda2 is within 1e-15 of 1, where the gap 1 - lambda2 is not resolved")
-    lam = np.concatenate((np.ones(k), lam[::-1]))
-    phi = None
-    if y is None:
-        trace_gap = abs(lam.sum() - np.trace(sym))
-        square_gap = abs(lam @ lam - np.einsum("ij,ij->", sym, sym))
-        if trace_gap > n * tol.eigen_residual or square_gap > 2 * n * tol.eigen_residual:
-            raise EigensolveFailure(f"eigenvalues miss tr sym by {float(trace_gap)!r} "
-                                    f"and ||sym||_F^2 by {float(square_gap)!r}")
-    else:
-        phi = sym.T     # U = H diag(1, Y), or Y, in sym's buffer, column-major as LAPACK's
-        phi[:k] = 0.0
-        phi[k:, k:] = y[:, ::-1]
-        del y
-        if stationary:
-            _rank_one_update(phi[:, 1:], v, tau * (v[1:] @ phi[1:, 1:]))
-            phi[:, 0] = d
-        if gated:
-            z = np.random.default_rng(0).standard_normal(n)
-            z /= np.linalg.norm(z)
-            orth = max(np.max(np.abs(np.einsum("ij,ij->j", phi, phi) - 1.0)),
-                       np.linalg.norm(phi.T @ (phi @ z) - z))
-        else:
-            orth = np.max(np.abs(phi.T @ phi - np.eye(n)))
-        if orth > tol.orthonormality:
-            raise EigensolveFailure("eigenvectors fail weighted orthonormality")
-        phi /= d[:, None]
-        if gated:
-            worst = np.linalg.norm(d * (kernel @ (phi @ z) - phi @ (lam * z)))
-        else:
-            resid = (kernel @ phi - phi * lam) * d[:, None]
-            worst = np.sqrt(np.max(np.einsum("xi,xi->i", resid, resid)))
-        if worst > tol.eigen_residual:
-            raise EigensolveFailure(f"eigen-residual {float(worst)!r} too large")
-    if stationary:      # after every check: a |lambda| within its certified error is 0
-        lam[np.abs(lam) <= (width if gated else tol.eigen_residual)] = 0.0
-    return lam, phi
+    tmp = entry and cache.write(entry, *out)
+    return out[0], out[1] if vectors else None, False, tmp
 
 
 def spectral_decomposition(chain: ReversibleChain,

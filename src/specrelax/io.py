@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -23,11 +22,9 @@ from .errors import IoError
 from .trajectory import SpectralProfile
 
 # A kernel file of at least this size is parsed once per content (the kernel
-# cache, below).  Under it the parse costs about what a lookup does: the hash,
-# hashlib's first import and np.load.  1 MiB is a kernel of n = 220 in repr.
+# entries of `cache`).  Under it the parse costs about what a lookup does: the
+# hash, hashlib's first import and np.load.  1 MiB is a kernel of n = 220 in repr.
 CACHE_MIN_BYTES = 1 << 20
-# past this, the least recently used entries are deleted
-CACHE_BUDGET_BYTES = 512 << 20
 
 
 def fmt(x) -> str:
@@ -129,15 +126,14 @@ def _parse_input(path: str):
     file with the same bytes is loaded from there."""
     kind, what = ("json", "input") if path.endswith(".json") else ("csv", "chain")
     raw = entry = None
-    if _size(path) >= CACHE_MIN_BYTES and (directory := _cache_dir()):
-        import hashlib      # here, so that a command on a small input never loads it
+    if _size(path) >= CACHE_MIN_BYTES:
+        from . import cache
 
         with _reading(path, what), open(path, "rb") as fh:
             raw = fh.read()
-        entry = os.path.join(directory, f"{hashlib.sha256(raw).hexdigest()}-{kind}.npy")
-        kernel = _cache_load(entry)
-        if kernel is not None:
-            return kernel
+        entry = cache.kernel_entry(raw, kind)
+        if entry and (hit := cache.load(entry)):
+            return hit[0]
     if kind == "csv":
         kernel = read_csv(path, what, ndmin=2, raw=raw)
     else:
@@ -151,7 +147,7 @@ def _parse_input(path: str):
         except (TypeError, ValueError) as exc:
             raise IoError(f"malformed chain file {path}: {exc}") from exc
     if entry is not None:
-        _cache_store(entry, kernel)
+        cache.store(entry, kernel)
     return kernel
 
 
@@ -164,76 +160,8 @@ def _profile_from(data, path: str) -> SpectralProfile:
     return SpectralProfile(lambdas=lambdas, log_weights=log_weights)
 
 
-# --- the kernel cache ---------------------------------------------------------
-#
-# An entry is the float64 array a kernel file parses to, saved as
-# <sha256 of the file's bytes>-<csv|json>.npy, which round-trips it bit for
-# bit.  It is keyed on content alone: a copy that keeps the mtime, or a file
-# rewritten in place, is never served another file's kernel.  Every fault of
-# the cache is a miss, so a command prints what it would print without it.
-
-def _cache_dir() -> str | None:
-    """$XDG_CACHE_HOME/specrelax, or ~/.cache/specrelax where that variable is
-    unset, empty or relative; None where no home directory is known."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "specrelax") if os.path.isabs(base) else None
-
-
 def _size(path: str) -> int:
     try:
         return os.stat(path).st_size
     except OSError:
         return 0        # a missing file's error comes from the parse
-
-
-def _cache_load(entry: str) -> np.ndarray | None:
-    """The float64 array an entry holds, marked as just used; None for a
-    missing, empty, truncated, pickled or other-typed entry."""
-    try:
-        with open(entry, "rb") as fh:
-            kernel = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError):
-        return None
-    if kernel.dtype != np.float64:
-        return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)
-    return kernel
-
-
-def _cache_store(entry: str, kernel: np.ndarray):
-    """Write the entry whole under a temporary name and rename it, then evict;
-    an OSError (no home, a full disk, a file where the directory should be)
-    leaves the cache unchanged and the command unaffected."""
-    directory = os.path.dirname(entry)
-    try:
-        os.makedirs(directory, 0o700, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.lib.format.write_array(fh, kernel, allow_pickle=False)
-            os.replace(tmp, entry)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-        _evict(directory, entry)
-    except OSError:
-        pass
-
-
-def _evict(directory: str, keep: str):
-    """Delete the least recently used files until the directory holds at most
-    CACHE_BUDGET_BYTES, sparing `keep`."""
-    with os.scandir(directory) as it:
-        files = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.path)
-                       for e in it if e.is_file(follow_symlinks=False))
-    total = sum(size for _, size, _ in files)
-    for _, size, path in files:
-        if total <= CACHE_BUDGET_BYTES:
-            break
-        if path != keep:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-            total -= size

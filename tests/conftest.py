@@ -6,6 +6,7 @@ The plain-arithmetic modal oracle below recomputes every ledger quantity
 without log-sum-exp; tests compare the package's log-domain path against it.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -95,10 +96,35 @@ def spectral_coefficients(chain, decomp, g0):
 @pytest.fixture(scope="session", autouse=True)
 def private_kernel_cache(tmp_path_factory):
     """Every test, and every interpreter a test starts, caches parsed kernel
-    files in a session directory rather than in ~/.cache/specrelax."""
+    files and LAPACK's solves in a session directory rather than in
+    ~/.cache/specrelax."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+def record_solves(monkeypatch) -> list:
+    """Wrap np.linalg.eigh and eigvalsh: each call appends (routine name, a
+    copy of the matrix it was handed) to the returned list."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
+            calls.append((_name, np.array(a)))
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def solve_entry_name(routine: str, a: np.ndarray) -> str:
+    """The file name of the solve entry for LAPACK's `routine` on `a`, from the
+    key README gives: SHA-256 of one header line and then a's bytes in C order."""
+    from specrelax.cache import blas_identity
+
+    kernel, threads = blas_identity()
+    header = (f"{routine} {a.shape[0]}x{a.shape[1]} numpy {np.__version__} "
+              f"{kernel} threads {threads}\n")
+    digest = hashlib.sha256(header.encode() + np.ascontiguousarray(a).tobytes())
+    return f"{digest.hexdigest()}-{routine}.npy"
 
 
 @pytest.fixture

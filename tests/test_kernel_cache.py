@@ -2,7 +2,10 @@
 per content, and no state of the cache changes what a command prints.
 
 The reference for every command is the same call with the cache switched off
-by raising CACHE_MIN_BYTES, which is the parse path of a small file.
+by raising CACHE_MIN_BYTES, which is the parse path of a small file, and
+chains.CACHE_MIN_STATES, which is the solve path of a small chain.  Every
+chain here is large enough for its solve to be cached too, so each listing of
+the cache directory names the kernel entry and the solve entry.
 """
 
 import hashlib
@@ -16,10 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specrelax import cache
+from specrelax import chains
 from specrelax import io as kio
 from specrelax.cli import main
 
-from conftest import random_reversible
+from conftest import random_reversible, record_solves, solve_entry_name
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["rigidity"],
             ["thermo", "--steps", "20"], ["accel", "--steps", "5"],
@@ -71,10 +76,16 @@ def run(argv, capsys) -> tuple:
     return code, captured.out, captured.err
 
 
-def uncached(argv, capsys, monkeypatch) -> tuple:
+def uncached(argv, capsys, monkeypatch, solves: list | None = None) -> tuple:
+    """The call with both caches off; `solves` gets LAPACK's calls."""
     with monkeypatch.context() as m:
         m.setattr(kio, "CACHE_MIN_BYTES", math.inf)
-        return run(argv, capsys)
+        m.setattr(chains, "CACHE_MIN_STATES", math.inf)
+        calls = record_solves(m)
+        out = run(argv, capsys)
+    if solves is not None:
+        solves += [solve_entry_name(routine, a) for routine, a in calls]
+    return out
 
 
 def entry_of(path: Path, home: Path, kind: str) -> Path:
@@ -93,13 +104,15 @@ def test_every_cache_state_prints_the_uncached_bytes(command, kind, kernel_files
                                                      monkeypatch, capsys):
     path = kernel_files[kind]
     argv = [command[0], str(path), *command[1:]]
-    want = uncached(argv, capsys, monkeypatch)
+    solves = []
+    want = uncached(argv, capsys, monkeypatch, solves)
     assert want[0] == 0 and want[2] == ""
     assert cache_files(cache_home) == []
+    assert len(solves) == 1
 
     assert run(argv, capsys) == want                      # cold: parsed and stored
     entry = entry_of(path, cache_home, kind)
-    assert cache_files(cache_home) == [entry.name]
+    assert cache_files(cache_home) == sorted([entry.name, *solves])
     stored = entry.read_bytes()
     kernel = np.load(entry)
     with monkeypatch.context() as m:                      # warm: loaded, not parsed
@@ -151,7 +164,13 @@ def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, cach
     new = run(["analyze", str(path)], capsys)
     assert new == uncached(["analyze", str(path)], capsys, monkeypatch)
     assert new != old
-    assert len(cache_files(cache_home)) == 2
+    solves = []
+    for kernel in (first, second):     # each content has its own kernel and solve entry
+        np.savetxt(path, kernel, delimiter=",", fmt="%.17e")
+        uncached(["analyze", str(path)], capsys, monkeypatch, solves)
+        solves.append(entry_of(path, cache_home, "csv").name)
+    assert len(set(solves)) == 4
+    assert cache_files(cache_home) == sorted(solves)
 
 
 @pytest.mark.parametrize("fault", ["text", "not-utf8"])
@@ -184,7 +203,7 @@ def test_eviction_keeps_the_budget_and_the_newest_entry(tmp_path, cache_home, mo
                    delimiter=",", fmt="%.17g")
     a, b, c = (entry_of(p, cache_home, "csv") for p in paths)
     size = 230 * 230 * 8 + 128                  # the .npy header pads to 128 bytes
-    monkeypatch.setattr(kio, "CACHE_BUDGET_BYTES", 2 * size + size // 2)
+    monkeypatch.setattr(cache, "BUDGET_BYTES", 2 * size + size // 2)
     for p in paths[:2]:
         kio.load_input_file(str(p))
     assert cache_files(cache_home) == sorted([a.name, b.name])
@@ -195,26 +214,39 @@ def test_eviction_keeps_the_budget_and_the_newest_entry(tmp_path, cache_home, mo
     kio.load_input_file(str(paths[2]))
     assert cache_files(cache_home) == sorted([a.name, c.name])
 
-    monkeypatch.setattr(kio, "CACHE_BUDGET_BYTES", size // 2)
+    monkeypatch.setattr(cache, "BUDGET_BYTES", size // 2)
     kio.load_input_file(str(paths[1]))          # over budget alone, and kept
     assert cache_files(cache_home) == [b.name]
 
 
-def test_two_cold_runs_at_once(kernel_files, cache_home):
+def test_two_cold_runs_at_once(kernel_files, cache_home, monkeypatch, capsys):
+    solves = []
+    want = uncached(["analyze", str(kernel_files["csv"])], capsys, monkeypatch, solves)
     env = dict(os.environ, PYTHONPATH=str(Path(kio.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "specrelax", "analyze", str(kernel_files["csv"])]
     procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
              for _ in range(2)]
     outputs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
-    assert outputs[0] == outputs[1] and outputs[0][1] == b""
-    assert cache_files(cache_home) == [entry_of(kernel_files["csv"], cache_home, "csv").name]
+    assert outputs[0] == outputs[1] == (want[1].encode(), b"")
+    assert cache_files(cache_home) == sorted([entry_of(kernel_files["csv"], cache_home, "csv").name,
+                                              *solves])
 
 
-def test_importing_the_cli_loads_no_hashlib():
+def test_importing_the_cli_loads_no_hashlib(tmp_path):
+    # the per-call floor: a command on a small input loads neither hashlib nor
+    # ctypes, nor the cache module that would use them; ctypes counts only when
+    # `import numpy` has not loaded it already (numpy 2 does)
+    np.savetxt(tmp_path / "small.csv", random_reversible(12, np.random.default_rng(5)).kernel,
+               delimiter=",", fmt="%.17g")
     src = Path(kio.__file__).resolve().parents[1]
-    code = ("import sys; from specrelax.cli import main; main(['analyze', 'k5']); "
-            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    for argv in (["analyze", "k5"], ["analyze", "cycle-50"], ["analyze", "small.csv"]):
+        code = ("import sys, numpy; before = set(sys.modules); "
+                "from specrelax.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print([m for m in ('hashlib', '_hashlib', 'specrelax.cache') if m in sys.modules]"
+                " + [m for m in ('ctypes', '_ctypes') if m in sys.modules and m not in before])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                             check=True).stdout
+        assert out.splitlines()[-1] == "[]", argv

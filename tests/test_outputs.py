@@ -25,7 +25,6 @@ file shows what moved:
 from __future__ import annotations
 
 import copy
-import ctypes
 import json
 import math
 import os
@@ -40,6 +39,8 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+
+from specrelax.cache import blas_identity
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).with_name("data") / "outputs.json"
@@ -255,22 +256,9 @@ def environment() -> dict:
                                                         "openblas configuration"))
     except (TypeError, KeyError):       # numpy before 1.26 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "kernel": blas_kernel(),
+    kernel = blas_identity()
+    return {"numpy": np.__version__, "blas": blas, "kernel": kernel[0] if kernel else "unknown",
             "machine": platform.machine()}
-
-
-def blas_kernel() -> str:
-    """The kernel that the wheel's OpenBLAS picked for this CPU (or was told to
-    pick by OPENBLAS_CORETYPE), or "unknown" where that library is not found."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def _lines(text: str) -> list[str]:
