@@ -53,9 +53,11 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 # A kernel of at least this many states has its eigenproblem solved once per
-# content (the solve entries of `cache`).  Under it LAPACK costs about what a
-# lookup does: hashlib's first import, the OpenBLAS query, the hash and np.load.
-CACHE_MIN_STATES = 200
+# content (the solve entries of `cache`), by LAPACK routine.  Under it LAPACK
+# costs about what a lookup does (hashlib's first import, the OpenBLAS query,
+# the hash and np.load): a hit breaks even with eigh near n = 200 and with
+# eigvalsh, which costs a few times less, near n = 400.
+CACHE_MIN_STATES = {"eigh": 200, "eigvalsh": 400}
 
 
 @dataclass(frozen=True)
@@ -240,15 +242,17 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     LAPACK's output are n x n.  LAPACK's output must list its eigenvalues in
     ascending order, and a nan anywhere in it fails a check.
 
-    The solve cache: for n >= CACHE_MIN_STATES, LAPACK's raw output (before
-    any check) is kept as a solve entry of `cache`, keyed (`cache.solve_entry`)
-    on the bytes of the matrix LAPACK is handed, the routine, and the numpy
-    and OpenBLAS build that decide LAPACK's bits.  A hit takes the place of
-    the call, and every check above runs on it as on a fresh output, the snap
-    to 0 too, so a command prints the same bytes cold, warm and with no cache.
-    A fresh output is streamed to a temporary file as LAPACK returns it, and
-    renamed in only once every check has passed; a hit that fails a check is
-    deleted and the matrix solved afresh.
+    The solve cache: for n >= CACHE_MIN_STATES[routine], LAPACK's raw output
+    (before any check) is kept as a solve entry of `cache`, keyed
+    (`cache.solve_entry`) on the bytes of the matrix LAPACK is handed, the
+    routine, and the numpy and OpenBLAS build that decide LAPACK's bits.  sym
+    is built in C order, so a kernel of either layout hands LAPACK, and the
+    key, the same bytes.  A hit takes the place of the call, and every check
+    above runs on it as on a fresh output, the snap to 0 too, so a command
+    prints the same bytes cold, warm and with no cache.  A fresh output is
+    streamed to a temporary file as LAPACK returns it, and renamed in only
+    once every check has passed; a hit that fails a check is deleted and the
+    matrix solved afresh.
     """
     return (_solve_and_check(kernel, weights, tol, vectors, stationary, reuse=True)
             or _solve_and_check(kernel, weights, tol, vectors, stationary, reuse=False))
@@ -261,7 +265,7 @@ def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     when a hit fails a check: its entry is then deleted."""
     n = kernel.shape[0]
     d = np.sqrt(weights)
-    sym = d[:, None] * kernel
+    sym = np.multiply(d[:, None], kernel, order="C")    # solve_entry hashes its rows
     sym /= d
     sym += sym.T
     sym *= 0.5
@@ -279,11 +283,12 @@ def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
         _rank_one_update(sym, v, tau * (sym @ v))
         _rank_one_update(sym, tau * (sym @ v), v)
     full = vectors or not gated     # eigh; else eigvalsh, for the eigenvalues alone
+    routine = "eigh" if full else "eigvalsh"
     entry = None
-    if n >= CACHE_MIN_STATES:
+    if n >= CACHE_MIN_STATES[routine]:
         from . import cache
 
-        entry = cache.solve_entry(sym[k:, k:], "eigh" if full else "eigvalsh")
+        entry = cache.solve_entry(sym[k:, k:], routine)
     lam, y, hit, tmp = _lapack(sym[k:, k:], full, entry, reuse)
     try:
         if k and lam.size and lam[-1] > 1.0 - 1e-15:

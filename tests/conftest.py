@@ -21,6 +21,7 @@ from specrelax import (
     profile_from_weights,
     spectral_decomposition,
 )
+from specrelax.cache import blas_identity
 
 
 def random_reversible(n: int, rng: np.random.Generator,
@@ -115,16 +116,37 @@ def record_solves(monkeypatch) -> list:
     return calls
 
 
+def solve_cache_off(monkeypatch):
+    """Solve every matrix afresh, as the cache does below its thresholds."""
+    from specrelax import chains
+
+    monkeypatch.setattr(chains, "CACHE_MIN_STATES",
+                        dict.fromkeys(chains.CACHE_MIN_STATES, math.inf))
+
+
+# numpy's OpenBLAS (kernel, thread count), on which the solve entries are
+# keyed; where it is not identified (numpy built from source, conda, macOS),
+# the cache reads and writes no solve entry
+BLAS = blas_identity()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS is not identified, "
+                                                     "so no solve entry is written")
+
+
 def solve_entry_name(routine: str, a: np.ndarray) -> str:
     """The file name of the solve entry for LAPACK's `routine` on `a`, from the
     key README gives: SHA-256 of one header line and then a's bytes in C order."""
-    from specrelax.cache import blas_identity
-
     kernel, threads = blas_identity()
     header = (f"{routine} {a.shape[0]}x{a.shape[1]} numpy {np.__version__} "
               f"{kernel} threads {threads}\n")
     digest = hashlib.sha256(header.encode() + np.ascontiguousarray(a).tobytes())
     return f"{digest.hexdigest()}-{routine}.npy"
+
+
+def solve_entry_names(calls: list) -> list:
+    """The solve entries that LAPACK's `calls`, as record_solves lists them, are
+    stored under: one for each call, so every matrix must reach its routine's
+    threshold; none where numpy's OpenBLAS is not identified."""
+    return [solve_entry_name(routine, a) for routine, a in calls] if BLAS else []
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ per content, and no state of the cache changes what a command prints.
 The reference for every command is the same call with the cache switched off
 by raising CACHE_MIN_BYTES, which is the parse path of a small file, and
 chains.CACHE_MIN_STATES, which is the solve path of a small chain.  Every
-chain here is large enough for its solve to be cached too, so each listing of
-the cache directory names the kernel entry and the solve entry.
+chain here is large enough for each of its solves to be cached too, so each
+listing of the cache directory names the kernel entry and the solve entry
+(none where numpy's OpenBLAS is not identified).
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from specrelax import chains
 from specrelax import io as kio
 from specrelax.cli import main
 
-from conftest import random_reversible, record_solves, solve_entry_name
+from conftest import BLAS, random_reversible, record_solves, solve_cache_off, solve_entry_names
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["rigidity"],
             ["thermo", "--steps", "20"], ["accel", "--steps", "5"],
@@ -53,9 +54,9 @@ DAMAGED = {
 
 @pytest.fixture(scope="module")
 def kernel_files(tmp_path_factory):
-    """A dense n = 250 chain as a CSV and as a JSON kernel file, each >= 1 MiB."""
+    """A dense n = 410 chain as a CSV and as a JSON kernel file, each >= 1 MiB."""
     directory = tmp_path_factory.mktemp("kernels")
-    kernel = random_reversible(250, np.random.default_rng(31)).kernel
+    kernel = random_reversible(410, np.random.default_rng(31)).kernel
     files = {"csv": directory / "k.csv", "json": directory / "k.json"}
     np.savetxt(files["csv"], kernel, delimiter=",", fmt="%.17g")
     files["json"].write_text(json.dumps({"kernel": kernel.tolist()}))
@@ -77,14 +78,15 @@ def run(argv, capsys) -> tuple:
 
 
 def uncached(argv, capsys, monkeypatch, solves: list | None = None) -> tuple:
-    """The call with both caches off; `solves` gets LAPACK's calls."""
+    """The call with both caches off; `solves` gets LAPACK's calls, as
+    record_solves lists them."""
     with monkeypatch.context() as m:
         m.setattr(kio, "CACHE_MIN_BYTES", math.inf)
-        m.setattr(chains, "CACHE_MIN_STATES", math.inf)
+        solve_cache_off(m)
         calls = record_solves(m)
         out = run(argv, capsys)
     if solves is not None:
-        solves += [solve_entry_name(routine, a) for routine, a in calls]
+        solves += calls
     return out
 
 
@@ -112,7 +114,7 @@ def test_every_cache_state_prints_the_uncached_bytes(command, kind, kernel_files
 
     assert run(argv, capsys) == want                      # cold: parsed and stored
     entry = entry_of(path, cache_home, kind)
-    assert cache_files(cache_home) == sorted([entry.name, *solves])
+    assert cache_files(cache_home) == sorted([entry.name, *solve_entry_names(solves)])
     stored = entry.read_bytes()
     kernel = np.load(entry)
     with monkeypatch.context() as m:                      # warm: loaded, not parsed
@@ -152,7 +154,7 @@ def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, cach
     # %.17e is fixed width for entries in (0, 1): two kernels of one order
     # give files of one size
     path = tmp_path / "k.csv"
-    first, second = (random_reversible(230, np.random.default_rng(s)).kernel for s in (1, 2))
+    first, second = (random_reversible(410, np.random.default_rng(s)).kernel for s in (1, 2))
     np.savetxt(path, first, delimiter=",", fmt="%.17e")
     before = path.stat()
     assert before.st_size >= kio.CACHE_MIN_BYTES
@@ -164,13 +166,14 @@ def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, cach
     new = run(["analyze", str(path)], capsys)
     assert new == uncached(["analyze", str(path)], capsys, monkeypatch)
     assert new != old
-    solves = []
+    entries = []
     for kernel in (first, second):     # each content has its own kernel and solve entry
         np.savetxt(path, kernel, delimiter=",", fmt="%.17e")
+        solves = []
         uncached(["analyze", str(path)], capsys, monkeypatch, solves)
-        solves.append(entry_of(path, cache_home, "csv").name)
-    assert len(set(solves)) == 4
-    assert cache_files(cache_home) == sorted(solves)
+        entries += [entry_of(path, cache_home, "csv").name, *solve_entry_names(solves)]
+    assert len(set(entries)) == (4 if BLAS else 2)
+    assert cache_files(cache_home) == sorted(entries)
 
 
 @pytest.mark.parametrize("fault", ["text", "not-utf8"])
@@ -230,7 +233,24 @@ def test_two_cold_runs_at_once(kernel_files, cache_home, monkeypatch, capsys):
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] == outputs[1] == (want[1].encode(), b"")
     assert cache_files(cache_home) == sorted([entry_of(kernel_files["csv"], cache_home, "csv").name,
-                                              *solves])
+                                              *solve_entry_names(solves)])
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--steps", "20"]],
+                         ids=lambda c: c[0])
+def test_a_column_major_kernel_entry_prints_the_uncached_bytes(command, kernel_files, cache_home,
+                                                               monkeypatch, capsys):
+    # an entry of the right values saved in Fortran order is a hit, and its
+    # kernel hands LAPACK the bytes the row-major one does
+    argv = [command[0], str(kernel_files["csv"]), *command[1:]]
+    want = uncached(argv, capsys, monkeypatch)
+    assert run(argv, capsys) == want
+    entry = entry_of(kernel_files["csv"], cache_home, "csv")
+    np.save(entry, np.asfortranarray(np.load(entry)))
+    assert np.load(entry).flags.f_contiguous
+    with monkeypatch.context() as m:
+        m.setattr(kio, "read_csv", None)
+        assert run(argv, capsys) == want
 
 
 def test_importing_the_cli_loads_no_hashlib(tmp_path):

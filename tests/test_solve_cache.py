@@ -1,14 +1,14 @@
 """The solve cache: the eigenproblem of a chain of at least
-chains.CACHE_MIN_STATES states is solved by LAPACK once per matrix, and no
-state of the cache changes what a command prints.
+chains.CACHE_MIN_STATES[routine] states is solved by LAPACK once per matrix,
+and no state of the cache changes what a command prints.
 
 The reference for every command is the same call with the cache switched off
 by raising CACHE_MIN_STATES, which is the solve path of a small chain.  The
 chain files here are under io.CACHE_MIN_BYTES, so the cache holds solve
-entries alone.
+entries alone.  Where numpy's OpenBLAS is not identified the tests that need
+an entry are skipped, and the others check that none is written.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -22,10 +22,11 @@ from specrelax import io as kio
 from specrelax.cli import main
 from specrelax.errors import EigensolveFailure
 
-from conftest import random_reversible, record_solves, solve_entry_name
+from conftest import (BLAS, needs_blas, record_solves, solve_cache_off, solve_entry_name,
+                      solve_entry_names)
 from test_cli import _count_eigensolves
 
-N = 210     # the chain and fpt's absorbed block (n - 1) both reach the threshold
+N = 410     # analyze's eigvalsh, and eigh on the chain and on fpt's block, are cached
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["power", "--max-iter", "20"],
             ["fpt", "--kmax", "10"]]
@@ -80,13 +81,24 @@ DAMAGED = {
 }
 
 
+def banded_reversible(n: int, rng: np.random.Generator, width: int = 3) -> np.ndarray:
+    """The kernel of a random reversible chain on a cycle in which each state
+    talks to the `width` nearest on either side: a file of few digits."""
+    w = np.zeros((n, n))
+    for shift in range(1, width + 1):
+        band = rng.uniform(0.1, 1.0, n)
+        w[np.arange(n), (np.arange(n) + shift) % n] = band
+    w += w.T
+    return w / w.sum(axis=1, keepdims=True)
+
+
 @pytest.fixture(scope="module")
 def chain_file(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("chains") / "k.csv"
-    np.savetxt(path, random_reversible(N, np.random.default_rng(32)).kernel,
-               delimiter=",", fmt="%.17g")
+    np.savetxt(path, banded_reversible(N, np.random.default_rng(32)), delimiter=",",
+               fmt="%.17g")
     assert path.stat().st_size < kio.CACHE_MIN_BYTES
-    assert N - 1 >= chains.CACHE_MIN_STATES
+    assert N - 1 >= max(chains.CACHE_MIN_STATES.values())
     return path
 
 
@@ -106,10 +118,10 @@ def run(argv, capsys) -> tuple:
 def uncached(argv, capsys, monkeypatch) -> tuple:
     """The call with the solve cache off, and the entries its solves would use."""
     with monkeypatch.context() as m:
-        m.setattr(chains, "CACHE_MIN_STATES", math.inf)
+        solve_cache_off(m)
         calls = record_solves(m)
         out = run(argv, capsys)
-    return out, [solve_entry_name(routine, a) for routine, a in calls]
+    return out, solve_entry_names(calls)
 
 
 def cache_files(home: Path) -> list:
@@ -122,6 +134,7 @@ def child_env(home: Path, **extra) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(home), **extra)
 
 
+@needs_blas
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_every_cache_state_prints_the_uncached_bytes(command, chain_file, cache_home,
                                                      monkeypatch, capsys):
@@ -151,6 +164,7 @@ def test_every_cache_state_prints_the_uncached_bytes(command, chain_file, cache_
     assert run(argv, capsys) == want
 
 
+@needs_blas
 def test_stored_arrays_are_lapacks_output(chain_file, cache_home):
     chain = kio.load_input_file(str(chain_file))
     with pytest.MonkeyPatch.context() as m:
@@ -163,6 +177,7 @@ def test_stored_arrays_are_lapacks_output(chain_file, cache_home):
     assert np.array_equal(stored[0], lam) and np.array_equal(stored[1], y)
 
 
+@needs_blas
 def test_twins_presets_and_absorbed_blocks_share_entries(tmp_path, cache_home, monkeypatch,
                                                          capsys):
     # a preset and a file of its kernel, and a CSV and a JSON of one kernel,
@@ -170,6 +185,7 @@ def test_twins_presets_and_absorbed_blocks_share_entries(tmp_path, cache_home, m
     kernel = chains.cycle_graph(N).kernel
     np.savetxt(tmp_path / "cycle.csv", kernel, delimiter=",", fmt="%.17g")
     kio.dump_json({"kernel": kernel}, str(tmp_path / "cycle.json"))
+    assert max(p.stat().st_size for p in tmp_path.iterdir()) < kio.CACHE_MIN_BYTES
     pairs = [(["analyze", f"cycle-{N}"], ["analyze", str(tmp_path / "cycle.csv")]),
              (["analyze", str(tmp_path / "cycle.csv")], ["analyze", str(tmp_path / "cycle.json")]),
              (["fpt", f"cycle-{N}", "--start", "uniform"],
@@ -185,15 +201,26 @@ def test_twins_presets_and_absorbed_blocks_share_entries(tmp_path, cache_home, m
         assert cache_files(cache_home) == before
 
 
-def test_small_chains_bypass_the_cache(cache_home, capsys):
-    assert run(["simulate", f"cycle-{chains.CACHE_MIN_STATES - 1}", "--steps", "3"],
-               capsys)[0] == 0
-    assert run(["fpt", f"cycle-{chains.CACHE_MIN_STATES}", "--kmax", "3"], capsys)[0] == 0
+def test_small_chains_bypass_the_cache(cache_home, monkeypatch, capsys):
+    # each routine has its own threshold: eigvalsh, which costs less than
+    # eigh, is cached only on larger chains
+    eigh, eigvalsh = chains.CACHE_MIN_STATES["eigh"], chains.CACHE_MIN_STATES["eigvalsh"]
+    assert eigh < eigvalsh
+    small = [["simulate", f"cycle-{eigh - 1}", "--steps", "3"],
+             ["fpt", f"cycle-{eigh}", "--kmax", "3"],     # an absorbed block of eigh - 1
+             ["analyze", f"cycle-{eigvalsh - 1}"]]
+    for argv in small:
+        assert run(argv, capsys)[0] == 0
     assert not cache_home.exists()
+    counts = _count_eigensolves(monkeypatch)
+    for argv in [["simulate", f"cycle-{eigh}", "--steps", "3"], ["analyze", f"cycle-{eigvalsh}"]]:
+        assert run(argv, capsys)[0] == 0
+    assert counts == {"eigh": 1, "eigvalsh": 1}
+    assert len(cache_files(cache_home)) == (2 if BLAS else 0)
 
 
-def test_an_unidentified_blas_reads_and_writes_no_entry(chain_file, cache_home, monkeypatch,
-                                                        capsys):
+@needs_blas
+def test_an_unidentified_blas_reads_no_entry(chain_file, cache_home, monkeypatch, capsys):
     argv = ["simulate", str(chain_file), "--steps", "5"]
     want, _ = uncached(argv, capsys, monkeypatch)
     assert run(argv, capsys) == want
@@ -202,9 +229,39 @@ def test_an_unidentified_blas_reads_and_writes_no_entry(chain_file, cache_home, 
     counts = _count_eigensolves(monkeypatch)
     assert run(argv, capsys) == want
     assert counts == {"eigh": 1, "eigvalsh": 0}
-    (cache_home / "specrelax" / cache_files(cache_home)[0]).unlink()
-    assert run(argv, capsys) == want
+
+
+def test_an_unidentified_blas_writes_no_entry(chain_file, cache_home, monkeypatch, capsys):
+    monkeypatch.setattr(cache, "blas_identity", lambda: None)
+    for command in COMMANDS:
+        argv = [command[0], str(chain_file), *command[1:]]
+        want, _ = uncached(argv, capsys, monkeypatch)
+        counts = _count_eigensolves(monkeypatch)
+        assert run(argv, capsys) == want
+        assert run(argv, capsys) == want
+        assert sum(counts.values()) == 2, command
     assert cache_files(cache_home) == []
+
+
+def test_a_column_major_kernel_hands_lapack_the_same_bytes(chain_file, cache_home,
+                                                          monkeypatch):
+    # a kernel stored column-major (from the Python API, or a kernel entry
+    # written so) is solved, keyed and returned as the same kernel row-major
+    chain = kio.load_input_file(str(chain_file))
+    fortran = chains.build_chain(np.asfortranarray(chain.kernel))
+    assert fortran.kernel.flags.f_contiguous and not chain.kernel.flags.f_contiguous
+    solves = [(chains.spectral_decomposition, lambda d: (d.eigenvalues, d.eigenvectors)),
+              (chains.chain_spectrum, lambda lam: (lam,))]
+    for solve, arrays in solves:
+        with monkeypatch.context() as m:
+            solve_cache_off(m)
+            want = [a.tobytes() for a in arrays(solve(chain))]
+            assert [a.tobytes() for a in arrays(solve(fortran))] == want
+        counts = _count_eigensolves(monkeypatch)
+        for c in (fortran, fortran, chain):     # cold, then warm on either layout
+            assert [a.tobytes() for a in arrays(solve(c))] == want
+        assert sum(counts.values()) == (1 if BLAS else 3)
+    assert len(cache_files(cache_home)) == (2 if BLAS else 0)
 
 
 @pytest.mark.parametrize("solve", ["eigh", "eigvalsh"])
@@ -233,10 +290,11 @@ def test_a_failing_lapack_output_raises_and_is_never_stored(solve, chain_file, c
     assert cache_files(cache_home) == []
 
 
+@needs_blas
 def test_another_blas_kernel_or_thread_count_misses(chain_file, cache_home):
     # each OpenBLAS kernel and thread count has its own entry; the kernel is
     # forced, for the child alone, to one other than the one this CPU selects
-    other = "Sandybridge" if cache.blas_identity()[0] == "Haswell" else "Haswell"
+    other = "Sandybridge" if BLAS[0] == "Haswell" else "Haswell"
     settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
                 {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": other},
                 {"OPENBLAS_NUM_THREADS": "1"}]
