@@ -9,9 +9,10 @@ bits, so that a key never serves another input's arrays:
   matrix (`solve_entry`, for `chains._certified_eigh`).
 
 An entry is one or more arrays written back to back in the .npy format,
-which round-trips them bit for bit.  It is written whole under a temporary
-name and renamed in, so a reader never sees part of one; past BUDGET_BYTES
-the least recently used entries are deleted.  Every fault of the cache is a
+which round-trips them bit for bit.  Both kinds are stored by one rule:
+`write` puts the arrays whole under a temporary name and `commit` renames
+them in, so a reader never sees part of an entry; past BUDGET_BYTES the
+least recently used entries are deleted.  Every fault of the cache is a
 miss, so a command prints what it would print without it.
 
 Nothing imports this module until an input is large enough to be cached.
@@ -85,12 +86,6 @@ def commit(tmp: str, entry: str):
         _evict(os.path.dirname(entry), entry)
     except OSError:
         discard(tmp)
-
-
-def store(entry: str, *arrays: np.ndarray):
-    """Write the entry whole and rename it in."""
-    if tmp := write(entry, *arrays):
-        commit(tmp, entry)
 
 
 def discard(path: str):

@@ -140,13 +140,16 @@ def _stationary_law(P: np.ndarray) -> np.ndarray:
 
 def _worst_balance_gap(flow: np.ndarray, tol: float) -> float:
     """Largest |F_ij - F_ji| / max(F_ij, F_ji) over the flows F, or 0 when all
-    are within tol.  Row blocks meet their transposed column blocks in cache."""
-    worst = 0.0
-    for s in range(0, flow.shape[0], 128):
-        a, b = flow[s:s + 128], flow[:, s:s + 128].T
-        gap, scale = np.abs(a - b), np.maximum(a, b)
-        if np.any(gap > tol * scale):
-            worst = max(worst, float(np.max(gap[scale > 0] / scale[scale > 0])))
+    are within tol.  The gap is symmetric in (i, j), so each pair is visited
+    once: the 128 x 128 blocks on and above the diagonal meet their
+    transposed blocks in cache."""
+    worst, n = 0.0, flow.shape[0]
+    for s in range(0, n, 128):
+        for t in range(s, n, 128):
+            a, b = flow[s:s + 128, t:t + 128], flow[t:t + 128, s:s + 128].T
+            gap, scale = np.abs(a - b), np.maximum(a, b)
+            if np.any(gap > tol * scale):
+                worst = max(worst, float(np.max(gap[scale > 0] / scale[scale > 0])))
     return worst
 
 
@@ -156,7 +159,7 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     Raises RowSumError, Reducible, DegeneratePi or NotReversible when the
     corresponding invariant fails.
     """
-    P = np.array(kernel, dtype=float)
+    P = np.asarray(kernel, dtype=float)     # ReversibleChain keeps its own copy
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {P.shape}")
     if P.shape[0] < 1:
@@ -283,13 +286,22 @@ def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
         _rank_one_update(sym, v, tau * (sym @ v))
         _rank_one_update(sym, tau * (sym @ v), v)
     full = vectors or not gated     # eigh; else eigvalsh, for the eigenvalues alone
-    routine = "eigh" if full else "eigvalsh"
-    entry = None
+    routine, a = ("eigh" if full else "eigvalsh"), sym[k:, k:]
+    entry = out = tmp = None
     if n >= CACHE_MIN_STATES[routine]:
         from . import cache
 
-        entry = cache.solve_entry(sym[k:, k:], routine)
-    lam, y, hit, tmp = _lapack(sym[k:, k:], full, entry, reuse)
+        entry = cache.solve_entry(a, routine)
+        out = cache.load(entry, 1 + full) if entry and reuse else None
+    hit = bool(out) and [x.shape for x in out] == [a.shape[:1], a.shape][:1 + full]
+    if not hit:
+        try:
+            out = tuple(np.linalg.eigh(a)) if full else (np.linalg.eigvalsh(a),)
+        except np.linalg.LinAlgError as exc:  # LAPACK did not converge
+            raise EigensolveFailure(str(exc)) from exc
+        tmp = entry and cache.write(entry, *out)
+    lam, y = out if full else (out[0], None)
+    del out             # y's buffer is freed once phi holds it
     try:
         if k and lam.size and lam[-1] > 1.0 - 1e-15:
             raise OutOfRange("lambda2 is within 1e-15 of 1, where the gap 1 - lambda2 is not resolved")
@@ -345,26 +357,6 @@ def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     return lam, phi
 
 
-def _lapack(a: np.ndarray, vectors: bool, entry: str | None, reuse: bool) -> tuple:
-    """(eigenvalues ascending, eigenvectors or None, hit, tmp): `eigh` of `a`,
-    or `eigvalsh` without `vectors`.  hit: they were read from the solve
-    `entry`, which `reuse` allows when it holds arrays of their shapes.  tmp:
-    the temporary file beside `entry` that a fresh output was written to."""
-    shapes = [a.shape[:1], a.shape][:1 + vectors]
-    if entry:
-        from . import cache
-
-        out = cache.load(entry, len(shapes)) if reuse else None
-        if out and [x.shape for x in out] == shapes:
-            return out[0], out[1] if vectors else None, True, None
-    try:
-        out = tuple(np.linalg.eigh(a)) if vectors else (np.linalg.eigvalsh(a),)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolveFailure(str(exc)) from exc
-    tmp = entry and cache.write(entry, *out)
-    return out[0], out[1] if vectors else None, False, tmp
-
-
 def spectral_decomposition(chain: ReversibleChain,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Full eigensystem of the kernel in the stationary-weighted inner product."""
@@ -411,10 +403,9 @@ def cycle_graph(n: int) -> ReversibleChain:
     """Simple random walk on the n-cycle, probability 1/2 to each neighbor."""
     if n < 2:
         raise InvalidSize("cycle needs n >= 2")
-    P = np.zeros((n, n))
-    for x in range(n):
-        P[x, (x + 1) % n] += 0.5
-        P[x, (x - 1) % n] += 0.5
+    x, P = np.arange(n), np.zeros((n, n))
+    P[x, (x + 1) % n] += 0.5
+    P[x, (x - 1) % n] += 0.5        # the same entry as the line above when n = 2
     return build_chain(P)
 
 

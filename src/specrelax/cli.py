@@ -83,7 +83,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--delta", default="0.3,0.1,0.01",
                     help="comma-separated thresholds")
 
-    sp = command("thermo", "ledger plus optional per-mode fluxes", _cmd_thermo)
+    sp = command("thermo", "ledger plus optional per-mode fluxes", _cmd_simulate)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--fluxes-at", default=None,
                     help="comma-separated steps; emits a flux JSON next to the CSV")
@@ -285,17 +285,14 @@ def full_ledger_rows(profile: SpectralProfile, steps: int) -> list[list]:
 
 
 def _cmd_simulate(args: argparse.Namespace):
-    profile = _as_profile(resolve_input(args), args)
-    _emit(args, LEDGER_COLUMNS, full_ledger_rows(profile, args.steps))
-
-
-def _cmd_thermo(args: argparse.Namespace):
-    from .rigidity import split_slow_fast
-    from .thermo import covariance_rows
-
+    """`simulate`, and `thermo` with its one addition --fluxes-at: the ledger
+    rows are computed, then the flux JSON at those steps written, then the rows."""
     profile = _as_profile(resolve_input(args), args)
     rows = full_ledger_rows(profile, args.steps)
-    if args.fluxes_at:
+    if getattr(args, "fluxes_at", None):
+        from .rigidity import split_slow_fast
+        from .thermo import covariance_rows
+
         ks = _number_list(args.fluxes_at, "fluxes-at", int)
         cov, J, aff = (c.tolist() for c in covariance_rows(
             ledger_block(profile, ks), split_slow_fast(profile).slow_index))

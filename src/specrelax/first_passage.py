@@ -45,8 +45,9 @@ def absorb(chain: ReversibleChain, target: int,
         raise InvalidState(f"state {target} out of range for n = {chain.n}")
     if chain.n < 2:
         raise InvalidState("need at least two states to absorb one")
-    keep = np.array([i for i in range(chain.n) if i != target])
-    block = chain.kernel[np.ix_(keep, keep)]
+    keep = np.delete(np.arange(chain.n), target)
+    # in C order whatever the kernel's layout: tail_curve's products depend on it
+    block = np.ascontiguousarray(np.delete(np.delete(chain.kernel, target, 0), target, 1))
     pr = chain.pi[keep]
     nu, modes = _certified_eigh(block, pr, tol, vectors=True, stationary=False)
     return AbsorbingModel(base=chain, target=target, block=block, keep=keep,

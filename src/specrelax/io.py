@@ -108,8 +108,12 @@ def _reading(path: str, what: str):
 
 
 def _text(path: str, raw: bytes | None):
-    """The file's text as `open(path)` decodes it, from `raw` when given."""
-    return open(path) if raw is None else io.TextIOWrapper(io.BytesIO(raw))
+    """The file's text as `open(path)` decodes and names it, from `raw` if given."""
+    if raw is None:
+        return open(path)
+    buffer = io.BytesIO(raw)
+    buffer.name = path
+    return io.TextIOWrapper(buffer)
 
 
 def load_input_file(path: str, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -120,17 +124,17 @@ def load_input_file(path: str, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 def _parse_input(path: str):
-    """The kernel array or the profile in a file.  A file of at least
-    CACHE_MIN_BYTES is read once, and its kernel parsed once per content: the
-    array is stored in the kernel cache before any check runs on it, and a
-    file with the same bytes is loaded from there."""
+    """The kernel array or the profile in a file, read once.  A file of at
+    least CACHE_MIN_BYTES has its kernel parsed once per content: the array
+    is stored in the kernel cache before any check runs on it, and a file
+    with the same bytes is loaded from there."""
     kind, what = ("json", "input") if path.endswith(".json") else ("csv", "chain")
-    raw = entry = None
-    if _size(path) >= CACHE_MIN_BYTES:
+    with _reading(path, what), open(path, "rb") as fh:
+        raw = fh.read()
+    entry = None
+    if len(raw) >= CACHE_MIN_BYTES:
         from . import cache
 
-        with _reading(path, what), open(path, "rb") as fh:
-            raw = fh.read()
         entry = cache.kernel_entry(raw, kind)
         if entry and (hit := cache.load(entry)):
             return hit[0]
@@ -146,8 +150,8 @@ def _parse_input(path: str):
             kernel = np.asarray(data["kernel"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise IoError(f"malformed chain file {path}: {exc}") from exc
-    if entry is not None:
-        cache.store(entry, kernel)
+    if entry and (tmp := cache.write(entry, kernel)):
+        cache.commit(tmp, entry)
     return kernel
 
 
@@ -158,10 +162,3 @@ def _profile_from(data, path: str) -> SpectralProfile:
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed profile file {path}: {exc}") from exc
     return SpectralProfile(lambdas=lambdas, log_weights=log_weights)
-
-
-def _size(path: str) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0        # a missing file's error comes from the parse

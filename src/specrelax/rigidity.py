@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidArguments, NoSlowMode
-from .trajectory import SpectralProfile, ledger_block
+from .trajectory import SpectralProfile
 
 DEGENERACY_TOL = 1e-12      # ties, relative to |lambda_slow| (see split_slow_fast)
 DEFAULT_CAP = 1_000_000
@@ -117,17 +117,42 @@ class RigidityReport:
     diagnostic: str = ""
 
 
+def fast_share(profile: SpectralProfile, ks) -> tuple[np.ndarray, np.ndarray]:
+    """(f / (1 + f), ln f) at each step of ks: the fast modes' energy share
+    and its odds f = sum_{i != slow} (w_i/w_slow) (|lambda_i|/|lambda_slow|)^{2k}.
+    Each term is taken relative to the slow mode, with ln |lambda_i|/|lambda_slow|
+    = log1p((|lambda_i| - |lambda_slow|) / |lambda_slow|) within a factor 2,
+    where the difference is exact, so a near tie keeps the digits that the
+    ledger's ln w_i + 2k ln|lambda_i| loses to an ulp of 2k ln|lambda_i|.  From
+    k = 1 on, a slow lambda = 0 makes f inf, or 0 where every mode is dead."""
+    ks = np.asarray(ks, dtype=np.int64)[:, None]
+    slow = profile.slow_index()
+    a, a_s = np.abs(np.delete(profile.lambdas, slow)), abs(float(profile.lambdas[slow]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(a) - np.log(a_s)
+        near = (0.5 * a_s <= a) & (a <= 2.0 * a_s) & (a_s > 0.0)
+        log_r[near] = np.log1p((a[near] - a_s) / a_s)
+        log_r[np.isnan(log_r)] = -np.inf             # lambda_i = lambda_slow = 0
+        terms = (np.delete(profile.log_weights, slow) - profile.log_weights[slow]
+                 + np.where(ks > 0, 2.0 * ks * log_r, 0.0))
+    log_f = np.max(terms, axis=1, initial=-np.inf)
+    finite = np.isfinite(log_f)
+    log_f[finite] += np.log(np.sum(np.exp(terms[finite] - log_f[finite, None]), axis=1))
+    e = np.exp(-np.abs(log_f))
+    return np.where(log_f <= 0.0, e / (1.0 + e), 1.0 / (1.0 + e)), log_f
+
+
 def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
     """First step T at which the slow mode holds at least 1-delta of the energy.
 
     alpha_2(k) = 1/(1 + f(k)), f(k) = sum_{i != slow} (w_i/w_slow)
-    (lambda_i/lambda_slow)^{2k}; 1 - alpha_2 is the fast modes' ledger share
-    summed directly, which stays accurate however small delta is.
+    (lambda_i/lambda_slow)^{2k}; `fast_share` reads 1 - alpha_2 accurately
+    however small delta is and however near a fast |lambda_i| is to the slow one.
 
     Why a search is exact: when every fast |lambda_i| <= |lambda_slow| each
     term of f is non-increasing, so "alpha_2(k) >= 1 - delta" is monotone in
     k; galloping k = 1, 2, 4, ... to a bracket and bisecting it finds T in
-    O(log T) ledger rows.  A mode with |lambda_i| > |lambda_slow| (a negative
+    O(log T) steps read.  A mode with |lambda_i| > |lambda_slow| (a negative
     mode just above lambda_slow in a degenerate cluster, or a light
     dominating one) makes f rise in the end, but f stays convex (a positive
     sum of exponentials in k): D(k) = f(k+1) - f(k) is non-decreasing.  The
@@ -147,23 +172,14 @@ def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
     cap = DEFAULT_CAP if not math.isfinite(L) else max(DEFAULT_CAP, 10 * math.ceil(L))
     report = partial(RigidityReport, t_rigid=None, bound=L, ratio=split.ratio,
                      init_ratio=split.init_ratio)
-    slow = split.slow_index
-
-    def fast_share(block) -> np.ndarray:
-        return np.delete(block.p, slow, axis=1).sum(axis=1)
-
-    if fast_share(ledger_block(profile, [0]))[0] <= delta:
+    if fast_share(profile, [0])[0][0] <= delta:
         return report(t_rigid=0)
 
     rising = split.fast_abs_lambda > abs(split.slow_lambda)   # some r_i > 1
 
     def found(k: int) -> bool:       # threshold met at k, or (rising only) f rising at k
-        block = ledger_block(profile, range(k, k + 1 + rising))
-        if fast_share(block)[0] <= delta:   # first: a terminal row has no ln alpha_2
-            return True
-        # f rises where ln alpha_2 falls; the shares themselves may both round to 1
-        log_slow = block.log_n[:, slow] - block.log_energy
-        return log_slow[-1] < log_slow[0]
+        share, log_f = fast_share(profile, range(k, k + 1 + rising))
+        return bool(share[0] <= delta or log_f[-1] > log_f[0])
 
     lo, hi = 0, 1                    # T > 0 here: gallop, then bisect
     while not found(hi):
@@ -173,6 +189,6 @@ def rigidity_time(profile: SpectralProfile, delta: float) -> RigidityReport:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if found(mid) else (mid, hi)
-    if fast_share(ledger_block(profile, [hi]))[0] > delta:
+    if fast_share(profile, [hi])[0][0] > delta:
         return report(diagnostic=f"alpha_2 peaks below 1 - delta at step {hi}")
     return report(t_rigid=hi)

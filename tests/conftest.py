@@ -4,15 +4,22 @@ Random chains come from symmetric positive weight matrices, which are
 reversible by construction with stationary law proportional to row weight.
 The plain-arithmetic modal oracle below recomputes every ledger quantity
 without log-sum-exp; tests compare the package's log-domain path against it.
+The cache harness at the end serves test_kernel_cache.py and
+test_solve_cache.py: runs with either cache on or off, the entries' names,
+and one table of damaged entries.
 """
 
 import hashlib
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specrelax import cache, chains
+from specrelax import io as kio
 from specrelax import (
     ReversibleChain,
     build_chain,
@@ -22,6 +29,7 @@ from specrelax import (
     spectral_decomposition,
 )
 from specrelax.cache import blas_identity
+from specrelax.cli import main
 
 
 def random_reversible(n: int, rng: np.random.Generator,
@@ -104,6 +112,8 @@ def private_kernel_cache(tmp_path_factory):
         yield
 
 
+# --- the cache harness ---------------------------------------------------------
+
 def record_solves(monkeypatch) -> list:
     """Wrap np.linalg.eigh and eigvalsh: each call appends (routine name, a
     copy of the matrix it was handed) to the returned list."""
@@ -118,8 +128,6 @@ def record_solves(monkeypatch) -> list:
 
 def solve_cache_off(monkeypatch):
     """Solve every matrix afresh, as the cache does below its thresholds."""
-    from specrelax import chains
-
     monkeypatch.setattr(chains, "CACHE_MIN_STATES",
                         dict.fromkeys(chains.CACHE_MIN_STATES, math.inf))
 
@@ -142,11 +150,107 @@ def solve_entry_name(routine: str, a: np.ndarray) -> str:
     return f"{digest.hexdigest()}-{routine}.npy"
 
 
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch) -> Path:
+    """An empty $XDG_CACHE_HOME of this test's own."""
+    home = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+def cache_files(home: Path) -> list:
+    directory = home / "specrelax"
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+
+def run(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of one call of the CLI."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def uncached(argv, capsys, monkeypatch) -> tuple:
+    """The call with both caches off, as on a small file and a small chain, and
+    LAPACK's calls in it, as record_solves lists them."""
+    with monkeypatch.context() as m:
+        m.setattr(kio, "CACHE_MIN_BYTES", math.inf)
+        solve_cache_off(m)
+        calls = record_solves(m)
+        out = run(argv, capsys)
+    return out, calls
+
+
 def solve_entry_names(calls: list) -> list:
-    """The solve entries that LAPACK's `calls`, as record_solves lists them, are
-    stored under: one for each call, so every matrix must reach its routine's
-    threshold; none where numpy's OpenBLAS is not identified."""
+    """The solve entry of each of LAPACK's `calls`, so each matrix must reach its
+    routine's threshold; none where numpy's OpenBLAS is not identified."""
     return [solve_entry_name(routine, a) for routine, a in calls] if BLAS else []
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child interpreter that runs this tree's package."""
+    src = Path(chains.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src), **extra)
+
+
+def _rewrite(entry: Path, change):
+    """Store the entry's arrays as `change` returns or edits them, as the cache would."""
+    arrays = [a.copy() for a in cache.load(str(entry), 2 if entry.name.endswith("-eigh.npy")
+                                           else 1)]
+    with open(entry, "wb") as fh:
+        for a in change(arrays) or arrays:
+            np.lib.format.write_array(fh, a)
+
+
+def _swapped(arrays):
+    # a true eigendecomposition still, with two pairs out of LAPACK's order
+    i, j = arrays[0].size // 3, arrays[0].size // 2
+    for a in arrays:
+        a[..., [i, j]] = a[..., [j, i]]
+
+
+# Each damage is a miss, or a hit that fails a check, and the run that finds
+# it stores the entry again.  The first KERNEL_DAMAGES apply to either kind of
+# entry; the rest are hits that only a solve entry's checks refuse, since the
+# kernel cache trusts a float64 array of any values and shape.
+DAMAGED = {
+    "missing": lambda entry: entry.unlink(),
+    "empty": lambda entry: entry.write_bytes(b""),
+    "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
+    "a byte appended": lambda entry: entry.write_bytes(entry.read_bytes() + b"\0"),
+    "pickled": lambda entry: np.save(entry, np.array([np.zeros(3)], dtype=object),
+                                     allow_pickle=True),
+    "float32": lambda entry: _rewrite(entry, lambda arrays: [a.astype(np.float32)
+                                                              for a in arrays]),
+    "wrong shape": lambda entry: _rewrite(entry, lambda arrays: [a[:-1, :-1] if a.ndim == 2
+                                                                  else a[:-1] for a in arrays]),
+    "one eigenvalue shifted by 1e-3": lambda entry: _rewrite(
+        entry, lambda arrays: np.add.at(arrays[0], arrays[0].size // 2, 1e-3)),
+    "two eigenpairs swapped": lambda entry: _rewrite(entry, _swapped),
+    # in the eigenvectors where there are any
+    "a nan": lambda entry: _rewrite(entry, lambda arrays: np.put(arrays[-1], 5, np.nan)),
+}
+KERNEL_DAMAGES = 6
+
+
+def check_every_cache_state(argv, entry: Path, want: tuple, damages: int, warm, capsys,
+                            monkeypatch):
+    """After a cold run stored `entry`, a warm run under the patches `warm(m)`
+    makes, runs on the entry damaged each of the first `damages` ways (each
+    stored again as it was) and with $XDG_CACHE_HOME a regular file print `want`."""
+    home = Path(os.environ["XDG_CACHE_HOME"])
+    stored, files = entry.read_bytes(), cache_files(home)
+    with monkeypatch.context() as m:
+        warm(m)
+        assert run(argv, capsys) == want
+    for name, damage in list(DAMAGED.items())[:damages]:
+        damage(entry)
+        assert run(argv, capsys) == want, name
+        assert entry.read_bytes() == stored and cache_files(home) == files, name
+    blocker = home / "a-file"                       # no directory can be made there
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert run(argv, capsys) == want
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import InvalidInterval, OutOfRange
+from specrelax.errors import InvalidArguments, InvalidInterval, OutOfRange
 from specrelax.rigidity import split_slow_fast
 
 import oracles
@@ -22,6 +22,10 @@ class TestChebyshevT:
     def test_degree_four_monomial_expansion(self):
         for x in (-1.3, -0.4, 0.0, 0.97, 1 / 0.95, 2.5):
             assert sr.chebyshev_T(4, x) == pytest.approx(t4_monomial(x), rel=1e-13)
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(InvalidArguments):
+            sr.chebyshev_T(-1, 0.5)
 
     def test_value_above_one(self):
         assert sr.chebyshev_T(4, 1 / 0.95) == pytest.approx(1.9576353772607624,

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
+from specrelax.cli import main
 from specrelax.errors import (
     DegeneratePi,
+    DimensionMismatch,
     EigensolveFailure,
     InvalidArguments,
     InvalidSize,
@@ -46,6 +48,19 @@ class TestBuildChain:
         # doubly stochastic, so pi is uniform, but the flow circulates 0->1->2
         P = [[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]]
         with pytest.raises(NotReversible, match="detailed balance"):
+            sr.build_chain(P)
+
+    def test_the_worst_gap_is_found_off_the_diagonal_blocks(self, rng):
+        # 300 states: the pair (10, 250) sits in the block below the diagonal
+        W = rng.uniform(0.1, 1.0, (300, 300))
+        P = W + W.T
+        P /= P.sum(axis=1, keepdims=True)
+        P[250, 250] -= 1e-3 * P[250, 10]
+        P[250, 10] *= 1.001
+        F = sr.build_chain(P, sr.Tolerances(detailed_balance=1.0)).pi[:, None] * P
+        worst = float(np.max(np.abs(F - F.T) / np.maximum(F, F.T)))
+        assert 9e-4 < worst < 1.1e-3
+        with pytest.raises(NotReversible, match=f"worst relative gap {worst!r}$"):
             sr.build_chain(P)
 
     def test_bad_row_sum(self):
@@ -118,6 +133,10 @@ class TestPiInner:
         ones = np.ones(2)
         assert sr.pi_inner(hand_chain, ones, ones) == pytest.approx(1.0, abs=1e-14)
 
+    def test_vectors_of_another_length_are_refused(self, hand_chain):
+        with pytest.raises(DimensionMismatch):
+            sr.pi_inner(hand_chain, [1.0, 2.0, 3.0], [1.0, 2.0])
+
     def test_hand_sum(self, hand_chain):
         f = np.array([1.0, -3.0])
         assert sr.pi_inner(hand_chain, f, f) == pytest.approx(3.0, abs=1e-14)
@@ -163,6 +182,18 @@ class TestZoo:
             sr.complete_graph(1)
         with pytest.raises(InvalidSize):
             sr.cycle_graph(1)
+        with pytest.raises(InvalidSize):
+            sr.barbell_chain(1)
+        with pytest.raises(InvalidArguments):
+            sr.barbell_chain(3, 0.0)
+        with pytest.raises(InvalidSize):
+            sr.build_chain(np.zeros((0, 0)))
+
+    def test_cycle_kernel(self):
+        # n = 2 puts both halves on one entry
+        assert sr.cycle_graph(2).kernel.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert sr.cycle_graph(4).kernel.tolist() == [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0],
+                                                     [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]]
 
     def test_lazy_spectrum_scaling(self, rng):
         chain = random_reversible(7, rng)
@@ -439,6 +470,15 @@ def test_perturbed_eigenvector_is_caught(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(EigensolveFailure):
         solve(chain)
+
+
+def test_lapack_that_does_not_converge_is_one_error_line(monkeypatch, capsys):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    assert main(["simulate", "k5", "--steps", "2"]) == 4
+    assert capsys.readouterr() == ("", "error: EigensolveFailure: Eigenvalues did not converge\n")
 
 
 class TestChainSpectrum:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import specrelax as sr
 from specrelax import power_iter
 from specrelax.cli import LEDGER_COLUMNS, full_ledger_rows, main
-from specrelax.io import fmt, load_input_file
+from specrelax.io import dump_json, fmt, load_input_file
 
 import oracles
 from conftest import birth_death, random_reversible
@@ -1038,15 +1038,17 @@ class TestConfigAndErrors:
     def test_python_m_runs_main(self, tmp_path, capsys):
         src = Path(sr.__file__).resolve().parents[1]
 
-        def module(*argv):
-            return subprocess.run([sys.executable, "-m", "specrelax", *argv], cwd=tmp_path,
+        def module(name, *argv):
+            return subprocess.run([sys.executable, "-m", name, *argv], cwd=tmp_path,
                                   capture_output=True, text=True,
                                   env=dict(os.environ, PYTHONPATH=str(src)))
 
         assert run_cli(["analyze", "k5"]) == 0
-        proc = module("analyze", "k5")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
-        proc = module("analyze", "missing.csv")
+        want = capsys.readouterr().out
+        for name in ("specrelax", "specrelax.cli"):     # the package, and cli.py as a script
+            proc = module(name, "analyze", "k5")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, ""), name
+        proc = module("specrelax", "analyze", "missing.csv")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "error: IoError: chain file not found: missing.csv\n"
 
@@ -1226,6 +1228,10 @@ class TestIoHelpers:
         back = load_profile_file(path)
         np.testing.assert_array_equal(back.lambdas, prof.lambdas)
         np.testing.assert_array_equal(back.log_weights, prof.log_weights)
+
+    def test_numpy_scalars_are_written_as_json_numbers(self):
+        assert dump_json({"n": np.int64(3), "x": np.float64(0.5), "inf": np.float64(np.inf)},
+                         os.devnull) == '{"inf":"inf","n":3,"x":0.5}'
 
     def test_json_input_is_parsed_once(self, tmp_path, monkeypatch):
         loads = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 import specrelax as sr
 from specrelax.cli import main
-from specrelax.errors import BadStart, EigensolveFailure, InvalidState
+from specrelax.errors import BadStart, Degenerate, EigensolveFailure, InvalidArguments, InvalidState
 
 import oracles
 from conftest import random_reversible
@@ -103,6 +104,21 @@ class TestFptTail:
             oracles.fpt_tail(model, np.array([1.0, 0, 0, 0, 0]), 3)  # mass on target
         with pytest.raises(BadStart):
             oracles.fpt_tail(model, np.full(4, 0.3), 3)               # not normalized
+
+    def test_a_negative_horizon_is_refused(self, hand_chain):
+        with pytest.raises(InvalidArguments):
+            sr.tail_curve(sr.absorb(hand_chain, 1), [1.0], -1)
+
+    def test_a_perron_mode_of_both_signs_is_refused(self):
+        # absorbing the hub of two like leaves leaves the block I/2: its top
+        # eigenvalue is double, so every pi-orthonormal basis is a correct
+        # eigensolve, and a first mode that mixes the leaves with opposite
+        # signs defines no quasistationary law
+        model = sr.absorb(sr.build_chain([[0, 0.5, 0.5], [0.5, 0.5, 0], [0.5, 0, 0.5]]), 0)
+        x = 1.0 / np.sqrt(2.0 * model.restricted_pi)
+        mixed = dataclasses.replace(model, modes=[[x[0], x[0]], [-x[1], x[1]]])
+        with pytest.raises(Degenerate, match="not sign-definite"):
+            sr.quasistationary_start(mixed)
 
     def test_tail_log_linearity(self):
         chain = sr.barbell_chain(3, 0.1)

@@ -11,7 +11,6 @@ listing of the cache directory names the kernel entry and the solve entry
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,35 +20,14 @@ import numpy as np
 import pytest
 
 from specrelax import cache
-from specrelax import chains
 from specrelax import io as kio
-from specrelax.cli import main
 
-from conftest import BLAS, random_reversible, record_solves, solve_cache_off, solve_entry_names
+from conftest import (BLAS, KERNEL_DAMAGES, cache_files, check_every_cache_state, child_env,
+                      random_reversible, run, solve_entry_names, uncached)
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["rigidity"],
             ["thermo", "--steps", "20"], ["accel", "--steps", "5"],
             ["power", "--max-iter", "20"], ["fpt", "--kmax", "10"]]
-
-
-def _write_float32(entry: Path, kernel: np.ndarray):
-    with open(entry, "wb") as fh:
-        np.save(fh, kernel.astype(np.float32))
-
-
-def _write_pickled(entry: Path, kernel: np.ndarray):
-    with open(entry, "wb") as fh:
-        np.save(fh, np.array([kernel], dtype=object), allow_pickle=True)
-
-
-# each is a miss, and the run that finds it writes the entry again
-DAMAGED = {
-    "missing": lambda entry, kernel: entry.unlink(),
-    "empty": lambda entry, kernel: entry.write_bytes(b""),
-    "truncated": lambda entry, kernel: entry.write_bytes(entry.read_bytes()[:-8]),
-    "pickled": _write_pickled,
-    "float32": _write_float32,
-}
 
 
 @pytest.fixture(scope="module")
@@ -64,40 +42,14 @@ def kernel_files(tmp_path_factory):
     return files
 
 
-@pytest.fixture
-def cache_home(tmp_path, monkeypatch) -> Path:
-    home = tmp_path / "xdg"
-    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-    return home
-
-
-def run(argv, capsys) -> tuple:
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def uncached(argv, capsys, monkeypatch, solves: list | None = None) -> tuple:
-    """The call with both caches off; `solves` gets LAPACK's calls, as
-    record_solves lists them."""
-    with monkeypatch.context() as m:
-        m.setattr(kio, "CACHE_MIN_BYTES", math.inf)
-        solve_cache_off(m)
-        calls = record_solves(m)
-        out = run(argv, capsys)
-    if solves is not None:
-        solves += calls
-    return out
-
-
 def entry_of(path: Path, home: Path, kind: str) -> Path:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return home / "specrelax" / f"{digest}-{kind}.npy"
 
 
-def cache_files(home: Path) -> list:
-    directory = home / "specrelax"
-    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+def _unparsed(m):
+    m.setattr(kio, "read_csv", None)
+    m.setattr(kio, "read_json", None)
 
 
 @pytest.mark.parametrize("kind", ["csv", "json"])
@@ -106,31 +58,15 @@ def test_every_cache_state_prints_the_uncached_bytes(command, kind, kernel_files
                                                      monkeypatch, capsys):
     path = kernel_files[kind]
     argv = [command[0], str(path), *command[1:]]
-    solves = []
-    want = uncached(argv, capsys, monkeypatch, solves)
+    want, calls = uncached(argv, capsys, monkeypatch)
     assert want[0] == 0 and want[2] == ""
-    assert cache_files(cache_home) == []
-    assert len(solves) == 1
+    assert cache_files(cache_home) == [] and len(calls) == 1
 
     assert run(argv, capsys) == want                      # cold: parsed and stored
     entry = entry_of(path, cache_home, kind)
-    assert cache_files(cache_home) == sorted([entry.name, *solve_entry_names(solves)])
-    stored = entry.read_bytes()
-    kernel = np.load(entry)
-    with monkeypatch.context() as m:                      # warm: loaded, not parsed
-        m.setattr(kio, "read_csv", None)
-        m.setattr(kio, "read_json", None)
-        assert run(argv, capsys) == want
-
-    for name, damage in DAMAGED.items():
-        damage(entry, kernel)
-        assert run(argv, capsys) == want, name
-        assert entry.read_bytes() == stored, name
-
-    blocker = cache_home / "a-file"                       # no directory can be made there
-    blocker.write_text("")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    assert run(argv, capsys) == want
+    assert cache_files(cache_home) == sorted([entry.name, *solve_entry_names(calls)])
+    # warm: loaded, not parsed
+    check_every_cache_state(argv, entry, want, KERNEL_DAMAGES, _unparsed, capsys, monkeypatch)
 
 
 def test_stored_array_is_the_parse(kernel_files, cache_home):
@@ -164,14 +100,13 @@ def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, cach
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     new = run(["analyze", str(path)], capsys)
-    assert new == uncached(["analyze", str(path)], capsys, monkeypatch)
+    assert new == uncached(["analyze", str(path)], capsys, monkeypatch)[0]
     assert new != old
     entries = []
     for kernel in (first, second):     # each content has its own kernel and solve entry
         np.savetxt(path, kernel, delimiter=",", fmt="%.17e")
-        solves = []
-        uncached(["analyze", str(path)], capsys, monkeypatch, solves)
-        entries += [entry_of(path, cache_home, "csv").name, *solve_entry_names(solves)]
+        _, calls = uncached(["analyze", str(path)], capsys, monkeypatch)
+        entries += [entry_of(path, cache_home, "csv").name, *solve_entry_names(calls)]
     assert len(set(entries)) == (4 if BLAS else 2)
     assert cache_files(cache_home) == sorted(entries)
 
@@ -188,7 +123,7 @@ def test_a_malformed_large_file_is_one_line_each_time_and_never_stored(
     path = tmp_path / f"bad.{kind}"
     path.write_bytes(bytes(raw))
     argv = ["analyze", str(path)]
-    want = uncached(argv, capsys, monkeypatch)
+    want, _ = uncached(argv, capsys, monkeypatch)
     assert want[:2] == (3, "")
     assert want[2].startswith(f"error: IoError: malformed {'chain' if kind == 'csv' else 'input'}"
                               f" file {path}: ") and want[2].count("\n") == 1
@@ -223,17 +158,15 @@ def test_eviction_keeps_the_budget_and_the_newest_entry(tmp_path, cache_home, mo
 
 
 def test_two_cold_runs_at_once(kernel_files, cache_home, monkeypatch, capsys):
-    solves = []
-    want = uncached(["analyze", str(kernel_files["csv"])], capsys, monkeypatch, solves)
-    env = dict(os.environ, PYTHONPATH=str(Path(kio.__file__).resolve().parents[1]))
+    want, calls = uncached(["analyze", str(kernel_files["csv"])], capsys, monkeypatch)
     argv = [sys.executable, "-m", "specrelax", "analyze", str(kernel_files["csv"])]
-    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-             for _ in range(2)]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) for _ in range(2)]
     outputs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] == outputs[1] == (want[1].encode(), b"")
     assert cache_files(cache_home) == sorted([entry_of(kernel_files["csv"], cache_home, "csv").name,
-                                              *solve_entry_names(solves)])
+                                              *solve_entry_names(calls)])
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--steps", "20"]],
@@ -243,13 +176,13 @@ def test_a_column_major_kernel_entry_prints_the_uncached_bytes(command, kernel_f
     # an entry of the right values saved in Fortran order is a hit, and its
     # kernel hands LAPACK the bytes the row-major one does
     argv = [command[0], str(kernel_files["csv"]), *command[1:]]
-    want = uncached(argv, capsys, monkeypatch)
+    want, _ = uncached(argv, capsys, monkeypatch)
     assert run(argv, capsys) == want
     entry = entry_of(kernel_files["csv"], cache_home, "csv")
     np.save(entry, np.asfortranarray(np.load(entry)))
     assert np.load(entry).flags.f_contiguous
     with monkeypatch.context() as m:
-        m.setattr(kio, "read_csv", None)
+        _unparsed(m)
         assert run(argv, capsys) == want
 
 
@@ -270,3 +203,39 @@ def test_importing_the_cli_loads_no_hashlib(tmp_path):
                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
                              check=True).stdout
         assert out.splitlines()[-1] == "[]", argv
+
+
+@pytest.mark.parametrize("xdg", [None, "", "relative/xdg"], ids=["unset", "empty", "relative"])
+def test_the_cache_home_defaults_to_dot_cache(xdg, kernel_files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert run(["analyze", str(kernel_files["csv"])], capsys)[0] == 0
+    assert entry_of(kernel_files["csv"], tmp_path / ".cache", "csv").exists()
+
+
+def test_a_full_disk_leaves_no_file_behind(kernel_files, cache_home, monkeypatch, capsys):
+    def full(fh, array, **kw):
+        fh.write(b"\x93NUMPY")
+        raise OSError(28, "No space left on device")
+
+    argv = ["analyze", str(kernel_files["json"])]
+    want, _ = uncached(argv, capsys, monkeypatch)
+    monkeypatch.setattr(np.lib.format, "write_array", full)
+    assert run(argv, capsys) == want
+    assert cache.write(str(cache_home / "specrelax" / "x.npy"), np.zeros(3)) is None
+    assert cache_files(cache_home) == []
+
+
+def test_an_entry_that_cannot_be_renamed_in_leaves_no_file_behind(kernel_files, cache_home,
+                                                                  monkeypatch, capsys):
+    # a directory where the entry should be: a miss, and os.replace fails
+    argv = ["analyze", str(kernel_files["csv"])]
+    want, calls = uncached(argv, capsys, monkeypatch)
+    entry = entry_of(kernel_files["csv"], cache_home, "csv")
+    (entry / "occupied").mkdir(parents=True)
+    assert run(argv, capsys) == want
+    assert cache_files(cache_home) == sorted([entry.name, *solve_entry_names(calls)])
+    assert [p.name for p in entry.iterdir()] == ["occupied"]

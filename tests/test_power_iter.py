@@ -212,6 +212,14 @@ class TestAdaptiveStop:
         err = math.sqrt(sr.eigenvector_error(chain, dec, iterates[state.stopped_at]))
         assert err <= 0.2
 
+    def test_no_estimate_from_a_pair_after_zero_variance(self):
+        # Vhat_0 = 0 (rho flat), Vhat_1 > 0: their ratio has no value, so tau
+        # is first estimated from the next pair
+        state = sr.StoppingState(epsilon=0.1, tau=None)
+        for rho in (0.5, 0.5, 0.6):
+            state.update(rho)
+        assert state.vhat > 0.0 and state.tau_hat is None
+
     def test_state_does_not_grow(self):
         # 10^5 updates that never stop (Gamma stays above eta to k ~ 121,000):
         # the fold's memory stays flat

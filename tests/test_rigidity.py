@@ -1,6 +1,7 @@
 import math
 from unittest.mock import patch
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,13 +125,10 @@ class TestRigidityTime:
 
 
 def scan_oracle(prof, delta, cap):
-    """First k in 0..cap whose fast-mode ledger share is <= delta, testing every step."""
-    slow = prof.slow_index()
-    for block in sr.ledger_blocks(prof, range(cap + 1)):
-        hit = np.flatnonzero(np.delete(block.p, slow, axis=1).sum(axis=1) <= delta)
-        if hit.size:
-            return int(block.ks[hit[0]])
-    return None
+    """First k in 0..cap whose fast share, as the search reads it, is <= delta,
+    testing every step."""
+    hit = np.flatnonzero(rigidity.fast_share(prof, range(cap + 1))[0] <= delta)
+    return int(hit[0]) if hit.size else None
 
 
 @st.composite
@@ -236,21 +234,39 @@ class TestRigiditySearch:
             result = oracles.closure_bound(prof, 0.3, k)
             assert math.isfinite(result.bound) and result.actual <= result.bound
 
+    def test_a_near_tie_is_read_to_its_last_digits(self):
+        # lambda3/lambda2 = 1 - 1e-13: the exact fast share (60-digit mpmath)
+        # is 1/2 + 2.3e-13, + 8.6e-14 and - 4.9e-14 at k = 396, 397 and 398,
+        # gaps below the ulp (9.1e-13) of 2k ln|lambda| = -7294 that the
+        # ledger's log energies carry
+        lam = [1e-4, 9.9999999999999e-05, 9.683772233983162e-05]
+        prof = sr.profile_from_weights(lam, [1.0, 1.0, 1.0])
+        ks = [396, 397, 398]
+        share = rigidity.fast_share(prof, ks)[0]
+        for k, got in zip(ks, share):
+            with mpmath.workdps(60):
+                n = [abs(mpmath.mpf(x)) ** (2 * k) for x in lam]
+                exact = (n[1] + n[2]) / sum(n)
+            assert abs(got - exact) <= 1e-15 * exact, k
+            assert (got <= 0.5) == (exact <= 0.5), k
+        assert scan_oracle(prof, 0.5, 415) == 398
+        assert sr.rigidity_time(prof, 0.5).t_rigid == 398
+        with patch.object(rigidity, "DEFAULT_CAP", 415):
+            assert sr.rigidity_time(prof, 0.5).t_rigid == 398
+
     def test_near_tie_rows_evaluated(self, monkeypatch):
         # 2000 modes, lambda2 = 0.999999, lambda3 = 0.99999: T from a full scan
         # of every step is 47,072, 383,707 and 1,023,366
         lam = np.concatenate([[0.999999, 0.99999], np.linspace(-0.9, 0.9, 1998)])
         prof = sr.profile_from_weights(lam, np.ones(lam.size))
         rows = []
-        real = rigidity.ledger_block
+        real = rigidity.fast_share
 
         def counted(profile, ks):
-            block = real(profile, ks)
-            rows.append(block.ks.size)
-            return block
+            rows.append(len(ks))
+            return real(profile, ks)
 
-        monkeypatch.setattr(rigidity, "ledger_block", counted)
-        monkeypatch.setattr(sr.trajectory, "ledger_block", counted)   # seen by ledger_blocks
+        monkeypatch.setattr(rigidity, "fast_share", counted)
         for delta, T in ((0.3, 47_072), (1e-3, 383_707), (1e-8, 1_023_366)):
             rows.clear()
             assert sr.rigidity_time(prof, delta).t_rigid == T

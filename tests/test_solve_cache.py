@@ -9,7 +9,6 @@ entries alone.  Where numpy's OpenBLAS is not identified the tests that need
 an entry are skipped, and the others check that none is written.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,66 +18,16 @@ import pytest
 
 from specrelax import cache, chains
 from specrelax import io as kio
-from specrelax.cli import main
 from specrelax.errors import EigensolveFailure
 
-from conftest import (BLAS, needs_blas, record_solves, solve_cache_off, solve_entry_name,
-                      solve_entry_names)
-from test_cli import _count_eigensolves
+from conftest import (BLAS, DAMAGED, cache_files, check_every_cache_state, child_env, needs_blas,
+                      record_solves, run, solve_cache_off, solve_entry_name, solve_entry_names,
+                      uncached)
 
 N = 410     # analyze's eigvalsh, and eigh on the chain and on fpt's block, are cached
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["power", "--max-iter", "20"],
             ["fpt", "--kmax", "10"]]
-
-
-def _rewrite(entry: Path, change):
-    """Store change(arrays) in the entry, as the cache would have written it."""
-    arrays = cache.load(str(entry), 2 if entry.name.endswith("-eigh.npy") else 1)
-    with open(entry, "wb") as fh:
-        for a in change([a.copy() for a in arrays]):
-            np.lib.format.write_array(fh, a)
-
-
-def _pickled(entry: Path):
-    with open(entry, "wb") as fh:
-        np.save(fh, np.array([np.zeros(3)], dtype=object), allow_pickle=True)
-
-
-def _shifted(arrays):
-    arrays[0][arrays[0].size // 2] += 1e-3
-    return arrays
-
-
-def _nan(arrays):
-    arrays[-1].flat[5] = np.nan         # in the eigenvectors where there are any
-    return arrays
-
-
-def _swapped(arrays):
-    # a true eigendecomposition still, with two pairs out of LAPACK's order
-    i, j = arrays[0].size // 3, arrays[0].size // 2
-    for a in arrays:
-        a[..., [i, j]] = a[..., [j, i]]
-    return arrays
-
-
-# each is a miss, or a hit that fails a check, and the run that finds it
-# stores the entry again
-DAMAGED = {
-    "missing": lambda entry: entry.unlink(),
-    "empty": lambda entry: entry.write_bytes(b""),
-    "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
-    "a byte appended": lambda entry: entry.write_bytes(entry.read_bytes() + b"\0"),
-    "pickled": _pickled,
-    "float32": lambda entry: _rewrite(entry, lambda arrays: [a.astype(np.float32)
-                                                              for a in arrays]),
-    "wrong shape": lambda entry: _rewrite(entry, lambda arrays: [a[:-1, :-1] if a.ndim == 2
-                                                                  else a[:-1] for a in arrays]),
-    "one eigenvalue shifted by 1e-3": lambda entry: _rewrite(entry, _shifted),
-    "two eigenpairs swapped": lambda entry: _rewrite(entry, _swapped),
-    "a nan": lambda entry: _rewrite(entry, _nan),
-}
 
 
 def banded_reversible(n: int, rng: np.random.Generator, width: int = 3) -> np.ndarray:
@@ -102,66 +51,22 @@ def chain_file(tmp_path_factory) -> Path:
     return path
 
 
-@pytest.fixture
-def cache_home(tmp_path, monkeypatch) -> Path:
-    home = tmp_path / "xdg"
-    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-    return home
-
-
-def run(argv, capsys) -> tuple:
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def uncached(argv, capsys, monkeypatch) -> tuple:
-    """The call with the solve cache off, and the entries its solves would use."""
-    with monkeypatch.context() as m:
-        solve_cache_off(m)
-        calls = record_solves(m)
-        out = run(argv, capsys)
-    return out, solve_entry_names(calls)
-
-
-def cache_files(home: Path) -> list:
-    directory = home / "specrelax"
-    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
-
-
-def child_env(home: Path, **extra) -> dict:
-    src = Path(chains.__file__).resolve().parents[1]
-    return dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(home), **extra)
-
-
 @needs_blas
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_every_cache_state_prints_the_uncached_bytes(command, chain_file, cache_home,
                                                      monkeypatch, capsys):
     argv = [command[0], str(chain_file), *command[1:]]
-    want, solves = uncached(argv, capsys, monkeypatch)
+    want, calls = uncached(argv, capsys, monkeypatch)
+    solves = solve_entry_names(calls)
     assert want[0] == 0 and want[2] == ""
     assert len(solves) == 1 and cache_files(cache_home) == []
 
     assert run(argv, capsys) == want                      # cold: solved and stored
     assert cache_files(cache_home) == solves
-    entry = cache_home / "specrelax" / solves[0]
-    stored = entry.read_bytes()
-    with monkeypatch.context() as m:                      # warm: read, not solved
-        counts = _count_eigensolves(m)
-        assert run(argv, capsys) == want
-        assert counts == {"eigh": 0, "eigvalsh": 0}
-
-    for name, damage in DAMAGED.items():
-        damage(entry)
-        assert run(argv, capsys) == want, name
-        assert cache_files(cache_home) == solves, name
-        assert entry.read_bytes() == stored, name
-
-    blocker = cache_home / "a-file"                       # no directory can be made there
-    blocker.write_text("")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    assert run(argv, capsys) == want
+    warm = []           # read, not solved
+    check_every_cache_state(argv, cache_home / "specrelax" / solves[0], want, len(DAMAGED),
+                            lambda m: warm.append(record_solves(m)), capsys, monkeypatch)
+    assert warm == [[]]
 
 
 @needs_blas
@@ -195,9 +100,9 @@ def test_twins_presets_and_absorbed_blocks_share_entries(tmp_path, cache_home, m
         before = cache_files(cache_home)
         want, _ = uncached(second, capsys, monkeypatch)
         with monkeypatch.context() as m:
-            counts = _count_eigensolves(m)
+            calls = record_solves(m)
             assert run(second, capsys) == want
-        assert counts == {"eigh": 0, "eigvalsh": 0}, second
+        assert calls == [], second
         assert cache_files(cache_home) == before
 
 
@@ -212,10 +117,10 @@ def test_small_chains_bypass_the_cache(cache_home, monkeypatch, capsys):
     for argv in small:
         assert run(argv, capsys)[0] == 0
     assert not cache_home.exists()
-    counts = _count_eigensolves(monkeypatch)
+    calls = record_solves(monkeypatch)
     for argv in [["simulate", f"cycle-{eigh}", "--steps", "3"], ["analyze", f"cycle-{eigvalsh}"]]:
         assert run(argv, capsys)[0] == 0
-    assert counts == {"eigh": 1, "eigvalsh": 1}
+    assert sorted(routine for routine, _ in calls) == ["eigh", "eigvalsh"]
     assert len(cache_files(cache_home)) == (2 if BLAS else 0)
 
 
@@ -226,9 +131,9 @@ def test_an_unidentified_blas_reads_no_entry(chain_file, cache_home, monkeypatch
     assert run(argv, capsys) == want
     assert len(cache_files(cache_home)) == 1
     monkeypatch.setattr(cache, "blas_identity", lambda: None)
-    counts = _count_eigensolves(monkeypatch)
+    calls = record_solves(monkeypatch)
     assert run(argv, capsys) == want
-    assert counts == {"eigh": 1, "eigvalsh": 0}
+    assert [routine for routine, _ in calls] == ["eigh"]
 
 
 def test_an_unidentified_blas_writes_no_entry(chain_file, cache_home, monkeypatch, capsys):
@@ -236,10 +141,10 @@ def test_an_unidentified_blas_writes_no_entry(chain_file, cache_home, monkeypatc
     for command in COMMANDS:
         argv = [command[0], str(chain_file), *command[1:]]
         want, _ = uncached(argv, capsys, monkeypatch)
-        counts = _count_eigensolves(monkeypatch)
+        calls = record_solves(monkeypatch)
         assert run(argv, capsys) == want
         assert run(argv, capsys) == want
-        assert sum(counts.values()) == 2, command
+        assert len(calls) == 2, command
     assert cache_files(cache_home) == []
 
 
@@ -257,10 +162,10 @@ def test_a_column_major_kernel_hands_lapack_the_same_bytes(chain_file, cache_hom
             solve_cache_off(m)
             want = [a.tobytes() for a in arrays(solve(chain))]
             assert [a.tobytes() for a in arrays(solve(fortran))] == want
-        counts = _count_eigensolves(monkeypatch)
+        calls = record_solves(monkeypatch)
         for c in (fortran, fortran, chain):     # cold, then warm on either layout
             assert [a.tobytes() for a in arrays(solve(c))] == want
-        assert sum(counts.values()) == (1 if BLAS else 3)
+        assert len(calls) == (1 if BLAS else 3)
     assert len(cache_files(cache_home)) == (2 if BLAS else 0)
 
 
@@ -300,7 +205,7 @@ def test_another_blas_kernel_or_thread_count_misses(chain_file, cache_home):
                 {"OPENBLAS_NUM_THREADS": "1"}]
     identities = []
     for extra in settings:
-        env = child_env(cache_home, **extra)
+        env = child_env(**extra)
         subprocess.run([sys.executable, "-m", "specrelax", "analyze", str(chain_file)],
                        capture_output=True, env=env, check=True, timeout=120)
         identities.append(subprocess.run(
@@ -312,11 +217,30 @@ def test_another_blas_kernel_or_thread_count_misses(chain_file, cache_home):
 
 def test_two_cold_runs_at_once(chain_file, cache_home, monkeypatch, capsys):
     argv = ["simulate", str(chain_file), "--steps", "5"]
-    want, solves = uncached(argv, capsys, monkeypatch)
+    want, calls = uncached(argv, capsys, monkeypatch)
     procs = [subprocess.Popen([sys.executable, "-m", "specrelax", *argv], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, env=child_env(cache_home))
+                              stderr=subprocess.PIPE, env=child_env())
              for _ in range(2)]
     outputs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] == outputs[1] == (want[1].encode(), b"")
-    assert cache_files(cache_home) == solves
+    assert cache_files(cache_home) == solve_entry_names(calls)
+
+
+def test_numpy_without_its_openblas_is_unidentified(tmp_path, monkeypatch):
+    # a numpy whose numpy.libs holds no loadable OpenBLAS: a file that is no
+    # library, and a library without OpenBLAS's symbols (ctypes' own)
+    import _ctypes
+
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas64_a.so").write_bytes(b"not a library")
+    (libs / "libscipy_openblas64_b.so").symlink_to(_ctypes.__file__)
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    cache._openblas.cache_clear()
+    try:
+        assert cache.blas_identity() is None
+    finally:
+        monkeypatch.undo()
+        cache._openblas.cache_clear()
+    assert cache.blas_identity() == BLAS

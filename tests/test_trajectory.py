@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import DeadTrajectory, DimensionMismatch, ZeroProjection
+from specrelax.errors import (DeadTrajectory, DimensionMismatch, InvalidArguments,
+                              ZeroProjection)
 
 import oracles
 from conftest import (
@@ -27,6 +28,11 @@ class TestProjectInitial:
         assert prof.n_modes == 1
         assert prof.lambdas[0] == pytest.approx(dec.eigenvalues[1], abs=1e-12)
         assert prof.log_weights[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_weights_that_are_not_positive_are_refused(self):
+        for weight in (0.0, -1.0):
+            with pytest.raises(InvalidArguments):
+                sr.profile_from_weights([0.5], [weight])
 
     def test_stationary_start_rejected(self, rng):
         chain = random_reversible(5, rng)
