@@ -1,10 +1,10 @@
 """The on-disk cache of float64 arrays, in $XDG_CACHE_HOME/specrelax.
 
-It holds two kinds of entry, each named by a SHA-256 of all that decides its
-bits, so that a key never serves another input's arrays:
+It holds two kinds of entry, each named (`entry`) by a SHA-256 of all that
+decides its bits, so that a key never serves another input's arrays:
 
 - `<sha256 of a chain file's bytes>-<csv|json>.npy`, the kernel the file
-  parses to (`kernel_entry`, for `io._parse_input`);
+  parses to (for `io._parse_input`);
 - `<sha256 of a solve key>-<eigh|eigvalsh>.npy`, LAPACK's raw output for one
   matrix (`solve_entry`, for `chains._certified_eigh`).
 
@@ -110,34 +110,25 @@ def _evict(directory: str, keep: str):
 
 # --- the keys -----------------------------------------------------------------
 
-def kernel_entry(raw: bytes, kind: str) -> str | None:
-    """The entry for the kernel that a `kind` ("csv" or "json") chain file of
-    the bytes `raw` parses to: keyed on the content alone, so that a file
-    rewritten in place is never served another content's kernel.  None where
-    there is no cache directory."""
+def entry(kind: str, *chunks) -> str | None:
+    """The `kind` entry named by the SHA-256 of the chunks (bytes or
+    C-contiguous arrays) in order; None where there is no cache directory."""
     import hashlib      # here, so that a command on a small input never loads it
 
-    base = directory()
-    return base and os.path.join(base, f"{hashlib.sha256(raw).hexdigest()}-{kind}.npy")
+    base, digest = directory(), hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return base and os.path.join(base, f"{digest.hexdigest()}-{kind}.npy")
 
 
 def solve_entry(a: np.ndarray, routine: str) -> str | None:
     """The entry for LAPACK's `routine` ("eigh" or "eigvalsh") on the matrix
-    `a`, whose rows are contiguous: SHA-256 of a header line (the routine,
-    the shape, numpy's version, and the OpenBLAS kernel and thread count,
-    which decide LAPACK's bits) followed by the bytes of `a` row by row, that
-    is in C order.  None where there is no cache directory or numpy's
-    OpenBLAS cannot be identified."""
-    import hashlib
-
-    base, blas = directory(), blas_identity()
-    if base is None or blas is None:
-        return None
-    digest = hashlib.sha256(f"{routine} {a.shape[0]}x{a.shape[1]} numpy {np.__version__} "
-                            f"{blas[0]} threads {blas[1]}\n".encode())
-    for row in a:
-        digest.update(row)
-    return os.path.join(base, f"{digest.hexdigest()}-{routine}.npy")
+    `a`: a header line (the routine, the shape, numpy's version, and the
+    OpenBLAS kernel and thread count, which decide LAPACK's bits), then a's
+    rows.  None where numpy's OpenBLAS cannot be identified."""
+    blas = blas_identity()
+    return blas and entry(routine, f"{routine} {a.shape[0]}x{a.shape[1]} numpy {np.__version__} "
+                                   f"{blas[0]} threads {blas[1]}\n".encode(), *a)
 
 
 def blas_identity() -> tuple[str, int] | None:

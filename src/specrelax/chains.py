@@ -62,13 +62,16 @@ CACHE_MIN_STATES = {"eigh": 200, "eigvalsh": 400}
 
 @dataclass(frozen=True)
 class ReversibleChain:
-    """A validated reversible Markov kernel with its stationary distribution."""
+    """A validated reversible Markov kernel with its stationary distribution.
+    The kernel is a read-only copy in C order, whatever the caller's layout:
+    the solve key hashes its rows, and the products of the absorbed block and
+    the power iteration follow its layout."""
 
     kernel: np.ndarray
     pi: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "kernel", "pi")
+        _freeze(self, "kernel", "pi", order="C")
 
     @property
     def n(self) -> int:
@@ -86,10 +89,10 @@ class SpectralDecomposition:
         _freeze(self, "eigenvalues", "eigenvectors")
 
 
-def _freeze(obj, *names: str, dtype=float):
+def _freeze(obj, *names: str, dtype=float, order="K"):
     """Replace the named fields of a frozen dataclass by read-only array copies."""
     for name in names:
-        arr = np.array(getattr(obj, name), dtype=dtype, copy=True)
+        arr = np.array(getattr(obj, name), dtype=dtype, copy=True, order=order)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
@@ -159,7 +162,7 @@ def build_chain(kernel, tol: Tolerances = DEFAULT_TOLERANCES) -> ReversibleChain
     Raises RowSumError, Reducible, DegeneratePi or NotReversible when the
     corresponding invariant fails.
     """
-    P = np.asarray(kernel, dtype=float)     # ReversibleChain keeps its own copy
+    P = np.asarray(kernel, dtype=float)     # ReversibleChain keeps its own C-order copy
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {P.shape}")
     if P.shape[0] < 1:
@@ -248,14 +251,12 @@ def _certified_eigh(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     The solve cache: for n >= CACHE_MIN_STATES[routine], LAPACK's raw output
     (before any check) is kept as a solve entry of `cache`, keyed
     (`cache.solve_entry`) on the bytes of the matrix LAPACK is handed, the
-    routine, and the numpy and OpenBLAS build that decide LAPACK's bits.  sym
-    is built in C order, so a kernel of either layout hands LAPACK, and the
-    key, the same bytes.  A hit takes the place of the call, and every check
-    above runs on it as on a fresh output, the snap to 0 too, so a command
-    prints the same bytes cold, warm and with no cache.  A fresh output is
-    streamed to a temporary file as LAPACK returns it, and renamed in only
-    once every check has passed; a hit that fails a check is deleted and the
-    matrix solved afresh.
+    routine, and the numpy and OpenBLAS build that decide LAPACK's bits.  A
+    hit takes the place of the call, and every check above runs on it as on a
+    fresh output, the snap to 0 too, so a command prints the same bytes cold,
+    warm and with no cache.  A fresh output is streamed to a temporary file as
+    LAPACK returns it, and renamed in only once every check has passed; a hit
+    that fails a check is deleted and the matrix solved afresh.
     """
     return (_solve_and_check(kernel, weights, tol, vectors, stationary, reuse=True)
             or _solve_and_check(kernel, weights, tol, vectors, stationary, reuse=False))
@@ -268,7 +269,7 @@ def _solve_and_check(kernel: np.ndarray, weights: np.ndarray, tol: Tolerances,
     when a hit fails a check: its entry is then deleted."""
     n = kernel.shape[0]
     d = np.sqrt(weights)
-    sym = np.multiply(d[:, None], kernel, order="C")    # solve_entry hashes its rows
+    sym = d[:, None] * kernel
     sym /= d
     sym += sym.T
     sym *= 0.5

@@ -401,8 +401,8 @@ def _cmd_fpt(args: argparse.Namespace):
     chain = _require_chain(resolve_input(args), "fpt")
     if args.kmax < 0:
         raise InvalidArguments("k_max must be nonnegative")
-    starts = {"uniform": uniform_start, "quasistationary": quasistationary_start,
-              "restricted": restricted_stationary_start}
+    starts = {"uniform": uniform_start, "restricted": restricted_stationary_start,
+              "quasistationary": lambda model: quasistationary_start(model, args.tol)}
     start = None
     if args.start.startswith("file:"):
         start = read_csv(args.start[5:], "start")

@@ -46,8 +46,7 @@ def absorb(chain: ReversibleChain, target: int,
     if chain.n < 2:
         raise InvalidState("need at least two states to absorb one")
     keep = np.delete(np.arange(chain.n), target)
-    # in C order whatever the kernel's layout: tail_curve's products depend on it
-    block = np.ascontiguousarray(np.delete(np.delete(chain.kernel, target, 0), target, 1))
+    block = np.delete(np.delete(chain.kernel, target, 0), target, 1)
     pr = chain.pi[keep]
     nu, modes = _certified_eigh(block, pr, tol, vectors=True, stationary=False)
     return AbsorbingModel(base=chain, target=target, block=block, keep=keep,
@@ -59,14 +58,20 @@ def restricted_stationary_start(model: AbsorbingModel) -> np.ndarray:
     return model.restricted_pi / model.restricted_pi.sum()
 
 
-def quasistationary_start(model: AbsorbingModel) -> np.ndarray:
-    """Left Perron vector of the surviving block, as a probability row."""
+def quasistationary_start(model: AbsorbingModel,
+                          tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Left Perron vector of the surviving block, as a probability row.  Where
+    nu_1 - nu_2 <= 2 tol.eigen_residual, the accuracy of the block's certified
+    solve, that vector is not determined, and Degenerate refuses it."""
     u = model.modes[:, 0]
     w = u * model.restricted_pi          # left eigenvector of the block
     if w.sum() < 0:
         w = -w
     if np.any(w < -1e-12 * np.abs(w).max()):
         raise Degenerate("Perron vector of the block is not sign-definite")
+    if model.nu.size > 1 and model.nu[0] - model.nu[1] <= 2 * tol.eigen_residual:
+        raise Degenerate("the block's top eigenvalue is within 2 tol.eigen_residual of "
+                         "the next, so its Perron vector is not determined")
     w = np.clip(w, 0.0, None)
     return w / w.sum()
 

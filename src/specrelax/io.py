@@ -135,7 +135,7 @@ def _parse_input(path: str):
     if len(raw) >= CACHE_MIN_BYTES:
         from . import cache
 
-        entry = cache.kernel_entry(raw, kind)
+        entry = cache.entry(kind, raw)
         if entry and (hit := cache.load(entry)):
             return hit[0]
     if kind == "csv":

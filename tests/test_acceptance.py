@@ -79,12 +79,6 @@ def _normalized(profile):
                               log_weights=profile.log_weights - shift)
 
 
-def _fast_mass(led, slow):
-    mask = np.ones(led.p.size, dtype=bool)
-    mask[slow] = False
-    return float(led.p[mask].sum())
-
-
 def test_criterion_01_exact_dissipation_identity():
     rng = np.random.default_rng(101)
     start = time.perf_counter()

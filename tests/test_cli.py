@@ -18,7 +18,7 @@ from specrelax.cli import LEDGER_COLUMNS, full_ledger_rows, main
 from specrelax.io import dump_json, fmt, load_input_file
 
 import oracles
-from conftest import birth_death, random_reversible
+from conftest import birth_death, random_reversible, record_solves
 from oracles import load_profile_file, save_profile
 
 TINY = np.finfo(float).tiny
@@ -134,28 +134,18 @@ class TestAnalyze:
         assert "lambda2" in header
 
 
-def _count_eigensolves(monkeypatch) -> dict:
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
-            counts[_name] += 1
-            return _real(a, *args, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 class TestEigensolveCalls:
     """Only commands that read eigenvectors pay for them."""
 
     def test_analyze_solves_for_eigenvalues_only(self, monkeypatch, capsys):
-        counts = _count_eigensolves(monkeypatch)
+        calls = record_solves(monkeypatch)
         assert run_cli(["analyze", "cycle-50", "--format", "json"]) == 0
-        assert counts == {"eigh": 0, "eigvalsh": 1}
+        assert [routine for routine, _ in calls] == ["eigvalsh"]
 
     def test_fpt_needs_eigenvectors_of_the_block_only(self, monkeypatch, capsys):
-        counts = _count_eigensolves(monkeypatch)
+        calls = record_solves(monkeypatch)
         assert run_cli(["fpt", "barbell-metastable", "--kmax", "5"]) == 0
-        assert counts == {"eigh": 1, "eigvalsh": 0}
+        assert [routine for routine, _ in calls] == ["eigh"]
 
     @pytest.mark.parametrize("argv, solve", [
         (["analyze", "cycle-50"], "eigvalsh"),
@@ -165,11 +155,9 @@ class TestEigensolveCalls:
     def test_chain_solves_leave_out_the_stationary_mode(self, argv, solve, monkeypatch,
                                                         capsys):
         # the known stationary mode is deflated: LAPACK gets one (n-1) x (n-1) matrix
-        shapes, real = [], getattr(np.linalg, solve)
-        monkeypatch.setattr(np.linalg, solve,
-                            lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
+        calls = record_solves(monkeypatch)
         assert run_cli(argv) == 0
-        assert shapes == [(49, 49)]
+        assert [(routine, a.shape) for routine, a in calls] == [(solve, (49, 49))]
 
 
 class TestImportClosure:

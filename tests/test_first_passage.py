@@ -13,6 +13,18 @@ import oracles
 from conftest import random_reversible
 
 
+def _two_like_parts(rng) -> np.ndarray:
+    """The kernel of two copies of one random part of 3-7 states, each joined
+    to state 0 alone by the same weights."""
+    m = int(rng.integers(3, 8))
+    inner, hub = rng.uniform(0.1, 1.0, (m, m)), rng.uniform(0.1, 1.0, m)
+    w = np.zeros((2 * m + 1, 2 * m + 1))
+    for s in (1, m + 1):
+        w[s:s + m, s:s + m] = inner + inner.T
+        w[0, s:s + m] = w[s:s + m, 0] = hub
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class TestAbsorb:
     def test_complete_graph_block(self):
         model = sr.absorb(sr.complete_graph(3), 0)
@@ -119,6 +131,34 @@ class TestFptTail:
         mixed = dataclasses.replace(model, modes=[[x[0], x[0]], [-x[1], x[1]]])
         with pytest.raises(Degenerate, match="not sign-definite"):
             sr.quasistationary_start(mixed)
+
+    def test_a_double_perron_root_is_refused(self, tmp_path, capsys):
+        # two like parts joined only through the target: the block's top
+        # eigenvalue is double, every law on its eigenspace is an answer, and
+        # LAPACK's basis would pick one, here a law on one part alone
+        star = sr.absorb(sr.build_chain([[0, 0.5, 0.5], [0.5, 0.5, 0], [0.5, 0, 0.5]]), 0)
+        with pytest.raises(Degenerate, match="Perron vector is not determined"):
+            sr.quasistationary_start(star)
+        for seed in range(3):
+            path = tmp_path / f"parts{seed}.csv"
+            np.savetxt(path, _two_like_parts(np.random.default_rng(seed)), delimiter=",",
+                       fmt="%.17g")
+            assert main(["fpt", str(path), "--start", "quasistationary"]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: Degenerate: ") and err.count("\n") == 1
+
+    def test_the_perron_gap_is_read_to_the_tolerance_in_force(self, tmp_path, capsys):
+        # the leaves of a star leak at rates 1/2 and 1/2 + 1e-6: nu_1 - nu_2 = 1e-6
+        path = tmp_path / "star.csv"
+        np.savetxt(path, [[0, 0.5, 0.5], [0.5, 0.5, 0], [0.5 + 1e-6, 0, 0.5 - 1e-6]],
+                   delimiter=",", fmt="%.17g")
+        argv = ["fpt", str(path), "--start", "quasistationary", "--kmax", "3"]
+        assert main(argv) == 0
+        assert main([*argv, "--tol", "eigen_residual=1e-6"]) == 4
+        err = capsys.readouterr().err
+        assert err.endswith("error: Degenerate: the block's top eigenvalue is within "
+                            "2 tol.eigen_residual of the next, so its Perron vector is not "
+                            "determined\n")
 
     def test_tail_log_linearity(self):
         chain = sr.barbell_chain(3, 0.1)

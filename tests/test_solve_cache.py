@@ -21,8 +21,7 @@ from specrelax import io as kio
 from specrelax.errors import EigensolveFailure
 
 from conftest import (BLAS, DAMAGED, cache_files, check_every_cache_state, child_env, needs_blas,
-                      record_solves, run, solve_cache_off, solve_entry_name, solve_entry_names,
-                      uncached)
+                      record_solves, run, solve_entry_name, solve_entry_names, uncached)
 
 N = 410     # analyze's eigvalsh, and eigh on the chain and on fpt's block, are cached
 
@@ -146,27 +145,6 @@ def test_an_unidentified_blas_writes_no_entry(chain_file, cache_home, monkeypatc
         assert run(argv, capsys) == want
         assert len(calls) == 2, command
     assert cache_files(cache_home) == []
-
-
-def test_a_column_major_kernel_hands_lapack_the_same_bytes(chain_file, cache_home,
-                                                          monkeypatch):
-    # a kernel stored column-major (from the Python API, or a kernel entry
-    # written so) is solved, keyed and returned as the same kernel row-major
-    chain = kio.load_input_file(str(chain_file))
-    fortran = chains.build_chain(np.asfortranarray(chain.kernel))
-    assert fortran.kernel.flags.f_contiguous and not chain.kernel.flags.f_contiguous
-    solves = [(chains.spectral_decomposition, lambda d: (d.eigenvalues, d.eigenvectors)),
-              (chains.chain_spectrum, lambda lam: (lam,))]
-    for solve, arrays in solves:
-        with monkeypatch.context() as m:
-            solve_cache_off(m)
-            want = [a.tobytes() for a in arrays(solve(chain))]
-            assert [a.tobytes() for a in arrays(solve(fortran))] == want
-        calls = record_solves(monkeypatch)
-        for c in (fortran, fortran, chain):     # cold, then warm on either layout
-            assert [a.tobytes() for a in arrays(solve(c))] == want
-        assert len(calls) == (1 if BLAS else 3)
-    assert len(cache_files(cache_home)) == (2 if BLAS else 0)
 
 
 @pytest.mark.parametrize("solve", ["eigh", "eigvalsh"])
