@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrelax import build_chain, cache, chain_spectrum, spectral_decomposition
+from specrelax import cache
 from specrelax import io as kio
 
-from conftest import (BLAS, KERNEL_DAMAGES, cache_files, centered_random_start,
-                      check_every_cache_state, child_env, power_stream, random_reversible,
-                      record_solves, run, solve_cache_off, solve_entry_names, uncached)
+from conftest import (BLAS, KERNEL_DAMAGES, cache_files, check_every_cache_state, child_env,
+                      random_reversible, record_solves, run, solve_entry_names, uncached)
 
 COMMANDS = [["analyze"], ["simulate", "--steps", "20"], ["rigidity"],
             ["thermo", "--steps", "20"], ["accel", "--steps", "5"],
@@ -174,55 +173,29 @@ def test_two_cold_runs_at_once(kernel_files, cache_home, monkeypatch, capsys):
                                               *solve_entry_names(calls)])
 
 
-def test_a_column_major_kernel_prints_the_row_major_bytes(kernel_files, cache_home,
-                                                          monkeypatch, capsys):
-    # a kernel entry of the right values saved in Fortran order is a hit, and a
-    # kernel given to build_chain so is kept in C order: the solves (and their
-    # keys), the absorbed block and the power iteration see the row-major
-    # bytes, and print or return them cold and warm
+@pytest.mark.parametrize("command", LAYOUT_COMMANDS, ids=lambda c: c[0])
+def test_a_column_major_kernel_entry_prints_the_uncached_bytes(command, kernel_files, cache_home,
+                                                               monkeypatch, capsys):
+    # an entry of the right values saved in Fortran order is a hit, and its
+    # kernel is kept in C order: the solves (and their keys), the absorbed
+    # block and the power iteration see the row-major bytes, cold and warm
     path = kernel_files["csv"]
+    argv = [command[0], str(path), *command[1:]]
+    want, _ = uncached(argv, capsys, monkeypatch)
+    assert want[0] == 0 and want[2] == ""
+    assert run(argv, capsys) == want                  # cold, from the C-order entry
     entry = entry_of(path, cache_home, "csv")
-
-    def clear_solves():         # every solve entry goes, the kernel entry stays
-        for name in cache_files(cache_home):
-            if name != entry.name:
-                (cache_home / "specrelax" / name).unlink()
-
-    commands = [[command[0], str(path), *command[1:]] for command in LAYOUT_COMMANDS]
-    wants = [uncached(argv, capsys, monkeypatch)[0] for argv in commands]
-    for argv, want in zip(commands, wants):
-        assert want[0] == 0 and want[2] == ""
-        assert run(argv, capsys) == want                  # cold, from the C-order entry
     np.save(entry, np.asfortranarray(np.load(entry)))
     assert np.load(entry).flags.f_contiguous
-    for argv, want in zip(commands, wants):
-        clear_solves()
-        with monkeypatch.context() as m:
-            _unparsed(m)
-            calls = record_solves(m)
-            assert run(argv, capsys) == want, argv[0]     # solved afresh
-            assert run(argv, capsys) == want, argv[0]     # solves read from their entries
-        assert len(calls) == (1 if BLAS else 2), argv[0]
-
-    clear_solves()
-    chain = kio.load_input_file(str(path))
-    fortran = build_chain(np.asfortranarray(chain.kernel))
-    assert fortran.kernel.flags.c_contiguous and chain.kernel.flags.c_contiguous
-    solves = [(spectral_decomposition, lambda d: (d.eigenvalues, d.eigenvectors)),
-              (chain_spectrum, lambda lam: (lam,))]
-    for solve, arrays in solves:
-        with monkeypatch.context() as m:
-            solve_cache_off(m)
-            want = [a.tobytes() for a in arrays(solve(chain))]
-            assert [a.tobytes() for a in arrays(solve(fortran))] == want
-        calls = record_solves(monkeypatch)
-        for c in (fortran, fortran, chain):     # cold, then warm on either layout
-            assert [a.tobytes() for a in arrays(solve(c))] == want
-        assert len(calls) == (1 if BLAS else 3)
-    assert len(cache_files(cache_home)) == 1 + (2 if BLAS else 0)
-    g0 = centered_random_start(chain, np.random.default_rng(7))
-    assert ([a.tobytes() for a in power_stream(fortran, g0, 50)]
-            == [a.tobytes() for a in power_stream(chain, g0, 50)])
+    for name in cache_files(cache_home):    # every solve entry goes, the kernel entry stays
+        if name != entry.name:
+            (cache_home / "specrelax" / name).unlink()
+    with monkeypatch.context() as m:
+        _unparsed(m)
+        calls = record_solves(m)
+        assert run(argv, capsys) == want                  # solved afresh
+        assert run(argv, capsys) == want                  # solves read from their entries
+    assert len(calls) == (1 if BLAS else 2)
 
 
 def test_importing_the_cli_loads_no_hashlib(tmp_path):

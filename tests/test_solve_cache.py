@@ -20,8 +20,9 @@ from specrelax import cache, chains
 from specrelax import io as kio
 from specrelax.errors import EigensolveFailure
 
-from conftest import (BLAS, DAMAGED, cache_files, check_every_cache_state, child_env, needs_blas,
-                      record_solves, run, solve_entry_name, solve_entry_names, uncached)
+from conftest import (BLAS, DAMAGED, cache_files, centered_random_start, check_every_cache_state,
+                      child_env, needs_blas, power_stream, record_solves, run, solve_cache_off,
+                      solve_entry_name, solve_entry_names, uncached)
 
 N = 410     # analyze's eigvalsh, and eigh on the chain and on fpt's block, are cached
 
@@ -145,6 +146,30 @@ def test_an_unidentified_blas_writes_no_entry(chain_file, cache_home, monkeypatc
         assert run(argv, capsys) == want
         assert len(calls) == 2, command
     assert cache_files(cache_home) == []
+
+
+def test_a_column_major_kernel_hands_lapack_the_same_bytes(chain_file, cache_home,
+                                                          monkeypatch):
+    # a kernel given to build_chain column-major is kept row-major: it is
+    # solved, keyed, returned and iterated as the same kernel given row-major
+    chain = kio.load_input_file(str(chain_file))
+    fortran = chains.build_chain(np.asfortranarray(chain.kernel))
+    assert fortran.kernel.flags.c_contiguous and chain.kernel.flags.c_contiguous
+    solves = [(chains.spectral_decomposition, lambda d: (d.eigenvalues, d.eigenvectors)),
+              (chains.chain_spectrum, lambda lam: (lam,))]
+    for solve, arrays in solves:
+        with monkeypatch.context() as m:
+            solve_cache_off(m)
+            want = [a.tobytes() for a in arrays(solve(chain))]
+            assert [a.tobytes() for a in arrays(solve(fortran))] == want
+        calls = record_solves(monkeypatch)
+        for c in (fortran, fortran, chain):     # cold, then warm on either layout
+            assert [a.tobytes() for a in arrays(solve(c))] == want
+        assert len(calls) == (1 if BLAS else 3)
+    assert len(cache_files(cache_home)) == (2 if BLAS else 0)
+    g0 = centered_random_start(chain, np.random.default_rng(7))
+    assert ([a.tobytes() for a in power_stream(fortran, g0, 50)]
+            == [a.tobytes() for a in power_stream(chain, g0, 50)])
 
 
 @pytest.mark.parametrize("solve", ["eigh", "eigvalsh"])
