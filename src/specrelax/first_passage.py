@@ -109,13 +109,13 @@ def tail_coefficients(model: AbsorbingModel, start,
 def _validate_start(model: AbsorbingModel, start) -> np.ndarray:
     start = np.asarray(start, dtype=float)
     if start.shape == (model.base.n,):
-        if abs(start[model.target]) > 0:
+        if not start[model.target] == 0:    # each test here refuses nan too
             raise BadStart("start distribution puts mass on the absorbing state")
         start = start[model.keep]
     elif start.shape != (model.keep.size,):
         raise BadStart(
             f"start must have length {model.base.n} or {model.keep.size}")
-    if np.any(start < 0) or abs(start.sum() - 1.0) > 1e-12:
+    if not (np.all(start >= 0) and abs(start.sum() - 1.0) <= 1e-12):
         raise BadStart("start must be a probability vector")
     return start
 

@@ -56,11 +56,14 @@ def dump_json(obj, path: str | None = None) -> str:
 
 
 def _write(path: str | None, text: str):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:              # a directory, or a missing parent
+        raise IoError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 def _jsonable(obj):
@@ -144,21 +147,14 @@ def _parse_input(path: str):
         data = read_json(path, what, raw)
         if not isinstance(data, dict) or ("kernel" not in data and "eigenvalues" not in data):
             raise IoError(f"{path} holds neither a kernel nor a profile")
-        if "kernel" not in data:
-            return _profile_from(data, path)
         try:
+            if "kernel" not in data:
+                return SpectralProfile(lambdas=np.asarray(data["eigenvalues"], dtype=float),
+                                       log_weights=np.asarray(data["log_weights"], dtype=float))
             kernel = np.asarray(data["kernel"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise IoError(f"malformed chain file {path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            form = "chain" if "kernel" in data else "profile"
+            raise IoError(f"malformed {form} file {path}: {exc}") from exc
     if entry and (tmp := cache.write(entry, kernel)):
         cache.commit(tmp, entry)
     return kernel
-
-
-def _profile_from(data, path: str) -> SpectralProfile:
-    try:
-        lambdas = np.asarray(data["eigenvalues"], dtype=float)
-        log_weights = np.asarray(data["log_weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoError(f"malformed profile file {path}: {exc}") from exc
-    return SpectralProfile(lambdas=lambdas, log_weights=log_weights)

@@ -92,17 +92,6 @@ def gamma_vhat(rho_k, rho_k1):
     return np.maximum(rho_k1 / rho_k - 1.0, 0.0), np.maximum(rho_k * (rho_k1 - rho_k), 0.0)
 
 
-def _check_rho_pair(rho_k: float, rho_k1: float) -> tuple[float, float]:
-    """(Gamma_k, Vhat_k) of a pair of energy ratios, once checked to be one."""
-    if not (0.0 < rho_k < 1.0) or not (0.0 < rho_k1 < 1.0):
-        raise InvalidRho(f"rho values must lie in (0, 1), got {rho_k!r}, {rho_k1!r}")
-    if rho_k1 < rho_k - RHO_SLACK:
-        raise InvalidRho(
-            f"rho decreased from {rho_k!r} to {rho_k1!r}: not a reversible trajectory")
-    g, v = gamma_vhat(rho_k, rho_k1)
-    return float(g), float(v)
-
-
 @dataclass
 class StoppingState:
     """The adaptive stopping rule as an O(1) fold over the rho stream.
@@ -152,8 +141,13 @@ class StoppingState:
         rho_k, self.rho, self.steps = self.rho, float(rho_value), self.steps + 1
         if rho_k is None:
             return None
+        if not (0.0 < rho_k < 1.0) or not (0.0 < self.rho < 1.0):
+            raise InvalidRho(f"rho values must lie in (0, 1), got {rho_k!r}, {self.rho!r}")
+        if self.rho < rho_k - RHO_SLACK:
+            raise InvalidRho(
+                f"rho decreased from {rho_k!r} to {self.rho!r}: not a reversible trajectory")
         k, vhat_prev = self.steps - 2, self.vhat
-        self.gamma, self.vhat = _check_rho_pair(rho_k, self.rho)
+        self.gamma, self.vhat = (float(x) for x in gamma_vhat(rho_k, self.rho))
         self._update_tau_hat(k, rho_k, vhat_prev)
         if self.verdict == "running":
             self._maybe_stop(k)

@@ -43,20 +43,6 @@ def kl_rows(block: LedgerBlock) -> np.ndarray:
     return np.sum(block.p[1:] * (log_p[1:] - log_p[:-1]), axis=1)
 
 
-def _require_rho(block: LedgerBlock) -> None:
-    """Refuse rows with rho = 0, which the step identities divide by or log.
-
-    rho is 0 in floating point, while the trajectory lives on, when every
-    mode with lambda^2 > 0 has an occupation that underflows (at k = 0 only
-    lambda = 0 modes, say, hold the energy).
-    """
-    zero = block.rho <= 0.0
-    if np.any(zero):
-        raise DeadTrajectory(
-            f"rho underflows to 0 at step {int(block.ks[np.argmax(zero)])}: "
-            "no resolvable energy on modes with lambda != 0")
-
-
 def covariance_rows(block: LedgerBlock, slow: int) -> tuple[np.ndarray, ...]:
     """Covariance of (lambda^2, ln 1/p) at each row in its canonical form,
     with the fluxes J and affinities A whose products it sums.
@@ -103,8 +89,18 @@ def G_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def release_rows(block: LedgerBlock) -> tuple[np.ndarray, np.ndarray]:
-    """The split G_k - G_{k+1} = A + B at each row of a live block: (A, B)."""
-    _require_rho(block)
+    """The split G_k - G_{k+1} = A + B at each row of a live block: (A, B).
+
+    Rows with rho = 0 are refused, as B logs rho: rho is 0 in floating point,
+    while the trajectory lives on, when every mode with lambda^2 > 0 has an
+    occupation that underflows (at k = 0 only lambda = 0 modes, say, hold the
+    energy).
+    """
+    zero = block.rho <= 0.0
+    if np.any(zero):
+        raise DeadTrajectory(
+            f"rho underflows to 0 at step {int(block.ks[np.argmax(zero)])}: "
+            "no resolvable energy on modes with lambda != 0")
     lam = block.lambdas
     x = lam ** 2
     A = np.sum(np.exp(block.log_n) * (1.0 - x) * -block.log_p(), axis=1)

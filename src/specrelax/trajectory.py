@@ -161,20 +161,17 @@ def ledger_block(profile: SpectralProfile, ks) -> LedgerBlock:
 
 def ledger_blocks(profile: SpectralProfile, ks,
                   pairs: bool = False) -> Iterator[LedgerBlock]:
-    """`ledger_block` over `ks` in consecutive pieces, for scans of any length.
-
-    Pieces double from 16 steps up to LEDGER_BLOCK_ELEMENTS entries, so a
-    scan that stops early computes at most about twice the steps it uses,
-    and a long one keeps its memory bounded.  The pieces partition `ks`;
-    with `pairs`, each piece after the first starts at the last step of the
-    one before instead, so every pair of neighbouring steps lies within one
-    block.  `ks` may be a `range`; it is sliced, never materialized whole.
+    """`ledger_block` over `ks` in consecutive pieces of at most
+    LEDGER_BLOCK_ELEMENTS entries, so that a scan of any length keeps its
+    memory bounded.  The pieces partition `ks`; with `pairs`, each piece after
+    the first starts at the last step of the one before instead, so every
+    pair of neighbouring steps lies within one block.  `ks` may be a `range`;
+    it is sliced, never materialized whole.
     """
-    longest = max(2, LEDGER_BLOCK_ELEMENTS // profile.n_modes)
-    rows, start = min(16, longest), 0
+    rows, start = max(2, LEDGER_BLOCK_ELEMENTS // profile.n_modes), 0
     while True:
         stop = min(start + rows, len(ks))
         yield ledger_block(profile, ks[start:stop])
         if stop >= len(ks):
             return
-        rows, start = min(2 * rows, longest), stop - 1 if pairs else stop
+        start = stop - 1 if pairs else stop

@@ -26,7 +26,6 @@ from specrelax import (
     pi_inner,
     power_steps,
     profile_from_weights,
-    spectral_decomposition,
 )
 from specrelax.cache import blas_identity
 from specrelax.cli import main
@@ -94,12 +93,6 @@ def power_stream(chain, g0, steps):
     """The first `steps` items of the power stream as (ln E, rho, iterates) arrays."""
     log_E, rho, iterates = zip(*itertools.islice(power_steps(chain, g0), steps))
     return np.array(log_E), np.array(rho), np.array(iterates)
-
-
-def spectral_coefficients(chain, decomp, g0):
-    """Projections of a centered vector on the nontrivial eigenvectors."""
-    g0 = np.asarray(g0, dtype=float)
-    return decomp.eigenvectors[:, 1:].T @ (chain.pi * g0)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import InvalidArguments, InvalidInterval, OutOfRange
+from specrelax.errors import InvalidArguments, InvalidInterval
 from specrelax.rigidity import split_slow_fast
 
 import oracles
 from conftest import random_profile
-from oracles import SlowModeSuppressed
 
 
 def t4_monomial(x):
@@ -51,13 +50,13 @@ class TestChebyshevT:
 class TestBuildPlan:
     def test_simple_mode_guarantee_value(self):
         plan = sr.build_Qm(4, a=-0.95, b=0.95)
-        assert oracles.eps_m(plan) == pytest.approx(0.510820355831155, rel=1e-12)
+        assert 1 / abs(plan.norm_value) == pytest.approx(0.510820355831155, rel=1e-12)
         assert plan.interval == (-0.95, 0.95)
         assert plan(1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_one_interval_is_affine(self):
         plan = sr.build_Qm(1, a=-1.0, b=0.0)
-        assert oracles.eps_m(plan) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert 1 / abs(plan.norm_value) == pytest.approx(1.0 / 3.0, rel=1e-14)
         for lam in (-1.0, -0.5, 0.0, 0.5, 1.0):
             assert plan(lam) == pytest.approx((2 * lam + 1) / 3, abs=1e-14)
 
@@ -68,7 +67,7 @@ class TestBuildPlan:
 
     def test_degree_zero(self):
         plan = sr.build_Qm(0, a=-0.5, b=0.5)
-        assert oracles.eps_m(plan) == 1.0
+        assert abs(plan.norm_value) == 1.0
         assert plan(0.3) == 1.0
 
     def test_interval_guards(self):
@@ -84,8 +83,8 @@ class TestMinimaxVerify:
     def test_grid_max_and_equioscillation(self):
         plan = sr.build_Qm(4, a=-1.0, b=0.7)
         report = oracles.minimax_verify(plan)
-        assert report.grid_max <= oracles.eps_m(plan) * (1 + 1e-10)
-        assert report.grid_max == pytest.approx(oracles.eps_m(plan), rel=1e-10)
+        assert report.grid_max <= (1 + 1e-10) / abs(plan.norm_value)
+        assert report.grid_max == pytest.approx(1 / abs(plan.norm_value), rel=1e-10)
         assert report.equioscillation_count >= 5
 
     def test_no_rival_beats_the_plan(self):
@@ -125,9 +124,9 @@ class TestAcceleratedTrajectories:
         # the guarantee on [-lambda2, lambda2] itself still holds
         plan = sr.build_Qm(4, a=-0.95, b=0.95)
         assert abs(plan(0.70)) == pytest.approx(0.5032, abs=1e-3)
-        assert abs(plan(0.70)) <= oracles.eps_m(plan)
+        assert abs(plan(0.70)) <= 1 / abs(plan.norm_value)
         xs = np.linspace(-0.95, 0.95, 2001)
-        assert np.max(np.abs(plan(xs))) <= oracles.eps_m(plan) * (1 + 1e-10)
+        assert np.max(np.abs(plan(xs))) <= (1 + 1e-10) / abs(plan.norm_value)
 
     def test_mode_at_polynomial_zero_is_dropped(self):
         plan = sr.build_Qm(1, a=-0.5, b=0.5)   # Q(lambda) = lambda
@@ -177,53 +176,6 @@ class TestAcceleratedTrajectories:
             assert a_acc >= a_plain - 1e-12
 
 
-class TestMomentum:
-    def test_benchmark_value(self):
-        beta = oracles.momentum_beta_star(0.95)
-        assert beta == pytest.approx(0.52410, abs=1e-5)
-        assert beta == pytest.approx(0.5240999447758009, rel=1e-12)
-
-    def test_discriminant_vanishes(self):
-        for lam in (0.3, 0.8, 0.95, 0.999):
-            beta = oracles.momentum_beta_star(lam)
-            disc = (1 + beta) ** 2 * lam ** 2 - 4 * beta
-            assert abs(disc) <= 1e-12
-
-    def test_limit_toward_one(self):
-        assert oracles.momentum_beta_star(1 - 1e-8) > 0.999
-        betas = [oracles.momentum_beta_star(x) for x in (0.5, 0.8, 0.95, 0.999)]
-        assert all(a < b for a, b in zip(betas, betas[1:]))
-
-    def test_out_of_range(self):
-        for bad in (0.0, 1.0, -0.3, 2.0):
-            with pytest.raises(OutOfRange):
-                oracles.momentum_beta_star(bad)
-
-    def test_root_magnitudes_at_critical_damping(self):
-        lam2 = 0.9
-        beta = oracles.momentum_beta_star(lam2)
-        r1, r2 = oracles.momentum_roots(lam2, beta)
-        assert abs(abs(r1) - math.sqrt(beta)) <= 1e-10
-        assert abs(abs(r2) - math.sqrt(beta)) <= 1e-10
-        # below the critical eigenvalue the pair is conjugate with |r| = sqrt(beta)
-        for lam in (0.2, 0.5, 0.85):
-            r1, r2 = oracles.momentum_roots(lam, beta)
-            assert abs(abs(r1) - math.sqrt(beta)) <= 1e-12
-            assert abs(abs(r2) - math.sqrt(beta)) <= 1e-12
-
-    def test_recurrence_matches_closed_form(self):
-        lam, beta = 0.7, oracles.momentum_beta_star(0.9)
-        r1, r2 = oracles.momentum_roots(lam, beta)
-        # x_0 = 1, x_1 = lam; solve c1 + c2 = 1, c1 r1 + c2 r2 = lam
-        c1 = (lam - r2) / (r1 - r2)
-        c2 = 1.0 - c1
-        x_prev, x = 1.0, lam
-        for k in range(2, 50):
-            x_prev, x = x, (1 + beta) * lam * x - beta * x_prev
-            closed = (c1 * r1 ** k + c2 * r2 ** k).real
-            assert x == pytest.approx(closed, abs=1e-10)
-
-
 class TestAcceleratedRigidityBound:
     def test_identity_plan_reduces_to_plain_bound(self, s8_two_mode):
         plan = sr.build_Qm(1, a=-0.7, b=0.7)
@@ -254,11 +206,3 @@ class TestAcceleratedRigidityBound:
                                                 R0=0.9, delta=0.1)
             rates.append(m * (out.accel_steps - 1.0))
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
-
-    def test_suppressed_slow_mode_rejected(self):
-        # a degree-0 plan damps nothing: the slow mode cannot outrun the
-        # fast interval and the bound must refuse
-        plan = sr.build_Qm(0, a=-1.0, b=0.7)
-        with pytest.raises(SlowModeSuppressed):
-            oracles.accelerated_rigidity_bound(plan, lambda2=0.95, c2_sq=0.5,
-                                          R0=0.5, delta=0.1)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax import power_iter
+from specrelax import power_iter, trajectory
 from specrelax.cli import LEDGER_COLUMNS, full_ledger_rows, main
 from specrelax.io import dump_json, fmt, load_input_file
 
 import oracles
-from conftest import birth_death, random_reversible, record_solves
-from oracles import load_profile_file, save_profile
+from conftest import birth_death, child_env, random_reversible, record_solves
 
 TINY = np.finfo(float).tiny
 # the one refusal of a stationary chain solve whose lambda2 is next to 1
@@ -178,11 +176,10 @@ class TestImportClosure:
     @staticmethod
     def _loaded_after(code: str) -> list:
         """The specrelax submodules a fresh interpreter holds after `code`."""
-        src = Path(sr.__file__).resolve().parents[1]
         code += ("; import json, sys; print(json.dumps(sorted("
                  "m for m in sys.modules if m.startswith('specrelax.'))))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+                             env=child_env(), check=True).stdout
         return json.loads(out.splitlines()[-1])
 
     def test_package_import_loads_no_submodule(self):
@@ -300,6 +297,19 @@ class TestOutputRouting:
         assert capsys.readouterr().out.encode() == fluxes + read(out)
         assert fluxes.count(b"\n") == 1
 
+    @pytest.mark.parametrize("argv, where", [
+        (["analyze", "k5"], "."),
+        (["analyze", "k5"], "missing/dir/x.csv"),
+        (["thermo", "paper-s8", "--steps", "3", "--fluxes-at", "1"], "missing/t.csv"),
+    ], ids=["a directory", "a missing parent", "the flux file"])
+    def test_an_unwritable_output_is_one_error_line(self, argv, where, tmp_path, capsys):
+        path = tmp_path / where
+        assert run_cli(argv + ["--out", str(path)]) == 3
+        name = f"{path}.fluxes.json" if "--fluxes-at" in argv else path
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: IoError: cannot write output file {name}: ")
+
     @pytest.mark.parametrize("argv, kinds", [
         (["thermo", "s8-two-mode", "--steps", "1", "--fluxes-at", "0"], [dict, list]),
         (["power", "barbell-metastable", "--max-iter", "5"], [list, dict]),
@@ -352,7 +362,9 @@ class TestRigidityCommand:
 
 
 class TestLedgerCommands:
-    def test_simulate_columns_and_roundtrip(self, tmp_path):
+    def test_simulate_columns_and_roundtrip(self, tmp_path, monkeypatch):
+        # pieces of 8 rows: the 32 rows span five blocks
+        monkeypatch.setattr(trajectory, "LEDGER_BLOCK_ELEMENTS", 16)
         out = tmp_path / "sim.csv"
         assert run_cli(["simulate", "s8-two-mode", "--steps", "30",
                         "--out", str(out)]) == 0
@@ -725,11 +737,14 @@ class TestFptCommand:
             np.savetxt(path, values, fmt="%.17g")
             assert run_cli(argv + [f"file:{path}"]) == 0
             assert capsys.readouterr() == expected
-        np.savetxt(path, np.full(6, 1 / 6), fmt="%.17g")
-        assert run_cli(argv + [f"file:{path}"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: BadStart: ")
-        assert captured.err.count("\n") == 1
+        # mass on the target, a nan elsewhere, a nan on the target
+        for values in (np.full(6, 1 / 6), [0.0, math.nan, 0.25, 0.25, 0.25, 0.25],
+                       [math.nan, 0.2, 0.2, 0.2, 0.2, 0.2]):
+            np.savetxt(path, values, fmt="%.17g")
+            assert run_cli(argv + [f"file:{path}"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: BadStart: ")
+            assert captured.err.count("\n") == 1
         missing = tmp_path / "missing.csv"
         assert run_cli(argv + [f"file:{missing}"]) == 3
         assert capsys.readouterr() == ("", f"error: IoError: start file not found: {missing}\n")
@@ -824,11 +839,10 @@ class TestMetastableBarbell:
                 "    with contextlib.redirect_stderr(err):\n"
                 "        runs.append([main([command, sys.argv[1]]), err.getvalue()])\n"
                 "print(json.dumps(runs))")
-        src = str(Path(sr.__file__).resolve().parents[1])
         for kernel in ("Haswell", "Prescott"):
             out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                                  text=True, check=True,
-                                 env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
+                                 env=child_env(OPENBLAS_CORETYPE=kernel))
             assert json.loads(out.stdout) == [[4, UNRESOLVED_GAP]] * 2, kernel
 
     def test_simulate_matches_the_power_stream(self, chain_file, tmp_path, capsys):
@@ -1024,12 +1038,10 @@ class TestConfigAndErrors:
         assert "ConfigError" in capsys.readouterr().err
 
     def test_python_m_runs_main(self, tmp_path, capsys):
-        src = Path(sr.__file__).resolve().parents[1]
-
         def module(name, *argv):
             return subprocess.run([sys.executable, "-m", name, *argv], cwd=tmp_path,
                                   capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=str(src)))
+                                  env=child_env())
 
         assert run_cli(["analyze", "k5"]) == 0
         want = capsys.readouterr().out
@@ -1212,8 +1224,8 @@ class TestIoHelpers:
     def test_profile_save_load(self, tmp_path):
         prof = sr.profile_from_weights([0.9, -0.4], [1.0, 2.0])
         path = str(tmp_path / "prof.json")
-        save_profile(prof, path)
-        back = load_profile_file(path)
+        dump_json({"eigenvalues": prof.lambdas, "log_weights": prof.log_weights}, path)
+        back = load_input_file(path)
         np.testing.assert_array_equal(back.lambdas, prof.lambdas)
         np.testing.assert_array_equal(back.log_weights, prof.log_weights)
 
@@ -1228,7 +1240,8 @@ class TestIoHelpers:
         chain_file = tmp_path / "chain.json"
         chain_file.write_text(json.dumps({"kernel": [[0.9, 0.1], [0.3, 0.7]]}))
         profile_file = tmp_path / "prof.json"
-        save_profile(sr.profile_from_weights([0.9, -0.4], [1.0, 2.0]), str(profile_file))
+        profile_file.write_text(json.dumps({"eigenvalues": [0.9, -0.4],
+                                            "log_weights": [0.0, math.log(2.0)]}))
         for path in (chain_file, profile_file):
             assert run_cli(["analyze", str(path), "--out", str(tmp_path / "a.csv")]) == 0
         assert loads == [str(chain_file), str(profile_file)]

@@ -112,10 +112,12 @@ class TestFptTail:
     def test_bad_starts(self, rng):
         chain = random_reversible(5, rng)
         model = sr.absorb(chain, 0)
-        with pytest.raises(BadStart):
-            oracles.fpt_tail(model, np.array([1.0, 0, 0, 0, 0]), 3)  # mass on target
-        with pytest.raises(BadStart):
-            oracles.fpt_tail(model, np.full(4, 0.3), 3)               # not normalized
+        for start in ([1.0, 0, 0, 0, 0],             # mass on the target
+                      [0.3] * 4,                     # not normalized
+                      [math.nan, 0, 0, 0, 1.0],      # nan on the target
+                      [0, math.nan, 0, 0, 1.0]):     # nan elsewhere
+            with pytest.raises(BadStart):
+                sr.tail_curve(model, start, 3)
 
     def test_a_negative_horizon_is_refused(self, hand_chain):
         with pytest.raises(InvalidArguments):

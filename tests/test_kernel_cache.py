@@ -204,7 +204,6 @@ def test_importing_the_cli_loads_no_hashlib(tmp_path):
     # `import numpy` has not loaded it already (numpy 2 does)
     np.savetxt(tmp_path / "small.csv", random_reversible(12, np.random.default_rng(5)).kernel,
                delimiter=",", fmt="%.17g")
-    src = Path(kio.__file__).resolve().parents[1]
     for argv in (["analyze", "k5"], ["analyze", "cycle-50"], ["analyze", "small.csv"]):
         code = ("import sys, numpy; before = set(sys.modules); "
                 "from specrelax.cli import main; "
@@ -212,7 +211,7 @@ def test_importing_the_cli_loads_no_hashlib(tmp_path):
                 "print([m for m in ('hashlib', '_hashlib', 'specrelax.cache') if m in sys.modules]"
                 " + [m for m in ('ctypes', '_ctypes') if m in sys.modules and m not in before])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                             cwd=tmp_path, env=child_env(),
                              check=True).stdout
         assert out.splitlines()[-1] == "[]", argv
 

@@ -6,10 +6,10 @@ stdout, stderr and every file it writes (`--out` and `--out`.fluxes.json),
 one list entry per line so that a diff shows each moved line.  The cases are
 the benchmark's 33 operations at reduced sizes (chains n <= 300, horizons
 <= 300), the nine criterion-16 commands at seed 13, the refusals of
-malformed inputs and options, two runs of the online tau-hat fold, and the
-counterexamples of ROADMAP items 8, 11 and 12.  Inputs are generated from
-fixed seeds into a fresh directory, and every case runs in one child
-interpreter with one BLAS thread.
+malformed inputs, options and unwritable outputs, two runs of the online
+tau-hat fold, and the counterexamples of ROADMAP items 8, 11 and 12.
+Inputs are generated from fixed seeds into a fresh directory, and every
+case runs in one child interpreter with one BLAS thread.
 
 Where numpy's version, its BLAS build, the BLAS kernel picked at run time
 and the machine equal those recorded with the corpus, every text must match
@@ -163,6 +163,11 @@ def cases() -> list[tuple[str, list[str]]]:
         ("accel --interval with a mode mapped above the slow one",
          ["accel", "mapped.json", "--interval", "-0.6,0.6", "--compare-plain", "--steps", "2"]),
         ("rigidity k5", ["rigidity", "k5"]),
+        # refusals of a nan start law and of outputs that cannot be written
+        ("fpt start file holding nan", ["fpt", "c3.csv", "--start", "file:nanstart.csv"]),
+        ("analyze --out in a missing directory", ["analyze", "k5", "--out", "missing/a.csv"]),
+        ("thermo --fluxes-at into a missing directory",
+         ["thermo", "paper-s8", "--steps", "3", "--fluxes-at", "1", "--out", "missing/t.csv"]),
     ]
 
 
@@ -244,6 +249,8 @@ def write_inputs(work: Path) -> None:
     csv("start2.csv", [[0.5, 0.5]])
     csv("two.csv", [[0.9, 0.1], [0.3, 0.7]])
     csv("empty.csv", [])
+    csv("c3.csv", [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+    csv("nanstart.csv", [[0.0, math.nan, 1.0]])
 
 
 # --- running --------------------------------------------------------------

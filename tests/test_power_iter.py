@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 import specrelax as sr
-from specrelax.errors import (
-    InvalidArguments,
-    InvalidRho,
-    OutOfRange,
-    ZeroProjection,
-)
-from specrelax.power_iter import GAMMA_FLOOR
+from specrelax.errors import InvalidArguments, InvalidRho, ZeroProjection
+from specrelax.power_iter import GAMMA_FLOOR, gamma_vhat
 
 import oracles
 from conftest import (
@@ -80,16 +75,6 @@ class TestRunPower:
 
 
 class TestErrorIdentity:
-    def test_endpoints(self):
-        assert oracles.error_identity(1.0) == 0.0
-        assert oracles.error_identity(0.25) == pytest.approx(1.0, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            oracles.error_identity(0.0)
-        with pytest.raises(OutOfRange):
-            oracles.error_identity(1.5)
-
     def test_matrix_path_agreement(self, rng):
         for _ in range(8):
             n = int(rng.integers(6, 31))
@@ -110,13 +95,12 @@ class TestObservableVariance:
     def test_single_mode_zero(self):
         prof = sr.profile_from_weights([0.9], [1.0])
         rhos = profile_rho_stream(prof, 3)
-        assert oracles.observable_variance(rhos[0], rhos[1]) == 0.0
-        assert oracles.gamma(rhos[0], rhos[1]) == 0.0
+        assert gamma_vhat(rhos[0], rhos[1]) == (0.0, 0.0)
 
     def test_hand_case_exact(self, two_mode_profile):
         r0 = oracles.ledger_at(two_mode_profile, 0).rho
         r1 = oracles.ledger_at(two_mode_profile, 1).rho
-        vhat = oracles.observable_variance(r0, r1)
+        vhat = gamma_vhat(r0, r1)[1]
         assert abs(vhat - 0.16) <= 1e-15
         assert r0 == pytest.approx(0.41, abs=1e-16)
 
@@ -127,7 +111,7 @@ class TestObservableVariance:
             for k in range(0, 100, 7):
                 led = oracles.ledger_at(prof, k)
                 led1 = oracles.ledger_at(prof, k + 1)
-                vhat = oracles.observable_variance(led.rho, led1.rho)
+                vhat = gamma_vhat(led.rho, led1.rho)[1]
                 spectral = float(np.sum(led.p * lam_sq ** 2) - led.rho ** 2)
                 assert abs(vhat - spectral) <= 1e-12
 
@@ -137,13 +121,14 @@ class TestObservableVariance:
             rhos = profile_rho_stream(prof, 60)
             for r0, r1 in zip(rhos, rhos[1:]):
                 assert r1 >= r0 - 1e-12
-                assert oracles.gamma(r0, r1) >= 0.0
+                assert gamma_vhat(r0, r1)[0] >= 0.0
 
     def test_rejects_decreasing_rho(self):
-        with pytest.raises(InvalidRho):
-            oracles.observable_variance(0.9, 0.5)
-        with pytest.raises(InvalidRho):
-            oracles.gamma(0.5, 1.5)
+        for rho_k, rho_k1 in ((0.9, 0.5), (0.5, 1.5)):
+            state = sr.StoppingState(epsilon=0.1, tau=0.5)
+            state.update(rho_k)
+            with pytest.raises(InvalidRho):
+                state.update(rho_k1)
 
 
 class TestAlphaBounds:
@@ -157,7 +142,7 @@ class TestAlphaBounds:
         prof = sr.profile_from_weights([l2, l3], [alpha, 1 - alpha])
         led = oracles.ledger_at(prof, 0)
         led1 = oracles.ledger_at(prof, 1)
-        vhat = oracles.observable_variance(led.rho, led1.rho)
+        vhat = gamma_vhat(led.rho, led1.rho)[1]
         lower_product = alpha * (1 - alpha) * (l2 ** 2 - l3 ** 2) ** 2
         assert lower_product <= vhat * (1 + 1e-12)
         assert vhat <= (1 - alpha) * l2 ** 4 * (1 + 1e-12)
@@ -179,7 +164,7 @@ class TestAlphaBounds:
                 led = oracles.ledger_at(prof, k)
                 if led.p[slow] < 0.5:
                     continue
-                vhat = oracles.observable_variance(led.rho, oracles.ledger_at(prof, k + 1).rho)
+                vhat = gamma_vhat(led.rho, oracles.ledger_at(prof, k + 1).rho)[1]
                 true_fast = float(led.p[fast].sum())
                 upper = oracles.alpha_bounds_from_variance(vhat, l2, l3).upper
                 assert true_fast <= upper * (1 + 1e-10) + 1e-15
@@ -251,8 +236,6 @@ class TestAdaptiveStop:
         for eps, tau in ((0.0, None), (2.0, None), (0.1, 0.0), (0.1, 5.0)):
             with pytest.raises(InvalidArguments):
                 sr.StoppingState(epsilon=eps, tau=tau)
-            with pytest.raises(InvalidArguments):
-                oracles.adaptive_stop([0.5, 0.6], epsilon=eps, tau=tau)
 
     def test_stream_ended(self, s8_two_mode):
         with pytest.raises(StreamEnded) as exc:

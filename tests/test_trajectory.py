@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrelax as sr
-from specrelax.errors import (DeadTrajectory, DimensionMismatch, InvalidArguments,
-                              ZeroProjection)
+from specrelax import trajectory
+from specrelax.errors import InvalidArguments, ZeroProjection
 
 import oracles
 from conftest import (
@@ -16,7 +17,6 @@ from conftest import (
     power_stream,
     random_profile,
     random_reversible,
-    spectral_coefficients,
 )
 
 
@@ -113,8 +113,6 @@ class TestDissipation:
         prof = sr.profile_from_weights([0.0, 0.0], [2.0, 3.0])
         step = oracles.dissipation_step(prof, 0)
         assert step.delta_E == pytest.approx(5.0, rel=1e-14)
-        with pytest.raises(DeadTrajectory):
-            oracles.dissipation_step(prof, 1)
 
     def test_modewise_sums_to_delta(self, rng):
         for _ in range(30):
@@ -128,15 +126,13 @@ class TestDissipation:
 class TestMatrixOracle:
     def test_stochasticity(self, rng):
         chain = random_reversible(9, rng)
-        np.testing.assert_allclose(
-            oracles.matrix_oracle_step(chain, np.ones( 9)), np.ones(9), atol=1e-12)
+        np.testing.assert_allclose(chain.kernel @ np.ones(9), np.ones(9), atol=1e-12)
 
     def test_eigenrelation(self, rng):
         chain = random_reversible(12, rng)
         dec = sr.spectral_decomposition(chain)
         phi2 = dec.eigenvectors[:, 1]
-        out = oracles.matrix_oracle_step(chain, phi2)
-        diff = out - dec.eigenvalues[1] * phi2
+        diff = chain.kernel @ phi2 - dec.eigenvalues[1] * phi2
         assert math.sqrt(sr.pi_inner(chain, diff, diff)) < 1e-9
 
     def test_quadratic_identity(self, rng):
@@ -144,17 +140,12 @@ class TestMatrixOracle:
         for _ in range(10):
             chain = random_reversible(20, rng)
             g = centered_random_start(chain, rng)
-            Pg = oracles.matrix_oracle_step(chain, g)
+            Pg = chain.kernel @ g
             u = g - Pg
-            q = u + oracles.matrix_oracle_step(chain, u)   # (2G - G^2) g = u + P u
+            q = u + chain.kernel @ u   # (2G - G^2) g = u + P u
             lhs = sr.pi_inner(chain, g, q)
             rhs = sr.pi_inner(chain, g, g) - sr.pi_inner(chain, Pg, Pg)
             assert abs(lhs - rhs) <= 1e-12 * sr.pi_inner(chain, g, g)
-
-    def test_dimension_guard(self, rng):
-        chain = random_reversible(4, rng)
-        with pytest.raises(DimensionMismatch):
-            oracles.matrix_oracle_step(chain, np.ones(5))
 
 
 class TestTransport:
@@ -260,15 +251,19 @@ _lambda = st.one_of(
        st.integers(min_value=0, max_value=10 ** 9))
 @settings(max_examples=60, deadline=None)
 def test_ledger_at_is_a_row_of_the_block(modes, k0):
-    # with pairs, ledger_blocks splits 40 steps into two blocks, the second
-    # starting at the last step of the first; every row must equal the
-    # one-row view.  Without pairs the blocks partition the steps.
+    # pieces of 16 rows: with pairs, ledger_blocks splits 40 steps into three
+    # blocks, each after the first starting at the last step of the one
+    # before; every row must equal the one-row view.  Without pairs the
+    # blocks partition the steps.
     lam, lw = (np.array(v) for v in zip(*modes))
     prof = sr.SpectralProfile(lambdas=lam, log_weights=lw)
     ks = range(k0, k0 + 40)
-    assert [int(k) for b in sr.ledger_blocks(prof, ks) for k in b.ks] == list(ks)
-    blocks = list(sr.ledger_blocks(prof, ks, pairs=True))
-    assert len(blocks) == 2 and blocks[1].ks[0] == blocks[0].ks[-1]
+    with patch.object(trajectory, "LEDGER_BLOCK_ELEMENTS", 16 * prof.n_modes):
+        parts = list(sr.ledger_blocks(prof, ks))
+        blocks = list(sr.ledger_blocks(prof, ks, pairs=True))
+    assert [int(k) for b in parts for k in b.ks] == list(ks) and len(parts) == 3
+    assert [b.ks.size for b in blocks] == [16, 16, 10]
+    assert all(b.ks[0] == a.ks[-1] for a, b in zip(blocks, blocks[1:]))
     for block in blocks:
         for i, k in enumerate(block.ks):
             row, led = oracles.ledger_row(block, i), oracles.ledger_at(prof, int(k))
